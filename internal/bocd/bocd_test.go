@@ -265,11 +265,32 @@ func BenchmarkDetectorStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSplitTimes times the splitter on the shapes the monitor feeds it:
+// short is one pair's or rank's events in a 5 s window, long the same in a
+// 60 s window, both through a pool as the streaming monitor runs them; fresh
+// is the unpooled one-shot path on a mid-sized sequence.
 func BenchmarkSplitTimes(b *testing.B) {
-	times := syntheticStepTimes(20, 50, time.Millisecond, time.Second, 0.2, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SplitTimes(times, SplitConfig{})
+	pool := NewPool(Config{})
+	for _, bc := range []struct {
+		name         string
+		steps, burst int
+		cfg          SplitConfig
+	}{
+		{"fresh", 20, 50, SplitConfig{}},
+		{"short", 2, 20, SplitConfig{Detectors: pool}},
+		{"long", 20, 45, SplitConfig{Detectors: pool}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			times := syntheticStepTimes(bc.steps, bc.burst, time.Millisecond, time.Second, 0.2, 1)
+			if got := len(SplitTimes(times, bc.cfg)); got != bc.steps {
+				b.Fatalf("%d segments, want %d", got, bc.steps)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SplitTimes(times, bc.cfg)
+			}
+		})
 	}
 }
 

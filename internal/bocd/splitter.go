@@ -56,13 +56,10 @@ func (c SplitConfig) withDefaults() SplitConfig {
 }
 
 // separationThreshold finds the largest multiplicative jump between
-// consecutive sorted gaps in the upper half of the distribution. ok is
-// false when no jump reaches minRatio. The threshold is the geometric mean
-// of the jump's endpoints.
-func separationThreshold(gaps []float64, minRatio float64) (float64, bool) {
-	sorted := make([]float64, len(gaps))
-	copy(sorted, gaps)
-	sort.Float64s(sorted)
+// consecutive gaps in the upper half of the ascending-sorted gap
+// distribution. ok is false when no jump reaches minRatio. The threshold is
+// the geometric mean of the jump's endpoints.
+func separationThreshold(sorted []float64, minRatio float64) (float64, bool) {
 	bestRatio, bestAt := 0.0, -1
 	for i := len(sorted) / 2; i+1 < len(sorted); i++ {
 		lo, hi := sorted[i], sorted[i+1]
@@ -96,48 +93,55 @@ func SplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 		return []Segment{{Lo: 0, Hi: n}}
 	}
 
-	gaps := make([]float64, n-1)
-	for i := 0; i < n-1; i++ {
+	det, pooled := cfg.acquireDetector()
+	if pooled != nil {
+		defer pooled.Put(det)
+	}
+	// The gaps and their sorted copy live in the detector's scratch, so a
+	// pooled detector brings them along.
+	det.splitBuf = nextBuf(det.splitBuf, 2*(n-1))
+	gaps, sorted := det.splitBuf[:n-1], det.splitBuf[n-1:]
+	for i := range gaps {
 		gaps[i] = times[i+1].Sub(times[i]).Seconds()
 	}
-	guard, separated := separationThreshold(gaps, cfg.MinSeparation)
+	copy(sorted, gaps)
+	sort.Float64s(sorted)
+	guard, separated := separationThreshold(sorted, cfg.MinSeparation)
 	if !separated {
 		// No two-regime structure in the gaps: the window holds no
 		// complete step boundary.
 		return []Segment{{Lo: 0, Hi: n}}
 	}
-
-	median := medianOf(gaps)
+	median := medianOfSorted(sorted)
 	if median <= 0 {
 		median = 1e-9
 	}
-	// Normalize gaps by their median so the detector is scale-free across
-	// pairs and jobs, and winsorize the low side at the median: gaps below
-	// the median carry no step-boundary information (boundaries are always
-	// unusually *large* gaps), but near-zero gaps — concurrent collective
-	// chains, retransmitted records — would otherwise dominate the learned
-	// within-step distribution and mask boundaries.
-	obs := make([]float64, len(gaps))
-	for i, g := range gaps {
-		v := g / median
-		if v < 1 {
-			v = 1
-		}
-		obs[i] = v
-	}
 
-	det, pooled := cfg.acquireDetector()
-	if pooled != nil {
-		defer pooled.Put(det)
+	// A boundary needs gaps[i] >= guard, and the detector's state after the
+	// last such gap is never read: stop there instead of stepping the tail.
+	last := n - 2
+	for last > 0 && gaps[last] < guard {
+		last--
 	}
 	var segments []Segment
 	lo := 0
-	for i, x := range obs {
+	for i, g := range gaps[:last+1] {
+		// Normalize gaps by their median so the detector is scale-free
+		// across pairs and jobs, and winsorize the low side at the median:
+		// gaps below the median carry no step-boundary information
+		// (boundaries are always unusually *large* gaps), but near-zero gaps
+		// — concurrent collective chains, retransmitted records — would
+		// otherwise dominate the learned within-step distribution and mask
+		// boundaries.
+		x := g / median
+		if x < 1 {
+			x = 1
+		}
 		p := det.Step(x)
 		if i == 0 {
 			continue
 		}
-		if p > det.cfg.Threshold && gaps[i] >= guard {
+		if p > det.cfg.Threshold && g >= guard {
 			// Gap i separates times[i] and times[i+1]: a new step
 			// begins at event i+1. Reset the detector so run-length
 			// hypotheses containing the boundary spike cannot absorb
@@ -170,9 +174,6 @@ func (c SplitConfig) acquireDetector() (*Detector, *Pool) {
 // burst into reduce-scatter and all-gather halves when the window holds no
 // true boundary to anchor the gap distribution) is intra-step structure.
 func mergeImplausible(times []time.Time, segments []Segment, factor float64) []Segment {
-	if factor <= 0 {
-		factor = 1.5
-	}
 	if len(segments) <= 1 {
 		return segments
 	}
@@ -233,6 +234,11 @@ func medianOf(xs []float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	return medianOfSorted(sorted)
+}
+
+// medianOfSorted is medianOf for a non-empty ascending-sorted slice.
+func medianOfSorted(sorted []float64) float64 {
 	mid := len(sorted) / 2
 	if len(sorted)%2 == 1 {
 		return sorted[mid]

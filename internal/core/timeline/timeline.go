@@ -234,14 +234,15 @@ func reconstructSteps(tl *Timeline, dpStarts, dpEnds []time.Time, cfg Config) {
 	}
 }
 
+// countEventsIn returns how many events start in [from, to). events must be
+// sorted by Start; a reversed interval counts zero.
 func countEventsIn(events []Event, from, to time.Time) int {
-	n := 0
-	for _, e := range events {
-		if !e.Start.Before(from) && e.Start.Before(to) {
-			n++
-		}
+	lo := sort.Search(len(events), func(i int) bool { return !events[i].Start.Before(from) })
+	hi := sort.Search(len(events), func(i int) bool { return !events[i].Start.Before(to) })
+	if hi < lo {
+		return 0
 	}
-	return n
+	return hi - lo
 }
 
 // StepEnds returns the reconstructed step end offsets of one timeline

@@ -1,6 +1,8 @@
 package timeline
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -197,5 +199,39 @@ func BenchmarkReconstruct(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Reconstruct(records, types, Config{})
+	}
+}
+
+// TestCountEventsInMatchesLinearScan checks the binary-search count against
+// the scan it replaced, on sorted events with tied Start times and on
+// intervals that are empty, reversed, outside the events or cut through a
+// run of ties.
+func TestCountEventsInMatchesLinearScan(t *testing.T) {
+	linear := func(events []Event, from, to time.Time) int {
+		n := 0
+		for _, e := range events {
+			if !e.Start.Before(from) && e.Start.Before(to) {
+				n++
+			}
+		}
+		return n
+	}
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		events := make([]Event, rng.Intn(40))
+		for i := range events {
+			// Ten distinct instants at most, so most Starts tie.
+			events[i].Start = epoch.Add(time.Duration(rng.Intn(10)) * time.Millisecond)
+		}
+		sort.Slice(events, func(i, j int) bool { return events[i].Start.Before(events[j].Start) })
+		for trial := 0; trial < 50; trial++ {
+			from := epoch.Add(time.Duration(rng.Intn(14)-2) * time.Millisecond)
+			to := epoch.Add(time.Duration(rng.Intn(14)-2) * time.Millisecond)
+			if got, want := countEventsIn(events, from, to), linear(events, from, to); got != want {
+				t.Fatalf("seed %d: %d events, [%v, %v): got %d, linear scan %d",
+					seed, len(events), from.Sub(epoch), to.Sub(epoch), got, want)
+			}
+		}
 	}
 }
