@@ -342,7 +342,6 @@ func runReplay(ctx context.Context, stdout, stderr io.Writer, archivePath string
 	if err != nil {
 		return err
 	}
-	defer rep.Release()
 	defer rep.Abort()
 	if rep.Recovery != nil {
 		fmt.Fprintf(stderr, "llmprism: recovered archive: %s\n", rep.Recovery)
@@ -442,7 +441,6 @@ func runScanReplay(ctx context.Context, stdout, stderr io.Writer, archivePath st
 	if err != nil {
 		return err
 	}
-	defer rep.Release()
 	defer rep.Abort()
 	if rep.Recovery != nil {
 		fmt.Fprintf(stderr, "llmprism: recovered archive: %s\n", rep.Recovery)

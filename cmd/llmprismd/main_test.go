@@ -252,7 +252,6 @@ func TestDaemonTwoClusterIngestMatchesOfflineReplay(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		rep.Release()
 		if replayed.String() != wantText {
 			t.Errorf("cluster %s: replay of daemon store differs from offline reference", cluster)
 		}

@@ -60,6 +60,21 @@
 // so a recovered prefix replays bit-identical to the same windows of the
 // uninterrupted session. OpenReaderRecovering is the lenient entry point:
 // strict open first, salvage scan on failure.
+//
+// # One capture path
+//
+// Writer and Reader are the container codec over any io.Writer and
+// io.ReaderAt. On disk there is one unit of capture, the file-backed LPA1
+// segment: FileWriter (file.go) appends to a temporary and commits it —
+// trailer, fsync, rename, directory fsync — and a single-file archive
+// (CreateFile), every segment of a rotating store (StoreWriter) and the
+// resume salvage's rewrite are all that one writer. The read side mirrors
+// it: one helper opens a file strictly or leniently (openFile), one folds
+// its windows into a store-manifest entry (readEntry, segEntry.add), and a
+// single-file archive reads as a one-segment store (FileStore). Recovery of
+// a store directory is one classification of its files against the
+// manifest (reconcile.go, which carries the label table) that OpenStore,
+// OpenStoreRecovering and ResumeStoreWriter each act on in their own way.
 package archive
 
 import (
@@ -213,12 +228,22 @@ func (s sinkWriter) Write(p []byte) (int, error) {
 // replay can pre-anchor its window grid instead of re-deriving it from the
 // first replayed record (which diverges when a pre-anchor straggler window
 // was archived first). The zero time means no anchor.
-func (aw *Writer) SetAnchor(t time.Time) {
+func (aw *Writer) SetAnchor(t time.Time) { aw.anchor = anchorNanos(t) }
+
+// anchorNanos and nanosTime convert an anchor to and from its on-disk
+// form: Unix nanoseconds, 0 for the zero time (no anchor).
+func anchorNanos(t time.Time) int64 {
 	if t.IsZero() {
-		aw.anchor = 0
-		return
+		return 0
 	}
-	aw.anchor = t.UnixNano()
+	return t.UnixNano()
+}
+
+func nanosTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns).UTC()
 }
 
 // Segments returns how many segments have been appended.
@@ -273,6 +298,7 @@ func (aw *Writer) Close() error {
 // Reader reads an archive written by Writer. Construct with OpenReader.
 type Reader struct {
 	r      io.ReaderAt
+	size   int64
 	meta   Meta
 	anchor time.Time
 	segs   []Segment // event-time order: (Start, Seq)
@@ -286,22 +312,10 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if size < headerSize+trailerSize {
 		return nil, fmt.Errorf("archive: %d bytes is too small for an archive", size)
 	}
-	hdr := make([]byte, headerSize)
-	if _, err := r.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("archive: read header: %w", err)
+	meta, err := readHeader(r, size)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(hdr[:4]) != headerMagic {
-		return nil, fmt.Errorf("archive: bad magic %q", hdr[:4])
-	}
-	meta := Meta{
-		Width:    time.Duration(binary.LittleEndian.Uint64(hdr[8:])),
-		Hop:      time.Duration(binary.LittleEndian.Uint64(hdr[16:])),
-		Lateness: time.Duration(binary.LittleEndian.Uint64(hdr[24:])),
-	}
-	if meta.Width < 0 || meta.Hop < 0 || meta.Lateness < 0 {
-		return nil, fmt.Errorf("archive: negative window geometry in header")
-	}
-
 	trailer := make([]byte, trailerSize)
 	if _, err := r.ReadAt(trailer, size-trailerSize); err != nil {
 		return nil, fmt.Errorf("archive: read trailer: %w", err)
@@ -342,21 +356,50 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 			return nil, fmt.Errorf("archive: segment seqs not increasing at %d", i)
 		}
 	}
-	// Event-time order. Emission order already is event-time order for
-	// tumbling and hopped grids alike (window k starts before window k+1),
-	// so this is a stable identity in practice — but the manifest, not the
-	// write order, is the contract.
-	sort.SliceStable(segs, func(i, j int) bool {
-		if !segs[i].Start.Equal(segs[j].Start) {
-			return segs[i].Start.Before(segs[j].Start)
-		}
-		return segs[i].Seq < segs[j].Seq
-	})
-	var anchor time.Time
-	if anchorNS != 0 {
-		anchor = time.Unix(0, anchorNS).UTC()
+	return newReader(r, size, meta, nanosTime(anchorNS), segs), nil
+}
+
+// readHeader parses and validates the 32-byte LPA1 header — the one parse
+// the strict open and the salvage scan share.
+func readHeader(r io.ReaderAt, size int64) (Meta, error) {
+	if size < headerSize {
+		return Meta{}, fmt.Errorf("archive: %d bytes is too small for an archive header", size)
 	}
-	return &Reader{r: r, meta: meta, anchor: anchor, segs: segs}, nil
+	hdr := make([]byte, headerSize)
+	if _, err := r.ReadAt(hdr, 0); err != nil {
+		return Meta{}, fmt.Errorf("archive: read header: %w", err)
+	}
+	if [4]byte(hdr[:4]) != headerMagic {
+		return Meta{}, fmt.Errorf("archive: bad magic %q", hdr[:4])
+	}
+	meta := Meta{
+		Width:    time.Duration(binary.LittleEndian.Uint64(hdr[8:])),
+		Hop:      time.Duration(binary.LittleEndian.Uint64(hdr[16:])),
+		Lateness: time.Duration(binary.LittleEndian.Uint64(hdr[24:])),
+	}
+	if meta.Width < 0 || meta.Hop < 0 || meta.Lateness < 0 {
+		return Meta{}, fmt.Errorf("archive: negative window geometry in header")
+	}
+	return meta, nil
+}
+
+// eventTimeLess is the replay order — ascending (Start, Seq) — within one
+// file and across the files of a store alike. Seqs are unique within a
+// session, so the order is total.
+func eventTimeLess(a, b Segment) bool {
+	if !a.Start.Equal(b.Start) {
+		return a.Start.Before(b.Start)
+	}
+	return a.Seq < b.Seq
+}
+
+// newReader puts segs (in file order) into event-time order. Emission order
+// already is event-time order for tumbling and hopped grids alike (window k
+// starts before window k+1), so the sort is a stable identity in practice —
+// but the manifest, not the write order, is the contract.
+func newReader(r io.ReaderAt, size int64, meta Meta, anchor time.Time, segs []Segment) *Reader {
+	sort.SliceStable(segs, func(i, j int) bool { return eventTimeLess(segs[i], segs[j]) })
+	return &Reader{r: r, size: size, meta: meta, anchor: anchor, segs: segs}
 }
 
 // Meta returns the recorded monitor window geometry.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/llmprism/llmprism/internal/flow"
@@ -52,23 +51,9 @@ func (rep *RecoveryReport) String() string {
 // lost. Only a corrupt header is an error; a file holding zero intact
 // segments recovers to an empty reader.
 func Recover(r io.ReaderAt, size int64) (*Reader, *RecoveryReport, error) {
-	if size < headerSize {
-		return nil, nil, fmt.Errorf("archive: %d bytes is too small for an archive header", size)
-	}
-	hdr := make([]byte, headerSize)
-	if _, err := r.ReadAt(hdr, 0); err != nil {
-		return nil, nil, fmt.Errorf("archive: read header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != headerMagic {
-		return nil, nil, fmt.Errorf("archive: bad magic %q", hdr[:4])
-	}
-	meta := Meta{
-		Width:    time.Duration(binary.LittleEndian.Uint64(hdr[8:])),
-		Hop:      time.Duration(binary.LittleEndian.Uint64(hdr[16:])),
-		Lateness: time.Duration(binary.LittleEndian.Uint64(hdr[24:])),
-	}
-	if meta.Width < 0 || meta.Hop < 0 || meta.Lateness < 0 {
-		return nil, nil, fmt.Errorf("archive: negative window geometry in header")
+	meta, err := readHeader(r, size)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	var (
@@ -147,13 +132,7 @@ scan:
 	if len(segs) > 0 && meta.Width > 0 {
 		rep.Anchor = segs[0].Start
 	}
-	sort.SliceStable(segs, func(i, j int) bool {
-		if !segs[i].Start.Equal(segs[j].Start) {
-			return segs[i].Start.Before(segs[j].Start)
-		}
-		return segs[i].Seq < segs[j].Seq
-	})
-	return &Reader{r: r, meta: meta, anchor: rep.Anchor, segs: segs}, rep, nil
+	return newReader(r, size, meta, rep.Anchor, segs), rep, nil
 }
 
 // OpenReaderRecovering opens an archive leniently: a strict OpenReader

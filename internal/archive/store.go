@@ -47,12 +47,12 @@ package archive
 //
 // # Rotation, retention, durability
 //
-// StoreWriter appends windows to the current segment's .tmp file and
-// rotates lazily: when an Append finds the current segment already past a
-// rotation bound (windows, bytes, or event-time span), it finalizes that
-// segment first — manifest + trailer written, file fsynced, renamed to its
-// final name, directory fsynced, store manifest rewritten atomically —
-// and starts a fresh one. Rotating before the new append (rather than
+// StoreWriter appends windows to the current segment's .tmp file (a
+// FileWriter) and rotates lazily: when an Append finds the current segment
+// already past a rotation bound (windows, bytes, or event-time span), it
+// finalizes that segment first — FileWriter.Close: manifest + trailer
+// written, file fsynced, renamed to its final name, directory fsynced —
+// rewrites the store manifest atomically and starts a fresh one. Rotating before the new append (rather than
 // after) keeps the crash contract aligned with the session checkpoint: a
 // segment is only ever finalized between the checkpoint of its last window
 // and the append of the next, so salvage-at-resume never has to un-write a
@@ -61,7 +61,8 @@ package archive
 //
 // A crashed writer leaves finalized segments, a possibly stale manifest
 // (at most one finalize or prune behind the files), and the torn .tmp.
-// ResumeStoreWriter reconciles all three from the files themselves,
+// ResumeStoreWriter reconciles all three from the files themselves (the
+// labels and what each opener does with them are in reconcile.go),
 // salvages the .tmp's intact windows below the session checkpoint's resume
 // seq into a finalized segment, and continues appending — so a resumed
 // store holds exactly the uninterrupted session's window sequence.
@@ -97,6 +98,7 @@ const (
 	segFilePrefix     = "seg-"
 	segFileSuffix     = ".llpa"
 	segTmpSuffix      = ".llpa.tmp"
+	segSalvageSuffix  = ".llpa.salvage"
 	sumFlagPairOver   = 1 << 0
 	sumFlagSwitchOver = 1 << 1
 )
@@ -123,7 +125,12 @@ type StorePolicy struct {
 	RetainBytes int64
 }
 
-func (p StorePolicy) validate() error {
+// validateStore checks what both StoreWriter constructors require: a
+// windowed geometry and a non-negative policy.
+func validateStore(meta Meta, p StorePolicy) error {
+	if meta.Width <= 0 || meta.Hop <= 0 || meta.Hop > meta.Width || meta.Lateness < 0 {
+		return fmt.Errorf("archive: store requires windowed geometry, got %+v", meta)
+	}
 	if p.RotateWindows < 0 || p.RotateBytes < 0 || p.RotateSpan < 0 ||
 		p.RetainSegments < 0 || p.RetainBytes < 0 {
 		return fmt.Errorf("archive: negative store policy %+v", p)
@@ -451,11 +458,4 @@ func ReadStoreManifest(dir string) (Meta, time.Time, []StoreSegment, error) {
 		return Meta{}, time.Time{}, nil, err
 	}
 	return meta, nanosTime(anchor), segs, nil
-}
-
-func nanosTime(ns int64) time.Time {
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns).UTC()
 }

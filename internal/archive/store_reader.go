@@ -18,6 +18,11 @@ type StoreRecovery struct {
 	Notes []string
 }
 
+func (r *StoreRecovery) note(format string, args ...any) {
+	r.Clean = false
+	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
 func (r *StoreRecovery) String() string {
 	if r.Clean {
 		return "store clean"
@@ -35,280 +40,141 @@ type Store struct {
 	segs   []StoreSegment // index order
 }
 
+// storeState is a store directory as read from disk: the manifest's
+// content and every file labelled against it (see reconcile.go).
+type storeState struct {
+	meta   Meta
+	anchor time.Time
+	next   int
+	segs   []StoreSegment
+	files  []storeFile
+}
+
+// readStore reads and strictly decodes the manifest, lists the directory
+// and classifies it. A manifest that cannot be read or decoded comes back
+// as manifestErr with the files labelled against an empty manifest, which
+// is what the lenient open rebuilds from.
+func readStore(dir string) (st storeState, manifestErr, err error) {
+	b, manifestErr := os.ReadFile(filepath.Join(dir, StoreManifestName))
+	var anchor int64
+	if manifestErr == nil {
+		st.meta, anchor, st.next, st.segs, manifestErr = decodeStoreManifest(b)
+	}
+	if manifestErr != nil {
+		st = storeState{next: 1}
+	}
+	st.anchor = nanosTime(anchor)
+	sd, err := listStoreDir(dir)
+	if err != nil {
+		return st, manifestErr, err
+	}
+	st.files = classify(st.segs, st.next, sd)
+	return st, manifestErr, nil
+}
+
 // OpenStore strictly opens a store directory: a valid manifest, every
 // manifested segment present at its recorded size, no unmanifested
 // segments, and no write temporaries (a leftover .tmp means a crashed
 // writer — use OpenStoreRecovering or ResumeStoreWriter, which would
 // otherwise be silently omitted data).
 func OpenStore(dir string) (*Store, error) {
-	b, err := os.ReadFile(filepath.Join(dir, StoreManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("archive: open store: %w", err)
+	st, manifestErr, err := readStore(dir)
+	if manifestErr != nil {
+		return nil, fmt.Errorf("archive: open store: %w", manifestErr)
 	}
-	meta, anchor, _, segs, err := decodeStoreManifest(b)
-	if err != nil {
-		return nil, err
-	}
-	sd, err := listStoreDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if n := len(sd.tmps) + len(sd.salvages); n > 0 || sd.manifestTmp {
-		return nil, fmt.Errorf("archive: store %s holds write temporaries (crashed writer?); open with recovery", dir)
-	}
-	onDisk := make(map[int]bool, len(sd.finalized))
-	for _, idx := range sd.finalized {
-		onDisk[idx] = true
-	}
-	known := make(map[int]bool, len(segs))
-	for i := range segs {
-		s := &segs[i]
-		known[s.Index] = true
-		if !onDisk[s.Index] {
-			return nil, fmt.Errorf("archive: manifested segment %s missing from store", s.File())
-		}
-		st, err := os.Stat(filepath.Join(dir, s.File()))
-		if err != nil {
-			return nil, fmt.Errorf("archive: open store: %w", err)
-		}
-		if st.Size() != s.Bytes {
-			return nil, fmt.Errorf("archive: segment %s is %d bytes, manifest says %d", s.File(), st.Size(), s.Bytes)
+	for _, f := range st.files {
+		if f.label != labelOK {
+			return nil, fmt.Errorf("archive: store %s: %v; open with recovery", dir, f)
 		}
 	}
-	for _, idx := range sd.finalized {
-		if !known[idx] {
-			return nil, fmt.Errorf("archive: unmanifested segment %s in store", segFileName(idx, segFileSuffix))
-		}
-	}
-	return newStore(dir, meta, nanosTime(anchor), segs), nil
+	return newStore(dir, st.meta, st.anchor, st.segs), nil
 }
 
 // OpenStoreRecovering opens a store leniently, reconciling the manifest
 // against the files: a manifest one step behind its directory (finalize or
 // prune interrupted mid-crash) is repaired in memory, an unreadable or
 // missing manifest is rebuilt from the segment files, intact finalized
-// segments missing from the manifest are adopted, and a leftover open
+// segments missing from the manifest are adopted, a manifested segment of
+// the wrong size is salvage-scanned at replay, and a leftover open
 // segment's .tmp is salvage-scanned and replayed as a trailing segment.
-// Every segment file is opened leniently at replay time. The view is
-// read-only: nothing on disk is modified.
+// The view is read-only: nothing on disk is modified.
 func OpenStoreRecovering(dir string) (*Store, *StoreRecovery, error) {
 	rec := &StoreRecovery{Clean: true}
-	note := func(format string, args ...any) {
-		rec.Clean = false
-		rec.Notes = append(rec.Notes, fmt.Sprintf(format, args...))
-	}
-	sd, err := listStoreDir(dir)
+	st, manifestErr, err := readStore(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if sd.manifestTmp {
-		note("ignoring torn manifest temporary")
+	haveMeta := manifestErr == nil
+	if !haveMeta {
+		rec.note("manifest unusable (%v); rebuilding from segment files", manifestErr)
 	}
-	var (
-		meta     Meta
-		haveMeta bool
-		anchor   time.Time
-		segs     []StoreSegment
-	)
-	if b, rerr := os.ReadFile(filepath.Join(dir, StoreManifestName)); rerr != nil {
-		note("manifest unreadable (%v); rebuilding from segment files", rerr)
-	} else if m, a, _, s, derr := decodeStoreManifest(b); derr != nil {
-		note("manifest invalid (%v); rebuilding from segment files", derr)
-	} else {
-		meta, anchor, segs, haveMeta = m, nanosTime(a), s, true
-	}
-
-	onDisk := make(map[int]bool, len(sd.finalized))
-	for _, idx := range sd.finalized {
-		onDisk[idx] = true
-	}
-	keptSegs := segs[:0]
-	known := make(map[int]bool, len(segs))
-	for i := range segs {
-		if !onDisk[segs[i].Index] {
-			note("manifested segment %s missing; dropped", segs[i].File())
-			continue
-		}
-		if st, serr := os.Stat(filepath.Join(dir, segs[i].File())); serr == nil && st.Size() != segs[i].Bytes {
-			note("segment %s is %d bytes, manifest says %d; will salvage", segs[i].File(), st.Size(), segs[i].Bytes)
-		}
-		known[segs[i].Index] = true
-		keptSegs = append(keptSegs, segs[i])
-	}
-	segs = keptSegs
-
-	for _, idx := range sd.finalized {
-		if known[idx] {
-			continue
-		}
-		entry, emeta, ferr := readFinalizedEntry(dir, idx)
-		if ferr != nil {
-			// Not strictly openable: salvage-scan it at replay time.
-			entry, emeta, ferr = recoverEntry(dir, segFileName(idx, segFileSuffix), idx)
-			if ferr != nil {
-				note("segment %s unreadable (%v); skipped", segFileName(idx, segFileSuffix), ferr)
-				continue
+	var segs []StoreSegment
+	for _, f := range st.files {
+		switch f.label {
+		case labelOK:
+			segs = append(segs, *f.seg)
+		case labelSizeMismatch:
+			f.seg.salvage = true
+			segs = append(segs, *f.seg)
+			rec.note("%v; salvaging what is intact", f)
+		case labelMissing:
+			rec.note("%v; dropped", f)
+		case labelPruned, labelStaleTmp, labelSalvage, labelManifestTmp:
+			rec.note("ignoring %v", f)
+		default: // adoptable, unexpected, open-tmp, tmp-ahead: take what is intact
+			entry, r, rep, ferr := readEntry(filepath.Join(dir, f.name), f.index, true, false)
+			switch {
+			case ferr != nil:
+				rec.note("%v unreadable (%v); skipped", f, ferr)
+			case entry.Windows == 0:
+				rec.note("%v held no intact windows", f)
+			case haveMeta && r.meta != st.meta:
+				rec.note("%v has geometry %+v, store %+v; skipped", f, r.meta, st.meta)
+			default:
+				st.meta, haveMeta = r.meta, true
+				entry.file, entry.salvage = f.name, !rep.Clean
+				segs = append(segs, entry)
+				rec.note("%v; adopted %d windows", f, entry.Windows)
 			}
-			entry.salvage = true
 		}
-		if haveMeta && emeta != meta {
-			note("segment %s geometry %+v differs from manifest %+v; skipped", segFileName(idx, segFileSuffix), emeta, meta)
-			continue
-		}
-		if !haveMeta {
-			meta, haveMeta = emeta, true
-		}
-		note("adopted unmanifested segment %s (%d windows)", segFileName(idx, segFileSuffix), entry.Windows)
-		segs = append(segs, entry)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Index < segs[j].Index })
-
-	maxIdx := 0
-	if len(segs) > 0 {
-		maxIdx = segs[len(segs)-1].Index
-	}
-	for _, idx := range sd.salvages {
-		note("ignoring interrupted salvage of segment %d", idx)
-	}
-	for _, idx := range sd.tmps {
-		name := segFileName(idx, segTmpSuffix)
-		if idx <= maxIdx {
-			// A finished salvage whose torn original was not yet removed;
-			// its surviving windows are already in the finalized file.
-			note("ignoring stale segment temporary %s", name)
-			continue
-		}
-		entry, emeta, ferr := recoverEntry(dir, name, idx)
-		if ferr != nil {
-			note("segment temporary %s unreadable (%v); skipped", name, ferr)
-			continue
-		}
-		if entry.Windows == 0 {
-			note("segment temporary %s held no intact windows", name)
-			continue
-		}
-		if haveMeta && emeta != meta {
-			note("segment temporary %s geometry differs from manifest; skipped", name)
-			continue
-		}
-		if !haveMeta {
-			meta, haveMeta = emeta, true
-		}
-		entry.file = name
-		entry.salvage = true
-		note("salvaged %d windows from open segment %s", entry.Windows, name)
-		segs = append(segs, entry)
 	}
 	if !haveMeta {
 		return nil, nil, fmt.Errorf("archive: %s holds no readable store manifest or segments", dir)
 	}
-	return newStore(dir, meta, anchor, segs), rec, nil
-}
-
-// recoverEntry salvage-scans one segment file (finalized or .tmp) into an
-// in-memory entry. Summaries are not recomputed — the entry matches every
-// query.
-func recoverEntry(dir, name string, idx int) (StoreSegment, Meta, error) {
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return StoreSegment{}, Meta{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return StoreSegment{}, Meta{}, err
-	}
-	r, _, err := Recover(f, st.Size())
-	if err != nil {
-		return StoreSegment{}, Meta{}, err
-	}
-	entry := StoreSegment{Index: idx, Windows: r.NumSegments(), Bytes: st.Size(), PairOverflow: true, SwitchOverflow: true}
-	for i := 0; i < r.NumSegments(); i++ {
-		s := r.Segment(i)
-		if i == 0 {
-			entry.FirstSeq, entry.LastSeq = s.Seq, s.Seq
-			entry.MinStart, entry.MaxEnd = s.Start, s.End
-		} else {
-			entry.FirstSeq = min(entry.FirstSeq, s.Seq)
-			entry.LastSeq = max(entry.LastSeq, s.Seq)
-			if s.Start.Before(entry.MinStart) {
-				entry.MinStart = s.Start
-			}
-			if s.End.After(entry.MaxEnd) {
-				entry.MaxEnd = s.End
-			}
-		}
-	}
-	return entry, r.Meta(), nil
+	return newStore(dir, st.meta, st.anchor, segs), rec, nil
 }
 
 // FileStore presents a single-file LPA1 archive as a strict one-segment
 // store — the compatibility path keeping every pre-store archive readable.
 func FileStore(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	r, err := OpenReader(f, st.Size())
-	if err != nil {
-		return nil, err
-	}
-	return fileStore(path, r, st.Size(), false), nil
+	st, _, err := fileStore(path, false)
+	return st, err
 }
 
 // FileStoreRecovering presents a single-file archive leniently: strict
 // open first, salvage scan on failure, mirroring OpenReaderRecovering.
 func FileStoreRecovering(path string) (*Store, *StoreRecovery, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	r, rep, err := OpenReaderRecovering(f, st.Size())
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := &StoreRecovery{Clean: rep.Clean}
-	if !rep.Clean {
-		rec.Notes = []string{rep.String()}
-	}
-	return fileStore(path, r, st.Size(), !rep.Clean), rec, nil
+	return fileStore(path, true)
 }
 
-func fileStore(path string, r *Reader, size int64, salvage bool) *Store {
+func fileStore(path string, lenient bool) (*Store, *StoreRecovery, error) {
+	entry, r, rep, err := readEntry(path, 1, lenient, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := &StoreRecovery{Clean: true}
+	if rep != nil && !rep.Clean {
+		rec.note("%v", rep)
+	}
 	var segs []StoreSegment
-	if r.NumSegments() > 0 {
-		entry := StoreSegment{Index: 1, Windows: r.NumSegments(), Bytes: size, PairOverflow: true, SwitchOverflow: true}
-		for i := 0; i < r.NumSegments(); i++ {
-			s := r.Segment(i)
-			if i == 0 {
-				entry.FirstSeq, entry.LastSeq = s.Seq, s.Seq
-				entry.MinStart, entry.MaxEnd = s.Start, s.End
-			} else {
-				entry.FirstSeq = min(entry.FirstSeq, s.Seq)
-				entry.LastSeq = max(entry.LastSeq, s.Seq)
-				if s.Start.Before(entry.MinStart) {
-					entry.MinStart = s.Start
-				}
-				if s.End.After(entry.MaxEnd) {
-					entry.MaxEnd = s.End
-				}
-			}
-		}
-		entry.file = filepath.Base(path)
-		entry.salvage = salvage
+	if entry.Windows > 0 {
+		entry.file, entry.salvage = filepath.Base(path), !rec.Clean
 		segs = []StoreSegment{entry}
 	}
-	return newStore(filepath.Dir(path), r.Meta(), r.Anchor(), segs)
+	return newStore(filepath.Dir(path), r.meta, r.anchor, segs), rec, nil
 }
 
 // OpenPath opens either archive layout strictly: a directory is a store, a
@@ -434,44 +300,25 @@ func (st *Store) replay(sel []StoreSegment, keep func(Segment) bool, fn func(Seg
 	var wins []win
 	for si := range sel {
 		sg := &sel[si]
-		path := filepath.Join(st.dir, sg.File())
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("archive: replay store: %w", err)
-		}
-		files = append(files, f)
-		fi, err := f.Stat()
-		if err != nil {
-			return fmt.Errorf("archive: replay store: %w", err)
-		}
-		var r *Reader
-		if sg.salvage {
-			r, _, err = OpenReaderRecovering(f, fi.Size())
-		} else {
-			r, err = OpenReader(f, fi.Size())
-		}
+		f, r, _, err := openFile(filepath.Join(st.dir, sg.File()), sg.salvage)
 		if err != nil {
 			return fmt.Errorf("archive: segment %s: %w", sg.File(), err)
 		}
-		if r.Meta() != st.meta {
-			return fmt.Errorf("archive: segment %s geometry %+v differs from store %+v", sg.File(), r.Meta(), st.meta)
+		files = append(files, f)
+		if r.meta != st.meta {
+			return fmt.Errorf("archive: segment %s geometry %+v differs from store %+v", sg.File(), r.meta, st.meta)
 		}
-		for i := 0; i < r.NumSegments(); i++ {
-			if keep == nil || keep(r.Segment(i)) {
+		for i := range r.segs {
+			if keep == nil || keep(r.segs[i]) {
 				wins = append(wins, win{r, i})
 			}
 		}
 	}
-	// Global event-time order across segment files. Within one session the
-	// seqs are globally unique, so the order is total; a pre-anchor
-	// straggler window in a later segment interleaves here exactly as it
-	// does in a single-file archive's manifest sort.
+	// Global event-time order across segment files: a pre-anchor straggler
+	// window in a later segment interleaves here exactly as it does in a
+	// single-file archive's manifest sort.
 	sort.SliceStable(wins, func(a, b int) bool {
-		sa, sb := wins[a].r.Segment(wins[a].i), wins[b].r.Segment(wins[b].i)
-		if !sa.Start.Equal(sb.Start) {
-			return sa.Start.Before(sb.Start)
-		}
-		return sa.Seq < sb.Seq
+		return eventTimeLess(wins[a].r.segs[wins[a].i], wins[b].r.segs[wins[b].i])
 	})
 	for _, w := range wins {
 		f, err := w.r.Frame(w.i)

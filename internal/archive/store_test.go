@@ -591,3 +591,149 @@ func storeWindowsForFuzz() []testWindow {
 	}
 	return wins
 }
+
+// crashedStore writes wins under policy and aborts the writer, leaving the
+// finalized segments, their manifest and the open segment's .tmp.
+func crashedStore(t *testing.T, policy StorePolicy, wins []testWindow) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "store")
+	sw, err := CreateStoreWriter(dir, storeMeta, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.SetAnchor(epoch)
+	for _, w := range wins {
+		if err := sw.Append(w.seq, w.start, w.end, w.frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw.Abort()
+	return dir
+}
+
+// TestStoreRecoveringOpenSalvagesTruncatedSegment: a manifested segment
+// whose file lost its tail is labelled size-mismatch and salvage-scanned at
+// replay — every window before the cut comes back, the other segments
+// whole — where a strict open refuses the store.
+func TestStoreRecoveringOpenSalvagesTruncatedSegment(t *testing.T) {
+	wins := storeWindows(t, 9)
+	dir := filepath.Join(t.TempDir(), "store")
+	buildStore(t, dir, StorePolicy{RotateWindows: 3}, wins)
+	seg2 := filepath.Join(dir, segFileName(2, segFileSuffix))
+	fi, err := os.Stat(seg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 40 bytes off the end takes the trailer and part of the manifest; all
+	// three frame blobs stay intact.
+	if err := os.Truncate(seg2, fi.Size()-40); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir); err == nil {
+		t.Fatal("strict open accepted a truncated segment")
+	}
+	st, rec, err := OpenStoreRecovering(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Clean {
+		t.Error("recovering open of a truncated segment reported clean")
+	}
+	dump := dumpStore(t, st)
+	if len(dump) != 9 {
+		t.Fatalf("recovered replay yielded %d windows, want all 9", len(dump))
+	}
+	for i, d := range dump {
+		if d.seq != i {
+			t.Fatalf("recovered window %d has seq %d", i, d.seq)
+		}
+	}
+	rows := 0
+	if err := st.Scan(Query{}, func(Segment, *flow.Frame, int) error { rows++; return nil }); err != nil {
+		t.Fatalf("scan of recovered store: %v", err)
+	}
+	if rows != 8*50 {
+		t.Errorf("scan visited %d rows, want %d", rows, 8*50)
+	}
+	// Resume must not build on a damaged finalized segment.
+	if _, _, err := ResumeStoreWriter(dir, storeMeta, StorePolicy{RotateWindows: 3}, 9); err == nil {
+		t.Error("resume accepted a store with a truncated finalized segment")
+	}
+}
+
+// TestStoreAlreadyPrunedStray plants the file a crash between retention's
+// manifest rewrite and its unlink leaves behind. Every opener must see the
+// same store: strict open refuses, the lenient view ignores the stray
+// (nothing deleted), resume removes it — and fails loudly when it cannot.
+func TestStoreAlreadyPrunedStray(t *testing.T) {
+	wins := storeWindows(t, 7)
+	policy := StorePolicy{RotateWindows: 2, RetainSegments: 2}
+	dir := crashedStore(t, policy, wins) // segments 2,3 kept, window 6 in seg-4 .tmp
+	if err := os.Remove(filepath.Join(dir, segFileName(4, segTmpSuffix))); err != nil {
+		t.Fatal(err)
+	}
+	strict, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, segFileName(1, segFileSuffix))
+	donor, err := os.ReadFile(filepath.Join(dir, segFileName(2, segFileSuffix)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stray, donor, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := OpenStore(dir); err == nil {
+		t.Error("strict open accepted a store with an unmanifested segment")
+	}
+	lenient, rec, err := OpenStoreRecovering(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Clean {
+		t.Error("lenient open over a pruned stray reported clean")
+	}
+	if lenient.NumSegments() != strict.NumSegments() || lenient.NumWindows() != strict.NumWindows() {
+		t.Errorf("lenient open sees %d segments / %d windows, strict %d / %d",
+			lenient.NumSegments(), lenient.NumWindows(), strict.NumSegments(), strict.NumWindows())
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Errorf("lenient open touched the stray: %v", err)
+	}
+
+	// A leftover resume cannot remove is an error, not a "removed" note: a
+	// non-empty directory under an interrupted salvage's name.
+	blocker := filepath.Join(dir, segFileName(9, segSalvageSuffix))
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ResumeStoreWriter(dir, storeMeta, policy, 6); err == nil {
+		t.Error("resume reported success over a salvage leftover it could not remove")
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	rw, rec, err := ResumeStoreWriter(dir, storeMeta, policy, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Clean {
+		t.Error("resume over a pruned stray reported clean")
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Errorf("resume left the pruned stray on disk (err=%v)", err)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dumpStore(t, resumed), dumpStore(t, strict)) {
+		t.Error("store after resume differs from the store before the stray was planted")
+	}
+}

@@ -7,14 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/llmprism/llmprism/internal/flow"
 )
-
-const segSalvageSuffix = ".llpa.salvage"
 
 // StoreWriter appends a session's windows to a rotating multi-segment
 // store. Construct with CreateStoreWriter (fresh store) or
@@ -26,99 +22,20 @@ type StoreWriter struct {
 	dir    string
 	meta   Meta
 	policy StorePolicy
-	anchor int64
+	anchor time.Time
 	next   int            // index the next segment file will take
 	segs   []StoreSegment // finalized, manifest order
-	cur    *segWriter
-	expect int // next window seq Append accepts (-1: any first seq)
+	cur    *FileWriter    // the open segment, file index next
+	expect int            // next window seq Append accepts (-1: any first seq)
 	closed bool
 	err    error
-}
-
-// segWriter is the open (current) segment: an archive.Writer on a .tmp
-// file plus the manifest-entry state accumulated append by append.
-type segWriter struct {
-	index       int
-	path, tmp   string
-	f           *os.File
-	aw          *Writer
-	first, last int
-	minStart    time.Time
-	maxEnd      time.Time
-	sum         segSummary
-}
-
-// segSummary accumulates a segment's distinct pair/switch keys; a nil map
-// marks overflow past MaxStoreSummary (the segment then matches every
-// query).
-type segSummary struct {
-	pairs, switches map[uint64]struct{}
-}
-
-func newSegSummary() segSummary {
-	return segSummary{
-		pairs:    make(map[uint64]struct{}),
-		switches: make(map[uint64]struct{}),
-	}
-}
-
-func (s *segSummary) add(f *flow.Frame) {
-	if s.pairs != nil {
-		for _, p := range f.Pairs() {
-			s.pairs[PairKey(p)] = struct{}{}
-		}
-		if len(s.pairs) > MaxStoreSummary {
-			s.pairs = nil
-		}
-	}
-	if s.switches != nil {
-		t := f.PathTable()
-		for id := 0; id < t.NumPaths(); id++ {
-			for _, sw := range t.Path(flow.PathID(id)) {
-				s.switches[uint64(sw)] = struct{}{}
-			}
-		}
-		if len(s.switches) > MaxStoreSummary {
-			s.switches = nil
-		}
-	}
-}
-
-func (s *segSummary) finish() (pairs, switches []uint64, pairOver, switchOver bool) {
-	return sortedKeys(s.pairs), sortedKeys(s.switches), s.pairs == nil, s.switches == nil
-}
-
-func sortedKeys(m map[uint64]struct{}) []uint64 {
-	if m == nil || len(m) == 0 {
-		return nil
-	}
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func segFileName(index int, suffix string) string {
-	return fmt.Sprintf("%s%08d%s", segFilePrefix, index, suffix)
-}
-
-func validateStoreMeta(meta Meta) error {
-	if meta.Width <= 0 || meta.Hop <= 0 || meta.Hop > meta.Width || meta.Lateness < 0 {
-		return fmt.Errorf("archive: store requires windowed geometry, got %+v", meta)
-	}
-	return nil
 }
 
 // CreateStoreWriter claims dir (created if missing) as a fresh store:
 // writes an empty manifest and returns a writer whose first Append opens
 // segment 1. A directory already holding store state is refused.
 func CreateStoreWriter(dir string, meta Meta, policy StorePolicy) (*StoreWriter, error) {
-	if err := policy.validate(); err != nil {
-		return nil, err
-	}
-	if err := validateStoreMeta(meta); err != nil {
+	if err := validateStore(meta, policy); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -146,13 +63,7 @@ func CreateStoreWriter(dir string, meta Meta, policy StorePolicy) (*StoreWriter,
 // SetAnchor records the session's event-time grid origin; it is persisted
 // into every finalized segment's trailer and every manifest rewrite, so a
 // crash never loses it once the first segment finalized.
-func (sw *StoreWriter) SetAnchor(t time.Time) {
-	if t.IsZero() {
-		sw.anchor = 0
-		return
-	}
-	sw.anchor = t.UnixNano()
-}
+func (sw *StoreWriter) SetAnchor(t time.Time) { sw.anchor = t }
 
 // Segments returns how many segments are finalized (the open one excluded).
 func (sw *StoreWriter) Segments() int { return len(sw.segs) }
@@ -182,95 +93,39 @@ func (sw *StoreWriter) Append(seq int, start, end time.Time, f *flow.Frame) erro
 			return err
 		}
 	}
-	c := sw.cur
-	if err := c.aw.Append(seq, start, end, f); err != nil {
+	if err := sw.cur.Append(seq, start, end, f); err != nil {
 		return sw.fail(err)
 	}
-	if c.aw.Segments() == 1 {
-		c.first = seq
-		c.minStart = start.UTC()
-		c.maxEnd = end.UTC()
-	} else {
-		if start.Before(c.minStart) {
-			c.minStart = start.UTC()
-		}
-		if end.After(c.maxEnd) {
-			c.maxEnd = end.UTC()
-		}
-	}
-	c.last = seq
-	c.sum.add(f)
 	sw.expect = seq + 1
 	return nil
 }
 
 func (sw *StoreWriter) shouldRotate() bool {
 	c, p := sw.cur, sw.policy
-	if c.aw.Segments() == 0 {
-		return false
-	}
-	return (p.RotateWindows > 0 && c.aw.Segments() >= p.RotateWindows) ||
+	n, e := c.aw.Segments(), &c.entry.seg
+	return n > 0 && ((p.RotateWindows > 0 && n >= p.RotateWindows) ||
 		(p.RotateBytes > 0 && c.aw.Bytes() >= p.RotateBytes) ||
-		(p.RotateSpan > 0 && c.maxEnd.Sub(c.minStart) >= p.RotateSpan)
+		(p.RotateSpan > 0 && e.MaxEnd.Sub(e.MinStart) >= p.RotateSpan))
 }
 
 func (sw *StoreWriter) openSegment() error {
-	idx := sw.next
-	final := filepath.Join(sw.dir, segFileName(idx, segFileSuffix))
-	tmp := filepath.Join(sw.dir, segFileName(idx, segTmpSuffix))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
-	if err != nil {
-		return sw.fail(fmt.Errorf("archive: open segment: %w", err))
-	}
-	aw, err := NewWriter(f, sw.meta)
-	if err != nil {
-		f.Close()
-		return sw.fail(err)
-	}
-	sw.cur = &segWriter{index: idx, path: final, tmp: tmp, f: f, aw: aw, sum: newSegSummary()}
-	return nil
+	c, err := createFile(filepath.Join(sw.dir, segFileName(sw.next, segTmpSuffix)),
+		filepath.Join(sw.dir, segFileName(sw.next, segFileSuffix)), sw.meta, os.O_EXCL)
+	sw.cur = c
+	return sw.fail(err)
 }
 
-// finalizeCurrent closes the open segment atomically — archive manifest +
-// trailer, fsync, rename .tmp to final, directory fsync — then rewrites
-// the store manifest and applies retention.
+// finalizeCurrent commits the open segment (FileWriter.Close), then
+// rewrites the store manifest and applies retention.
 func (sw *StoreWriter) finalizeCurrent() error {
 	c := sw.cur
-	c.aw.SetAnchor(nanosTime(sw.anchor))
-	if err := c.aw.Close(); err != nil {
-		c.f.Close()
+	c.SetAnchor(sw.anchor)
+	if err := c.Close(); err != nil {
 		return sw.fail(err)
 	}
-	size := c.aw.Bytes()
-	if err := c.f.Sync(); err != nil {
-		c.f.Close()
-		return sw.fail(fmt.Errorf("archive: sync segment: %w", err))
-	}
-	if err := c.f.Close(); err != nil {
-		return sw.fail(fmt.Errorf("archive: close segment: %w", err))
-	}
-	if err := os.Rename(c.tmp, c.path); err != nil {
-		return sw.fail(fmt.Errorf("archive: finalize segment: %w", err))
-	}
-	if err := syncDir(sw.dir); err != nil {
-		return sw.fail(err)
-	}
-	pairs, switches, pOver, sOver := c.sum.finish()
-	sw.segs = append(sw.segs, StoreSegment{
-		Index:          c.index,
-		Windows:        c.aw.Segments(),
-		FirstSeq:       c.first,
-		LastSeq:        c.last,
-		MinStart:       c.minStart,
-		MaxEnd:         c.maxEnd,
-		Bytes:          size,
-		PairOverflow:   pOver,
-		SwitchOverflow: sOver,
-		Pairs:          pairs,
-		Switches:       switches,
-	})
+	sw.segs = append(sw.segs, c.segment(sw.next))
 	sw.cur = nil
-	sw.next = c.index + 1
+	sw.next++
 	if err := sw.writeManifest(); err != nil {
 		return err
 	}
@@ -313,7 +168,7 @@ func (sw *StoreWriter) prune() error {
 			return sw.fail(fmt.Errorf("archive: prune segment: %w", err))
 		}
 	}
-	return sw.fail2(syncDir(sw.dir))
+	return sw.fail(syncDir(sw.dir))
 }
 
 // Close finalizes the open segment (if any) and persists the manifest.
@@ -338,28 +193,25 @@ func (sw *StoreWriter) Close() error {
 func (sw *StoreWriter) Abort() {
 	sw.closed = true
 	if sw.cur != nil {
-		sw.cur.f.Close()
+		sw.cur.Abort()
 		sw.cur = nil
 	}
 }
 
+// fail latches the writer's first error; a nil err passes through.
 func (sw *StoreWriter) fail(err error) error {
+	if err == nil {
+		return nil
+	}
 	if sw.err == nil {
 		sw.err = err
 	}
 	return sw.err
 }
 
-func (sw *StoreWriter) fail2(err error) error {
-	if err == nil {
-		return nil
-	}
-	return sw.fail(err)
-}
-
 func (sw *StoreWriter) writeManifest() error {
-	b := encodeStoreManifest(sw.meta, sw.anchor, sw.next, sw.segs)
-	return sw.fail2(writeFileAtomic(filepath.Join(sw.dir, StoreManifestName), b))
+	b := encodeStoreManifest(sw.meta, anchorNanos(sw.anchor), sw.next, sw.segs)
+	return sw.fail(writeFileAtomic(filepath.Join(sw.dir, StoreManifestName), b))
 }
 
 func writeFileAtomic(path string, b []byte) error {
@@ -385,68 +237,6 @@ func writeFileAtomic(path string, b []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("archive: sync dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("archive: sync dir: %w", err)
-	}
-	return nil
-}
-
-// storeDir is a parse of a store directory's entries by role.
-type storeDir struct {
-	finalized   []int // sorted seg-*.llpa indices
-	tmps        []int // sorted seg-*.llpa.tmp indices
-	salvages    []int // sorted seg-*.llpa.salvage indices
-	manifestTmp bool
-}
-
-func listStoreDir(dir string) (*storeDir, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("archive: list store: %w", err)
-	}
-	sd := &storeDir{}
-	for _, e := range ents {
-		name := e.Name()
-		if name == StoreManifestName+".tmp" {
-			sd.manifestTmp = true
-			continue
-		}
-		if !strings.HasPrefix(name, segFilePrefix) {
-			continue
-		}
-		var suffix string
-		var list *[]int
-		switch {
-		case strings.HasSuffix(name, segSalvageSuffix):
-			suffix, list = segSalvageSuffix, &sd.salvages
-		case strings.HasSuffix(name, segTmpSuffix):
-			suffix, list = segTmpSuffix, &sd.tmps
-		case strings.HasSuffix(name, segFileSuffix):
-			suffix, list = segFileSuffix, &sd.finalized
-		default:
-			continue
-		}
-		idx, err := strconv.Atoi(name[len(segFilePrefix) : len(name)-len(suffix)])
-		if err != nil || idx < 1 {
-			continue // stray file that merely resembles a segment
-		}
-		*list = append(*list, idx)
-	}
-	sort.Ints(sd.finalized)
-	sort.Ints(sd.tmps)
-	sort.Ints(sd.salvages)
-	return sd, nil
-}
-
 // ResumeStoreWriter reopens a store for continued appending after a crash
 // or clean stop. resumeSeq is the session checkpoint's next window seq —
 // the first window the resumed monitor will re-emit. The store's state is
@@ -457,129 +247,87 @@ func listStoreDir(dir string) (*storeDir, error) {
 // archived windows end before resumeSeq-1 lost synced data and is refused
 // loudly. meta must equal the store's recorded geometry.
 func ResumeStoreWriter(dir string, meta Meta, policy StorePolicy, resumeSeq int) (*StoreWriter, *StoreRecovery, error) {
-	if err := policy.validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := validateStoreMeta(meta); err != nil {
+	if err := validateStore(meta, policy); err != nil {
 		return nil, nil, err
 	}
 	if resumeSeq < 0 {
 		return nil, nil, fmt.Errorf("archive: negative resume seq %d", resumeSeq)
 	}
-	rec := &StoreRecovery{Clean: true}
-	note := func(format string, args ...any) {
-		rec.Clean = false
-		rec.Notes = append(rec.Notes, fmt.Sprintf(format, args...))
+	fail := func(format string, args ...any) (*StoreWriter, *StoreRecovery, error) {
+		return nil, nil, fmt.Errorf("archive: resume store: "+format, args...)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, StoreManifestName))
-	if err != nil {
-		return nil, nil, fmt.Errorf("archive: resume store: %w", err)
+	st, manifestErr, err := readStore(dir)
+	if manifestErr != nil {
+		return fail("%w", manifestErr)
 	}
-	mmeta, anchor, next, segs, err := decodeStoreManifest(b)
-	if err != nil {
-		return nil, nil, fmt.Errorf("archive: resume store: %w", err)
-	}
-	if mmeta != meta {
-		return nil, nil, fmt.Errorf("archive: store geometry %+v does not match checkpoint %+v", mmeta, meta)
-	}
-	sd, err := listStoreDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if sd.manifestTmp {
-		os.Remove(filepath.Join(dir, StoreManifestName+".tmp"))
-		note("removed torn manifest temporary")
+	if st.meta != meta {
+		return fail("store geometry %+v does not match checkpoint %+v", st.meta, meta)
 	}
-	for _, idx := range sd.salvages {
-		os.Remove(filepath.Join(dir, segFileName(idx, segSalvageSuffix)))
-		note("removed interrupted salvage of segment %d", idx)
-	}
-
-	onDisk := make(map[int]bool, len(sd.finalized))
-	for _, idx := range sd.finalized {
-		onDisk[idx] = true
-	}
-	known := make(map[int]bool, len(segs))
-	for i := range segs {
-		if !onDisk[segs[i].Index] {
-			return nil, nil, fmt.Errorf("archive: manifested segment %s missing from store", segs[i].File())
-		}
-		known[segs[i].Index] = true
-	}
-	prevLast := -1
-	if len(segs) > 0 {
-		prevLast = segs[len(segs)-1].LastSeq
-	}
-	for _, idx := range sd.finalized {
-		if known[idx] {
-			continue
-		}
-		switch {
-		case len(segs) > 0 && idx < segs[0].Index:
-			// A prune wrote the manifest, crashed before deleting the file.
-			if err := os.Remove(filepath.Join(dir, segFileName(idx, segFileSuffix))); err != nil {
-				return nil, nil, fmt.Errorf("archive: resume store: %w", err)
+	rec := &StoreRecovery{Clean: true}
+	var (
+		segs     []StoreSegment
+		next     = st.next
+		prevLast = -1
+		openTmp  *storeFile
+	)
+	for i, f := range st.files {
+		switch f.label {
+		case labelOK:
+			segs = append(segs, *f.seg)
+			prevLast = f.seg.LastSeq
+		case labelPruned, labelStaleTmp, labelSalvage, labelManifestTmp:
+			// Leftovers of an interrupted prune, salvage or manifest rewrite;
+			// whatever they held is in a finalized file or re-emits.
+			if err := os.Remove(filepath.Join(dir, f.name)); err != nil {
+				return fail("%w", err)
 			}
-			note("removed segment %d already pruned from manifest", idx)
-		case idx == next:
-			// A finalize renamed the file, crashed before the manifest.
-			entry, emeta, err := readFinalizedEntry(dir, idx)
-			if err != nil {
-				return nil, nil, fmt.Errorf("archive: resume store: adopt segment %d: %w", idx, err)
-			}
-			if emeta != meta {
-				return nil, nil, fmt.Errorf("archive: segment %d geometry %+v differs from store %+v", idx, emeta, meta)
-			}
-			if prevLast >= 0 && entry.FirstSeq != prevLast+1 {
-				return nil, nil, fmt.Errorf("archive: segment %d starts at window %d, store ends at %d", idx, entry.FirstSeq, prevLast)
+			rec.note("removed %v", f)
+		case labelAdoptable:
+			entry, r, _, err := readEntry(filepath.Join(dir, f.name), f.index, false, true)
+			switch {
+			case err != nil:
+				return fail("adopt %s: %w", f.name, err)
+			case entry.Windows == 0:
+				return fail("adopt %s: segment holds no windows", f.name)
+			case r.meta != meta:
+				return fail("segment %s geometry %+v differs from store %+v", f.name, r.meta, meta)
+			case prevLast >= 0 && entry.FirstSeq != prevLast+1:
+				return fail("segment %s starts at window %d, store ends at %d", f.name, entry.FirstSeq, prevLast)
 			}
 			segs = append(segs, entry)
-			prevLast = entry.LastSeq
-			next = idx + 1
-			note("adopted finalized segment %d missing from manifest (%d windows)", idx, entry.Windows)
-		default:
-			return nil, nil, fmt.Errorf("archive: unexpected segment file %s in store", segFileName(idx, segFileSuffix))
+			prevLast, next = entry.LastSeq, f.index+1
+			rec.note("adopted %v (%d windows)", f, entry.Windows)
+		case labelOpenTmp:
+			openTmp = &st.files[i]
+		default: // missing, size-mismatch, unexpected, tmp-ahead: not a crash this writer leaves
+			return fail("%v", f)
 		}
 	}
 	if prevLast >= resumeSeq {
-		return nil, nil, fmt.Errorf("archive: checkpoint resumes at window %d but store already finalized through %d", resumeSeq, prevLast)
+		return fail("checkpoint resumes at window %d but store already finalized through %d", resumeSeq, prevLast)
 	}
-
-	for _, idx := range sd.tmps {
-		tmpName := segFileName(idx, segTmpSuffix)
-		tmpPath := filepath.Join(dir, tmpName)
-		if idx < next {
-			// The salvage's rename landed but the torn original was not yet
-			// removed; everything it held at or past resumeSeq re-emits.
-			if err := os.Remove(tmpPath); err != nil {
-				return nil, nil, fmt.Errorf("archive: resume store: %w", err)
-			}
-			note("removed stale segment temporary %s", tmpName)
-			continue
-		}
-		if idx > next {
-			return nil, nil, fmt.Errorf("archive: segment temporary %s is not the store's open segment %d", tmpName, next)
-		}
-		entry, kept, discarded, err := salvageTmp(dir, idx, meta, nanosTime(anchor), prevLast, resumeSeq)
+	if openTmp != nil {
+		entry, discarded, err := salvageTmp(dir, openTmp.index, meta, st.anchor, prevLast, resumeSeq)
 		if err != nil {
-			return nil, nil, err
+			return fail("salvage %s: %w", openTmp.name, err)
 		}
-		if kept == 0 {
-			note("segment temporary %s held no pre-checkpoint windows; removed (%d windows re-emit)", tmpName, discarded)
-			continue
+		if entry.Windows == 0 {
+			rec.note("%v held no pre-checkpoint windows; removed (%d windows re-emit)", openTmp, discarded)
+		} else {
+			segs = append(segs, entry)
+			prevLast, next = entry.LastSeq, openTmp.index+1
+			rec.note("salvaged %d windows from %s into segment %d (%d past-checkpoint windows re-emit)", entry.Windows, openTmp.name, openTmp.index, discarded)
 		}
-		segs = append(segs, entry)
-		prevLast = entry.LastSeq
-		next = idx + 1
-		note("salvaged %d windows from %s into segment %d (%d past-checkpoint windows re-emit)", kept, tmpName, idx, discarded)
 	}
-
 	if prevLast != resumeSeq-1 {
-		return nil, nil, fmt.Errorf("archive: store ends at window %d but checkpoint resumes at %d: archived windows lost", prevLast, resumeSeq)
+		return fail("store ends at window %d but checkpoint resumes at %d: archived windows lost", prevLast, resumeSeq)
 	}
 	sw := &StoreWriter{
 		dir: dir, meta: meta, policy: policy,
-		anchor: anchor, next: next, segs: segs, expect: resumeSeq,
+		anchor: st.anchor, next: next, segs: segs, expect: resumeSeq,
 	}
 	if err := sw.writeManifest(); err != nil {
 		return nil, nil, err
@@ -587,167 +335,62 @@ func ResumeStoreWriter(dir string, meta Meta, policy StorePolicy, resumeSeq int)
 	return sw, rec, nil
 }
 
-// readFinalizedEntry strictly opens one finalized segment file and rebuilds
-// its manifest entry, recomputing the pair/switch summaries by decoding
-// every frame — the resume path for a segment the store manifest never
-// recorded.
-func readFinalizedEntry(dir string, idx int) (StoreSegment, Meta, error) {
-	path := filepath.Join(dir, segFileName(idx, segFileSuffix))
-	f, err := os.Open(path)
-	if err != nil {
-		return StoreSegment{}, Meta{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return StoreSegment{}, Meta{}, err
-	}
-	r, err := OpenReader(f, st.Size())
-	if err != nil {
-		return StoreSegment{}, Meta{}, err
-	}
-	entry, err := readerEntry(r, idx, st.Size())
-	return entry, r.Meta(), err
-}
-
-// readerEntry builds a store manifest entry from an opened segment reader.
-func readerEntry(r *Reader, idx int, size int64) (StoreSegment, error) {
-	if r.NumSegments() == 0 {
-		return StoreSegment{}, fmt.Errorf("segment holds no windows")
-	}
-	sum := newSegSummary()
-	entry := StoreSegment{Index: idx, Windows: r.NumSegments(), Bytes: size}
-	for i := 0; i < r.NumSegments(); i++ {
-		s := r.Segment(i)
-		if i == 0 {
-			entry.FirstSeq, entry.LastSeq = s.Seq, s.Seq
-			entry.MinStart, entry.MaxEnd = s.Start, s.End
-		} else {
-			entry.FirstSeq = min(entry.FirstSeq, s.Seq)
-			entry.LastSeq = max(entry.LastSeq, s.Seq)
-			if s.Start.Before(entry.MinStart) {
-				entry.MinStart = s.Start
-			}
-			if s.End.After(entry.MaxEnd) {
-				entry.MaxEnd = s.End
-			}
-		}
-		f, err := r.Frame(i)
-		if err != nil {
-			return StoreSegment{}, err
-		}
-		sum.add(f)
-	}
-	entry.Pairs, entry.Switches, entry.PairOverflow, entry.SwitchOverflow = sum.finish()
-	return entry, nil
-}
-
 // salvageTmp recovers the torn open segment's intact windows below
-// resumeSeq into a finalized segment file with the same index. Windows at
-// or past resumeSeq are discarded (the resumed session re-emits them); a
-// gap below resumeSeq means synced data was lost and is an error.
-func salvageTmp(dir string, idx int, meta Meta, anchor time.Time, prevLast, resumeSeq int) (StoreSegment, int, int, error) {
+// resumeSeq into a finalized segment file with the same index, rewriting
+// them through a FileWriter on a .salvage temporary. Windows at or past
+// resumeSeq are discarded (the resumed session re-emits them) and counted;
+// when none are below it the temporary is just removed and the returned
+// entry is empty. A gap below resumeSeq means synced data was lost and is
+// an error.
+func salvageTmp(dir string, idx int, meta Meta, anchor time.Time, prevLast, resumeSeq int) (StoreSegment, int, error) {
 	tmpPath := filepath.Join(dir, segFileName(idx, segTmpSuffix))
-	tf, err := os.Open(tmpPath)
+	tf, r, rep, err := openFile(tmpPath, true)
 	if err != nil {
-		return StoreSegment{}, 0, 0, fmt.Errorf("archive: resume store: %w", err)
+		return StoreSegment{}, 0, err
 	}
 	defer tf.Close()
-	st, err := tf.Stat()
-	if err != nil {
-		return StoreSegment{}, 0, 0, fmt.Errorf("archive: resume store: %w", err)
-	}
-	r, rep, err := Recover(tf, st.Size())
-	if err != nil {
-		return StoreSegment{}, 0, 0, fmt.Errorf("archive: resume store: salvage %s: %w", filepath.Base(tmpPath), err)
-	}
-	// Emission (seq) order; Recover exposes event-time order.
-	order := make([]int, r.NumSegments())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return r.Segment(order[a]).Seq < r.Segment(order[b]).Seq })
-	kept := 0
-	for _, i := range order {
-		if r.Segment(i).Seq < resumeSeq {
-			kept++
+	// Emission (seq) order; a Reader exposes event-time order.
+	keep := make([]int, 0, len(r.segs))
+	for i := range r.segs {
+		if r.segs[i].Seq < resumeSeq {
+			keep = append(keep, i)
 		}
 	}
-	discarded := r.NumSegments() - kept
-	if kept == 0 {
-		if err := os.Remove(tmpPath); err != nil {
-			return StoreSegment{}, 0, 0, fmt.Errorf("archive: resume store: %w", err)
-		}
-		return StoreSegment{}, 0, discarded, nil
+	sort.Slice(keep, func(a, b int) bool { return r.segs[keep[a]].Seq < r.segs[keep[b]].Seq })
+	discarded := len(r.segs) - len(keep)
+	if len(keep) == 0 {
+		return StoreSegment{}, discarded, os.Remove(tmpPath)
 	}
-	for k, i := range order[:kept] {
-		if want := prevLast + 1 + k; r.Segment(i).Seq != want {
-			return StoreSegment{}, 0, 0, fmt.Errorf("archive: salvage of %s: window %d where %d expected (checkpointed windows lost)",
-				filepath.Base(tmpPath), r.Segment(i).Seq, want)
+	for k, i := range keep {
+		if want := prevLast + 1 + k; r.segs[i].Seq != want {
+			return StoreSegment{}, 0, fmt.Errorf("window %d where %d expected (checkpointed windows lost)", r.segs[i].Seq, want)
 		}
 	}
-
-	salvagePath := filepath.Join(dir, segFileName(idx, segSalvageSuffix))
-	finalPath := filepath.Join(dir, segFileName(idx, segFileSuffix))
-	out, err := os.OpenFile(salvagePath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	out, err := createFile(filepath.Join(dir, segFileName(idx, segSalvageSuffix)),
+		filepath.Join(dir, segFileName(idx, segFileSuffix)), meta, os.O_TRUNC)
 	if err != nil {
-		return StoreSegment{}, 0, 0, fmt.Errorf("archive: resume store: %w", err)
+		return StoreSegment{}, 0, err
 	}
-	aw, err := NewWriter(out, meta)
-	if err != nil {
-		out.Close()
-		return StoreSegment{}, 0, 0, err
-	}
-	sum := newSegSummary()
-	entry := StoreSegment{Index: idx, Windows: kept}
-	for k, i := range order[:kept] {
-		s := r.Segment(i)
+	defer out.Abort()
+	for _, i := range keep {
 		f, err := r.Frame(i)
+		if err == nil {
+			err = out.Append(r.segs[i].Seq, r.segs[i].Start, r.segs[i].End, f)
+		}
 		if err != nil {
-			out.Close()
-			return StoreSegment{}, 0, 0, err
+			return StoreSegment{}, 0, err
 		}
-		if err := aw.Append(s.Seq, s.Start, s.End, f); err != nil {
-			out.Close()
-			return StoreSegment{}, 0, 0, err
-		}
-		if k == 0 {
-			entry.FirstSeq, entry.MinStart, entry.MaxEnd = s.Seq, s.Start, s.End
-		} else {
-			if s.Start.Before(entry.MinStart) {
-				entry.MinStart = s.Start
-			}
-			if s.End.After(entry.MaxEnd) {
-				entry.MaxEnd = s.End
-			}
-		}
-		entry.LastSeq = s.Seq
-		sum.add(f)
 	}
 	if anchor.IsZero() {
 		anchor = rep.Anchor
 	}
-	aw.SetAnchor(anchor)
-	err = aw.Close()
-	if err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(salvagePath, finalPath)
-	}
+	out.SetAnchor(anchor)
+	err = out.Close()
 	if err == nil {
 		err = os.Remove(tmpPath)
 	}
 	if err == nil {
 		err = syncDir(dir)
 	}
-	if err != nil {
-		return StoreSegment{}, 0, 0, fmt.Errorf("archive: resume store: salvage %s: %w", filepath.Base(tmpPath), err)
-	}
-	entry.Bytes = aw.Bytes()
-	entry.Pairs, entry.Switches, entry.PairOverflow, entry.SwitchOverflow = sum.finish()
-	return entry, kept, discarded, nil
+	return out.segment(idx), discarded, err
 }

@@ -226,7 +226,6 @@ func TestManagerConcurrentSessionsMatchDirectStream(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		rep.Release()
 		if gotText.String() != wantText.String() {
 			t.Errorf("cluster %d: replay of managed archive differs from direct stream text", i)
 		}

@@ -91,22 +91,14 @@ func (r *Replay) NumWindows() int { return r.st.NumWindows() }
 // Close flushes — the same interleaving the recording session printed, so
 // the emitted stream compares line for line.
 func (r *Replay) Run(emit func([]*llmprism.Report)) error {
-	if err := r.st.Replay(func(_ archive.Segment, fr *flow.Frame) error {
-		reports, err := r.PushFrame(fr)
-		emit(reports)
-		return err
-	}); err != nil {
-		return err
-	}
-	reports, err := r.Close()
-	emit(reports)
-	return err
+	return r.RunSelected(archive.Query{}, emit)
 }
 
 // RunSelected is Run restricted to the query's slice of the trace:
 // segments the store manifest cannot prune, and within them only windows
 // overlapping the query's time bounds — re-analysis of a time/pair/switch
-// slice under this session's (possibly different) configuration.
+// slice under this session's (possibly different) configuration. The zero
+// query selects everything.
 func (r *Replay) RunSelected(q archive.Query, emit func([]*llmprism.Report)) error {
 	if err := r.st.ReplaySelected(q, func(_ archive.Segment, fr *flow.Frame) error {
 		reports, err := r.PushFrame(fr)
@@ -119,11 +111,6 @@ func (r *Replay) RunSelected(q archive.Query, emit func([]*llmprism.Report)) err
 	emit(reports)
 	return err
 }
-
-// Release exists for symmetry with earlier file-backed replays; a store
-// view holds no open files, so it is a no-op. It does not touch the
-// session; call Close (or let Run do it) first.
-func (r *Replay) Release() error { return nil }
 
 // Scan is a session-free query over a recorded trace: it opens path like
 // OpenReplay, prunes segments through the store manifest, and visits every

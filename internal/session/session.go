@@ -10,12 +10,16 @@
 //     window geometry, analyzer knobs (bucket, workers, localization,
 //     chronic suppression), archive and checkpoint paths — and the session
 //     built from it. Open assembles the tier-stratified analyzer, the
-//     monitor options and the capture sink once: either a single-file
-//     archive (written to .tmp, renamed atomically on a clean Close) or,
-//     with StoreDir set, a rotating multi-segment archive.Store whose
-//     closed segments finalize atomically mid-run. With Resume, Open
-//     restarts from the checkpoint and reconciles the store to the resume
-//     point, so a killed capture continues bit-identically. OpenReplay is
+//     monitor options and the capture sink once. There is one capture
+//     path: the monitor stream appends every released window to an
+//     llmprism.ArchiveSink and closes it, and the sink commits. ArchivePath
+//     makes that sink one archive.FileWriter (written to .tmp; trailer,
+//     fsync, rename, directory fsync on a clean Close); StoreDir makes it
+//     an archive.StoreWriter, which runs the same FileWriter per segment
+//     and commits closed segments mid-run. The session only keeps the
+//     sink's Abort. With Resume, Open restarts from the checkpoint and
+//     reconciles the store to the resume point, so a killed capture
+//     continues bit-identically. OpenReplay is
 //     the inverse: it reopens a recorded archive or store directory —
 //     strictly, or salvaging what a torn capture left — restores the
 //     recorded window grid and anchor, and replays every archived frame
@@ -161,7 +165,7 @@ func (c Config) TieredAnalyzer() *llmprism.Analyzer {
 }
 
 // monitorOptions assembles the monitor option set (everything but the
-// archive sink, which needs the opened temporary file).
+// capture sink, which Open adds).
 func (c Config) monitorOptions() []llmprism.MonitorOption {
 	opts := []llmprism.MonitorOption{
 		llmprism.WithLateness(c.Lateness),
@@ -184,26 +188,31 @@ func (c Config) monitorOptions() []llmprism.MonitorOption {
 
 // Session is one open monitor-stream session built from a Config. It owns
 // the full lifecycle the CLI subcommands used to hand-roll: the streaming
-// monitor, the archive capture file (created as .tmp, finalized atomically
-// on Close) and the checkpoint plumbing. A Session is single-goroutine,
-// like the MonitorStream underneath; the Manager adds the per-cluster
-// serialization the daemon needs.
+// monitor, the capture sink and the checkpoint plumbing. A Session is
+// single-goroutine, like the MonitorStream underneath; the Manager adds
+// the per-cluster serialization the daemon needs.
 type Session struct {
-	cfg      Config
-	monitor  *llmprism.Monitor
-	stream   *llmprism.MonitorStream
-	af       *os.File
-	tmpPath  string
-	store    *archive.StoreWriter
+	cfg     Config
+	monitor *llmprism.Monitor
+	stream  *llmprism.MonitorStream
+	// capture is the open archive sink: nil without one, and once the
+	// stream has committed it.
+	capture  captureSink
 	storeRec *archive.StoreRecovery
 	windows  int
 	closed   bool
 }
 
+// captureSink is a session's archive sink: what the stream appends to and
+// commits, plus the Abort the session releases it with.
+type captureSink interface {
+	llmprism.ArchiveSink
+	Abort()
+}
+
 // Open builds the session the config describes and starts its monitor
 // stream. ctx bounds every analysis the session runs. On error nothing is
-// left open, except that a created archive temporary stays on disk (the
-// same crash-salvage contract a mid-session failure has).
+// left open.
 func Open(ctx context.Context, cfg Config) (*Session, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("session: nil topology")
@@ -221,17 +230,8 @@ func Open(ctx context.Context, cfg Config) (*Session, error) {
 	}
 	s := &Session{cfg: cfg}
 	opts := cfg.monitorOptions()
-	if cfg.ArchivePath != "" {
-		s.tmpPath = cfg.ArchivePath + ".tmp"
-		af, err := os.Create(s.tmpPath)
-		if err != nil {
-			return nil, err
-		}
-		s.af = af
-		opts = append(opts, llmprism.WithArchive(af))
-	}
-	if cfg.StoreDir != "" {
-		opts = append(opts, llmprism.WithArchiveSink(s.openStore))
+	if cfg.ArchivePath != "" || cfg.StoreDir != "" {
+		opts = append(opts, llmprism.WithArchiveSink(s.openCapture))
 	}
 	var monitor *llmprism.Monitor
 	var err error
@@ -241,15 +241,15 @@ func Open(ctx context.Context, cfg Config) (*Session, error) {
 		monitor, err = llmprism.NewMonitor(cfg.TieredAnalyzer(), cfg.Topo, cfg.Window, opts...)
 	}
 	if err != nil {
-		s.Abort()
 		return nil, err
 	}
 	// The monitor must be visible before Stream runs: Stream invokes the
-	// openStore factory, which reads the resumed checkpoint's seq off it.
+	// openCapture factory, which reads the resumed checkpoint's seq off it.
 	s.monitor = monitor
+	// Stream fails before the factory runs or with the factory's own error,
+	// so no capture is open on this path.
 	stream, err := monitor.Stream(ctx)
 	if err != nil {
-		s.Abort()
 		return nil, err
 	}
 	s.stream = stream
@@ -272,37 +272,34 @@ func resumeMonitor(cfg Config, opts []llmprism.MonitorOption) (*llmprism.Monitor
 	return llmprism.ResumeMonitor(cfg.TieredAnalyzer(), cfg.Topo, f, opts...)
 }
 
-// openStore is the archive-sink factory Stream invokes with the session's
-// resolved window geometry. A fresh session claims StoreDir as a new
-// store; a resumed one reconciles the existing store with the checkpoint
-// — salvaging a crashed open-segment temporary up to the resume boundary
-// — and continues appending after it.
-func (s *Session) openStore(am llmprism.ArchiveMeta) (llmprism.ArchiveSink, error) {
-	meta := archive.Meta{Width: am.Width, Hop: am.Hop, Lateness: am.Lateness}
-	if s.cfg.Resume {
-		// First boot under resume: nothing was claimed yet, so create the
-		// store rather than reconcile one.
-		if _, err := os.Stat(filepath.Join(s.cfg.StoreDir, archive.StoreManifestName)); errors.Is(err, fs.ErrNotExist) {
-			sw, err := archive.CreateStoreWriter(s.cfg.StoreDir, meta, s.cfg.Rotate)
-			if err != nil {
-				return nil, err
-			}
-			s.store = sw
-			return sw, nil
-		}
-		sw, rec, err := archive.ResumeStoreWriter(s.cfg.StoreDir, meta, s.cfg.Rotate, s.monitor.ResumeSeq())
-		if err != nil {
-			return nil, err
-		}
-		s.store, s.storeRec = sw, rec
-		return sw, nil
+// openCapture is the archive-sink factory Stream invokes with the
+// session's resolved window geometry: one file for ArchivePath, a store
+// for StoreDir. A fresh session claims StoreDir as a new store — so does
+// the first boot under Resume, when no manifest exists yet; a resumed one
+// reconciles the existing store with the checkpoint — salvaging a crashed
+// open-segment temporary up to the resume boundary — and continues
+// appending after it.
+func (s *Session) openCapture(meta archive.Meta) (llmprism.ArchiveSink, error) {
+	var sink captureSink
+	var err error
+	resume := s.cfg.Resume
+	if resume {
+		_, serr := os.Stat(filepath.Join(s.cfg.StoreDir, archive.StoreManifestName))
+		resume = !errors.Is(serr, fs.ErrNotExist)
 	}
-	sw, err := archive.CreateStoreWriter(s.cfg.StoreDir, meta, s.cfg.Rotate)
+	switch {
+	case s.cfg.ArchivePath != "":
+		sink, err = archive.CreateFile(s.cfg.ArchivePath, meta)
+	case resume:
+		sink, s.storeRec, err = archive.ResumeStoreWriter(s.cfg.StoreDir, meta, s.cfg.Rotate, s.monitor.ResumeSeq())
+	default:
+		sink, err = archive.CreateStoreWriter(s.cfg.StoreDir, meta, s.cfg.Rotate)
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.store = sw
-	return sw, nil
+	s.capture = sink
+	return sink, nil
 }
 
 // StoreRecovery reports what reconciling the store with the checkpoint
@@ -355,12 +352,11 @@ func (s *Session) PushFrame(f *flow.Frame) ([]*llmprism.Report, error) {
 	return reports, err
 }
 
-// Close flushes every remaining window, returns the trailing reports in
-// window order and — on a clean close with an archive configured — syncs
-// the capture temporary and renames it into its final path. A store is
-// finalized by the stream itself (last segment renamed, manifest
-// rewritten) before Close returns. On error the temporary stays on disk
-// for salvage and the final path is never touched.
+// Close flushes every remaining window and returns the trailing reports in
+// window order. The stream commits the capture sink on its way out — the
+// single file renamed into place, or the store's last segment finalized and
+// its manifest rewritten. On error the capture temporary stays on disk for
+// salvage and the final path is never touched.
 func (s *Session) Close() ([]*llmprism.Report, error) {
 	if s.closed {
 		return nil, fmt.Errorf("session: already closed")
@@ -369,24 +365,10 @@ func (s *Session) Close() ([]*llmprism.Report, error) {
 	reports, err := s.stream.Close()
 	s.windows += len(reports)
 	if err != nil {
-		s.releaseArchive()
+		s.Abort()
 		return reports, err
 	}
-	// The stream finalized the store sink on its way out.
-	s.store = nil
-	if s.af != nil {
-		af := s.af
-		s.af = nil
-		if err := af.Sync(); err != nil {
-			return reports, err
-		}
-		if err := af.Close(); err != nil {
-			return reports, err
-		}
-		if err := os.Rename(s.tmpPath, s.cfg.ArchivePath); err != nil {
-			return reports, err
-		}
-	}
+	s.capture = nil
 	return reports, nil
 }
 
@@ -398,19 +380,9 @@ func (s *Session) Close() ([]*llmprism.Report, error) {
 // Close is a no-op, so callers can defer it.
 func (s *Session) Abort() {
 	s.closed = true
-	s.releaseArchive()
-}
-
-// releaseArchive closes the capture temporary or store writer (if still
-// open) without finalizing either.
-func (s *Session) releaseArchive() {
-	if s.af != nil {
-		s.af.Close()
-		s.af = nil
-	}
-	if s.store != nil {
-		s.store.Abort()
-		s.store = nil
+	if s.capture != nil {
+		s.capture.Abort()
+		s.capture = nil
 	}
 }
 

@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -60,7 +61,6 @@ func replayText(t *testing.T, cfg session.Config, path string, salvage bool) str
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rep.Release()
 	var text strings.Builder
 	if err := rep.Run(func(reports []*llmprism.Report) {
 		session.PrintReports(&text, reports)
@@ -115,6 +115,43 @@ func TestSessionStoreMatchesSingleFileArchive(t *testing.T) {
 	}
 	if rep.NumWindows() != len(fileReports) {
 		t.Errorf("store windows = %d, want %d", rep.NumWindows(), len(fileReports))
+	}
+
+	// One capture path: a store that never rotates writes its sole segment
+	// through the same file writer, so it is the single-file archive.
+	oneCfg := baseConfig(topo)
+	oneCfg.StoreDir = filepath.Join(dir, "one.llps")
+	runSession(t, oneCfg, records, 400)
+	single, err := os.ReadFile(fileCfg.ArchivePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sole, err := os.ReadFile(filepath.Join(oneCfg.StoreDir, "seg-00000001.llpa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sole, single) {
+		t.Errorf("zero-policy store's sole segment (%d bytes) differs from the single-file capture (%d bytes)", len(sole), len(single))
+	}
+	if _, err := os.Stat(fileCfg.ArchivePath + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("finalized single-file capture left its temporary behind (err=%v)", err)
+	}
+
+	// A finalized, manifested segment that lost its tail: strict replay
+	// refuses the store, salvage replay still reproduces every window.
+	seg := filepath.Join(storeCfg.StoreDir, "seg-00000001.llpa")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-40); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := session.OpenReplay(context.Background(), baseConfig(topo), storeCfg.StoreDir, false); err == nil {
+		t.Error("strict replay opened a store with a truncated segment")
+	}
+	if got := replayText(t, baseConfig(topo), storeCfg.StoreDir, true); got != want.String() {
+		t.Error("salvage replay of a store with a truncated segment differs from live reports")
 	}
 }
 
@@ -346,7 +383,6 @@ func TestManagerCloseMixedHealthyAndDeadSessions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("salvage replay of dead temporary: %v", err)
 	}
-	defer rep.Release()
 	if rep.Recovery == nil {
 		t.Error("salvage open of torn temporary reports no recovery")
 	}

@@ -112,7 +112,6 @@ type monitorConfig struct {
 	lateness    time.Duration
 	depth       int
 	registry    jobrec.RegistryConfig
-	archive     io.Writer
 	archiveSink func(ArchiveMeta) (ArchiveSink, error)
 	anchor      time.Time
 	suppress    bool
@@ -181,25 +180,24 @@ func WithChronicSuppression(cfg diagnose.IncidentConfig) MonitorOption {
 // pre-anchored via WithAnchor) reproduces the recorded reports bit for
 // bit. MonitorStream.Close finalizes the archive's manifest; the caller
 // still owns (and closes) w itself. Only the Stream path archives; Feed
-// ignores the option.
+// ignores the option. It is WithArchiveSink over an archive.Writer on w.
 func WithArchive(w io.Writer) MonitorOption {
-	return func(c *monitorConfig) { c.archive = w }
+	return WithArchiveSink(func(meta ArchiveMeta) (ArchiveSink, error) { return archive.NewWriter(w, meta) })
 }
 
 // ArchiveMeta is the window geometry a Stream session hands its archive
 // sink at open time — the geometry the sink must stamp into whatever
 // container it writes.
-type ArchiveMeta struct {
-	Width, Hop, Lateness time.Duration
-}
+type ArchiveMeta = archive.Meta
 
 // ArchiveSink persists a Stream session's released windows. Append
 // receives every window in emission (seq) order with its bounds and
 // already-built columnar frame; SetAnchor is called with the session's
 // event-time grid origin before each Append (and at Close), so a sink that
 // rotates into multiple containers can stamp the anchor on each; Close
-// finalizes the container. archive.Writer and archive.StoreWriter both
-// satisfy it.
+// finalizes the container. archive.Writer (a caller's io.Writer),
+// archive.FileWriter (one file) and archive.StoreWriter (a rotating
+// directory of them) satisfy it.
 type ArchiveSink interface {
 	Append(seq int, start, end time.Time, f *FlowFrame) error
 	SetAnchor(t time.Time)
@@ -207,11 +205,12 @@ type ArchiveSink interface {
 }
 
 // WithArchiveSink makes the Stream session record every completed window
-// through a caller-built sink — the generalization of WithArchive that the
-// session layer uses to write rotating multi-segment stores. The factory
-// runs when Stream opens, receiving the session's resolved window geometry
-// (which a Monitor only knows after NewMonitor/ResumeMonitor has applied
-// every option). It takes precedence over WithArchive when both are set.
+// through a caller-built sink — the one capture path; the session layer
+// uses it for single-file archives and rotating multi-segment stores
+// alike. The factory runs when Stream opens, receiving the session's
+// resolved window geometry (which a Monitor only knows after
+// NewMonitor/ResumeMonitor has applied every option). The last
+// WithArchive/WithArchiveSink given wins.
 func WithArchiveSink(open func(ArchiveMeta) (ArchiveSink, error)) MonitorOption {
 	return func(c *monitorConfig) { c.archiveSink = open }
 }
@@ -753,25 +752,11 @@ func (m *Monitor) Stream(ctx context.Context) (*MonitorStream, error) {
 	}
 	var sink ArchiveSink
 	if m.cfg.archiveSink != nil {
-		s, err := m.cfg.archiveSink(ArchiveMeta{
-			Width:    m.cfg.window,
-			Hop:      m.cfg.hop,
-			Lateness: m.cfg.lateness,
-		})
+		var err error
+		sink, err = m.cfg.archiveSink(ArchiveMeta{Width: m.cfg.window, Hop: m.cfg.hop, Lateness: m.cfg.lateness})
 		if err != nil {
 			return nil, fmt.Errorf("llmprism: open archive sink: %w", err)
 		}
-		sink = s
-	} else if m.cfg.archive != nil {
-		aw, err := archive.NewWriter(m.cfg.archive, archive.Meta{
-			Width:    m.cfg.window,
-			Hop:      m.cfg.hop,
-			Lateness: m.cfg.lateness,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("llmprism: open archive sink: %w", err)
-		}
-		sink = aw
 	}
 	m.streaming = true
 	scfg := stream.Config{
@@ -856,9 +841,8 @@ func (s *MonitorStream) PushFrame(f *FlowFrame) ([]*Report, error) {
 // Close flushes every remaining window — partial trailing windows
 // included — waits for in-flight analyses and returns the remaining
 // reports in window order. With an archive sink configured it then stamps
-// the grid anchor and finalizes the archive manifest (the underlying
-// writer stays open; the caller owns it). The session stays usable only
-// for Late and Pending afterwards.
+// the grid anchor and closes the sink, which finalizes the capture. The
+// session stays usable only for Late and Pending afterwards.
 func (s *MonitorStream) Close() ([]*Report, error) {
 	if s.err != nil {
 		return nil, s.err
