@@ -261,55 +261,3 @@ func TestAnalyzeContextCanceled(t *testing.T) {
 		}
 	}
 }
-
-func TestMonitorFeedContextMatchesFeed(t *testing.T) {
-	records, topo := concurrencyTrace(t)
-
-	feedAll := func(m *Monitor) []*Report {
-		t.Helper()
-		var reports []*Report
-		got, err := m.FeedContext(context.Background(), records)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, got...)
-		tail, err := m.FlushContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(reports, tail...)
-	}
-
-	mSeq, err := NewMonitor(New(WithWorkers(1)), topo, 8*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mPar, err := NewMonitor(New(WithWorkers(8)), topo, 8*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := feedAll(mSeq)
-	par := feedAll(mPar)
-	if len(seq) < 2 {
-		t.Fatalf("windows analyzed = %d, want >= 2", len(seq))
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("concurrent monitor reports diverge from sequential monitor's")
-	}
-}
-
-func TestMonitorFeedContextCanceled(t *testing.T) {
-	records, topo := concurrencyTrace(t)
-	m, err := NewMonitor(New(), topo, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.FeedContext(ctx, records); err == nil {
-		t.Error("canceled context did not abort window analysis")
-	}
-	if m.Pending() == 0 {
-		t.Error("interrupted window's records should stay buffered")
-	}
-}

@@ -476,38 +476,14 @@ func benchBatches(b *testing.B) [][]flow.Record {
 }
 
 // monitorBenchWindow gives the 60-second bench trace 12 windows, so the
-// per-feed ingest cost is measured across enough window turnover to expose
+// per-push ingest cost is measured across enough window turnover to expose
 // any dependence on total buffered history.
 const monitorBenchWindow = 5 * time.Second
 
-// BenchmarkMonitorFeed measures the synchronous Feed loop: batch-sorted
-// merge ingestion plus one blocking window analysis per completed window.
-func BenchmarkMonitorFeed(b *testing.B) {
-	batches := benchBatches(b)
-	records, topo := benchTrace(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		monitor, err := llmprism.NewMonitor(llmprism.New(), topo, monitorBenchWindow)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, batch := range batches {
-			if _, err := monitor.Feed(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := monitor.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(records)), "records/op")
-}
-
 // BenchmarkMonitorStream measures the pipelined streaming session over the
-// same trace, batches and window grid: incremental per-window ingestion
-// (append + intern per record, no buffered-history re-sort) with closed
-// windows analyzing asynchronously at the given pipeline depth.
+// bench trace in collector batches: incremental per-window ingestion
+// (append + intern per record) with closed windows analyzing
+// asynchronously at the given pipeline depth.
 func BenchmarkMonitorStream(b *testing.B) {
 	batches := benchBatches(b)
 	records, topo := benchTrace(b)

@@ -3,11 +3,46 @@ package experiments
 import (
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden accuracy matrices under testdata")
+
+// checkGolden compares an accuracy matrix — an experiment's Report() minus
+// its wall-clock line — against testdata/<name>, so "no refactor may move a
+// cell" is a test rather than a by-hand diff of cmd/repro output. The files
+// were written by the code as it stood before the experiments moved onto
+// Monitor.Stream; go test ./internal/experiments -update rewrites them, and
+// only a change that means to move a cell may do that.
+func checkGolden(t *testing.T, name, report string) {
+	t.Helper()
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(report, "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "wall:") {
+			got.WriteString(line)
+		}
+	}
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("%s moved:\n--- got\n%s--- want\n%s", name, got.String(), want)
+	}
+}
 
 // The fast experiments run unconditionally (they are the -short coverage);
 // the multi-second ones skip under -short and are exercised at full small
@@ -251,6 +286,7 @@ func TestLocalizationMatrixShortGrid(t *testing.T) {
 	if !strings.Contains(res.Report(), "root-cause localization") {
 		t.Error("report missing the localization table")
 	}
+	checkGolden(t, "localize_short.golden", res.Report())
 }
 
 func TestRunnerRegistryComplete(t *testing.T) {

@@ -6,11 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/llmprism/llmprism/internal/core/diagnose"
-	"github.com/llmprism/llmprism/internal/core/jobrec"
-	"github.com/llmprism/llmprism/internal/core/localize"
-	"github.com/llmprism/llmprism/internal/core/parallel"
-	"github.com/llmprism/llmprism/internal/core/timeline"
+	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/platform"
@@ -41,6 +37,14 @@ const (
 	// implicated-flow sets.
 	locSigmaK = 4
 	locTopK   = 3
+	// locPooledRails is the trailing-rail GPU index L1 hands locAnalyzer: no
+	// endpoint has it, so L1 compares all of a job's DP groups in one
+	// population (R1 stratifies on the resolved GPUsPerNode-1). The matrix
+	// and its acceptance bars are calibrated on the pooled comparison;
+	// stratifying L1 moves cells (multi-fault/1x fused top-1 40% → 50% on
+	// the -short grid at seed 7), so it must land alone, rewriting
+	// testdata/localize_short.golden on purpose.
+	locPooledRails = -1
 )
 
 // LocalizationRow is one scenario × load cell of the localization matrix.
@@ -51,8 +55,8 @@ type LocalizationRow struct {
 	// component (a flapping fault is one cause injected twice) — the rows
 	// the top-1 acceptance bar applies to.
 	SingleFault bool
-	// Windows counts analyzed (non-empty) windows; Alerted the ones whose
-	// detectors fired and produced suspects.
+	// Windows counts the monitor windows that held recognized jobs; Alerted
+	// the ones whose detectors fired and produced suspects.
 	Windows, Alerted int
 	// Score is the localization accuracy against the injected schedule.
 	Score truth.LocalizationScore
@@ -227,8 +231,8 @@ func locScenarios() []locScenario {
 // rank, concurrent multi-fault, overlapping fault windows, multi-job
 // interference — each × load levels) scoring topology-aware root-cause
 // localization against the injected fault schedule. Each cell simulates a
-// multi-tenant platform and analyzes the trace window by window exactly as
-// the monitor would — tier-stratified switch diagnosis, rail-stratified
+// multi-tenant platform and runs the trace through the deployed monitor
+// loop (Monitor.Stream) — tier-stratified switch diagnosis, rail-stratified
 // cross-group diagnosis, chronic-anomaly suppression, spectrum
 // localization over the surviving alerts, and cross-window score fusion —
 // scoring the fused ranking with truth.ScoreLocalization. Scale < 1 runs
@@ -298,119 +302,95 @@ func localizationCell(ctx context.Context, sc locScenario, load locLoad, idx int
 		return row, fmt.Errorf("experiments: localization %s/%s: %w", sc.name, load.name, err)
 	}
 
-	diagCfg := diagnose.Config{
-		K:      locSigmaK,
-		Bucket: locBucket,
-		SwitchTier: func(sw flow.SwitchID) int {
-			if res.Topo.IsSpine(sw) {
-				return 1
-			}
-			return 0
-		},
-		// The deployment rail classifier: the trailing TP rail hosts each
-		// group's collective serialization tail and is structurally slower
-		// than rails 0..n-2, so it is its own comparison class (which, at 2
-		// groups per stage pair, stays below MinSamples and is skipped —
-		// exactly the population that used to fire chronic false alerts).
-		GroupRail: func(a flow.Addr) int {
-			if res.Topo.GPUOf(a) == spec.GPUsPerNode-1 {
-				return 1
-			}
-			return 0
-		},
+	// The deployed loop, not a mirror of it: the monitor carries chronic
+	// suppression (chronic anomalies drop out of the alert surface and the
+	// localization evidence) and fuses per-window suspect scores into the
+	// cross-window ranking the cell is scored on. The grid is anchored at
+	// the simulation epoch so windows line up with the fault schedule.
+	m, err := llmprism.NewMonitor(locAnalyzer(res.Topo, locPooledRails), res.Topo, locWindow,
+		llmprism.WithAnchor(res.Truth.Epoch),
+		llmprism.WithChronicSuppression(llmprism.IncidentConfig{}))
+	if err != nil {
+		return row, fmt.Errorf("experiments: localization %s/%s: %w", sc.name, load.name, err)
 	}
-
-	// Incident-centric state carried across the cell's windows, exactly as
-	// the monitor does: chronic anomalies drop out of the localization
-	// evidence and the truth view, and per-window suspect scores fuse into
-	// the cross-window ranking the cell is scored on.
-	incidents := diagnose.NewIncidentTracker(diagnose.IncidentConfig{})
-	tracker := localize.NewTracker(localize.TrackerConfig{})
-	var windows []truth.LocalizedWindow
-	for off := time.Duration(0); off+locWindow <= locHorizon; off += locWindow {
-		if err := ctx.Err(); err != nil {
-			return row, err
+	reports, err := monitorTrace(ctx, m, res)
+	if err != nil {
+		return row, fmt.Errorf("experiments: localization %s/%s: %w", sc.name, load.name, err)
+	}
+	windows := make([]truth.LocalizedWindow, len(reports))
+	for i, r := range reports {
+		if len(r.Jobs) > 0 {
+			row.Windows++
 		}
-		recs := res.Window(off, locWindow)
-		if len(recs) == 0 {
-			continue
-		}
-		row.Windows++
-		jobs, jobAlerts, switchAlerts := diagnoseWindow(recs, res.Topo, diagCfg)
-		chronic := make(map[diagnose.IncidentKey]bool)
-		for _, inc := range incidents.Observe(jobAlerts) {
-			if inc.Chronic && inc.StillFiring {
-				chronic[inc.Key] = true
-			}
-		}
-		locCfg := localize.Config{}
-		if len(chronic) > 0 {
-			locCfg.Filter = func(job int, a diagnose.Alert) bool {
-				return !chronic[diagnose.KeyOf(job, a)]
-			}
-		}
-		suspects := localize.Localize(jobs, switchAlerts, locCfg)
-		if len(suspects) > 0 {
+		if len(r.Suspects) > 0 {
 			row.Alerted++
 		}
-		wallStart := res.Truth.Epoch.Add(off)
-		tracker.Observe(wallStart, suspects)
-		var effective []diagnose.Alert
-		for _, ja := range jobAlerts {
-			if !chronic[diagnose.KeyOf(ja.Job, ja.Alert)] {
-				effective = append(effective, ja.Alert)
-			}
-		}
-		windows = append(windows, truth.LocalizedWindow{
-			Start:    wallStart,
-			End:      wallStart.Add(locWindow),
-			Alerts:   effective,
-			Suspects: suspects,
-			Fused:    tracker.Fused(),
-		})
+		windows[i] = localizedWindow(r)
 	}
 	row.Score = truth.ScoreLocalization(res.Topo, sched, res.Truth.Epoch, windows, locTopK)
 	return row, nil
 }
 
-// diagnoseWindow runs the per-window diagnosis pipeline on a record slice
-// — the record-path mirror of one monitor window's analysis — returning
-// the localization inputs: per-job evidence (with stable ids; the tenant
-// layout is fixed, and Recognize orders clusters by smallest endpoint, so
-// index i is the same tenant in every window), every alert paired with the
-// job it fired against (switch-level alerts carry job 0), and the
-// fabric-level switch alerts.
-func diagnoseWindow(recs []flow.Record, topo *topology.Topology, diagCfg diagnose.Config) ([]localize.Job, []diagnose.JobAlert, []diagnose.Alert) {
-	clusters := jobrec.Recognize(recs, topo, jobrec.Config{})
-	perJob := jobrec.SplitRecords(recs, clusters)
-	merged := diagnose.NewSeriesAccum(diagCfg)
-	jobs := make([]localize.Job, len(perJob))
-	var all []diagnose.JobAlert
-	for i, jobRecs := range perJob {
-		cls := parallel.Identify(jobRecs, parallel.Config{})
-		tls := timeline.Reconstruct(jobRecs, cls.Types, timeline.Config{})
-		var alerts []diagnose.Alert
-		alerts = append(alerts, diagnose.CrossStep(tls, diagCfg)...)
-		alerts = append(alerts, diagnose.CrossGroup(tls, cls.DPGroups, diagCfg)...)
-		for _, a := range alerts {
-			all = append(all, diagnose.JobAlert{Job: i + 1, Alert: a})
-		}
-		accum := diagnose.NewSeriesAccum(diagCfg)
-		accum.Add(jobRecs, cls.Types)
-		merged.Merge(accum)
-		jobs[i] = localize.Job{
-			ID:       i + 1,
-			Records:  jobRecs,
-			Types:    cls.Types,
-			DPGroups: cls.DPGroups,
-			Alerts:   alerts,
-		}
+// locAnalyzer is the analyzer both accuracy matrices (L1 and R1) run: the
+// windowed detectors at k=locSigmaK, tier-stratified switch diagnosis,
+// rail-stratified cross-group diagnosis — GPU index trailingRail hosts each
+// group's collective serialization tail and is structurally slower than the
+// other rails, so it is its own comparison class (which, at 2 groups per
+// stage pair, stays below MinSamples and is skipped: exactly the population
+// that used to fire chronic false alerts) — and spectrum localization.
+func locAnalyzer(topo *topology.Topology, trailingRail int, extra ...llmprism.Option) *llmprism.Analyzer {
+	opts := []llmprism.Option{
+		llmprism.WithSigmaK(locSigmaK),
+		llmprism.WithSwitchBucket(locBucket),
+		llmprism.WithSwitchTiers(func(sw flow.SwitchID) int {
+			if topo.IsSpine(sw) {
+				return 1
+			}
+			return 0
+		}),
+		llmprism.WithGroupRails(func(a flow.Addr) int {
+			if topo.GPUOf(a) == trailingRail {
+				return 1
+			}
+			return 0
+		}),
+		llmprism.WithLocalization(llmprism.LocalizationConfig{}),
 	}
-	switchAlerts := diagnose.SwitchDiagnose(merged.Series(), diagCfg)
-	for _, a := range switchAlerts {
-		all = append(all, diagnose.JobAlert{Alert: a})
+	return llmprism.New(append(opts, extra...)...)
+}
+
+// monitorTrace drives a simulated trace through m's Stream session the way
+// a collector would — one Push per locWindow of the horizon, Close for the
+// tail — and returns every report in window order.
+func monitorTrace(ctx context.Context, m *llmprism.Monitor, res *platform.Result) ([]*llmprism.Report, error) {
+	s, err := m.Stream(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return jobs, all, switchAlerts
+	var reports []*llmprism.Report
+	for off := time.Duration(0); off+locWindow <= locHorizon; off += locWindow {
+		got, err := s.Push(res.Window(off, locWindow))
+		if err != nil {
+			return nil, err
+		}
+		reports = append(reports, got...)
+	}
+	tail, err := s.Close()
+	if err != nil {
+		return nil, err
+	}
+	return append(reports, tail...), nil
+}
+
+// localizedWindow is the scoring view of one monitor report.
+func localizedWindow(r *llmprism.Report) truth.LocalizedWindow {
+	return truth.LocalizedWindow{
+		Start:    r.Window.Start,
+		End:      r.Window.End,
+		Alerts:   r.Alerts(),
+		Suspects: r.Suspects,
+		Fused:    r.FusedSuspects,
+	}
 }
 
 // Report renders the matrix as the localization accuracy table.

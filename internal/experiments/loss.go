@@ -11,7 +11,6 @@ import (
 	"github.com/llmprism/llmprism/internal/core/diagnose"
 	"github.com/llmprism/llmprism/internal/erspan"
 	"github.com/llmprism/llmprism/internal/faults"
-	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/pool"
 	"github.com/llmprism/llmprism/internal/topology"
@@ -172,75 +171,35 @@ func lossCell(ctx context.Context, c lossCellSpec, idx int, opts Options) (LossR
 	}
 	row.Observed, row.Lost, row.Blacked = res.Observed, res.Lost, res.Blacked
 
-	// The deployed analysis path, not the record-path mirror: the monitor
-	// carries chronic suppression, the coverage guard and fused
-	// localization across the cell's windows exactly as production would.
-	analyzer := llmprism.New(
-		llmprism.WithSigmaK(locSigmaK),
-		llmprism.WithSwitchBucket(locBucket),
-		llmprism.WithSwitchTiers(func(sw flow.SwitchID) int {
-			if res.Topo.IsSpine(sw) {
-				return 1
-			}
-			return 0
-		}),
-		llmprism.WithGroupRails(func(a flow.Addr) int {
-			if res.Topo.GPUOf(a) == res.Topo.Spec().GPUsPerNode-1 {
-				return 1
-			}
-			return 0
-		}),
-		llmprism.WithLocalization(llmprism.LocalizationConfig{}),
-		llmprism.WithLossTolerantDiagnosis(3),
-	)
+	// The same deployed loop as the localization matrix, plus the coverage
+	// guard and loss-tolerant detectors. The grid anchors at the first
+	// observed record, as a live collector's would.
+	analyzer := locAnalyzer(res.Topo, res.Topo.Spec().GPUsPerNode-1, llmprism.WithLossTolerantDiagnosis(3))
 	m, err := llmprism.NewMonitor(analyzer, res.Topo, locWindow,
-		llmprism.WithAnchor(res.Truth.Epoch),
 		llmprism.WithChronicSuppression(llmprism.IncidentConfig{}),
 		llmprism.WithCoverageGuard(llmprism.CoverageConfig{}))
 	if err != nil {
 		return row, fmt.Errorf("experiments: loss %s/%g: %w", c.scenario, c.loss, err)
 	}
-	var reports []*llmprism.Report
-	for off := time.Duration(0); off+locWindow <= locHorizon; off += locWindow {
-		if err := ctx.Err(); err != nil {
-			return row, err
-		}
-		got, err := m.FeedContext(ctx, res.Window(off, locWindow))
-		if err != nil {
-			return row, fmt.Errorf("experiments: loss %s/%g: %w", c.scenario, c.loss, err)
-		}
-		reports = append(reports, got...)
-	}
-	tail, err := m.Flush()
+	reports, err := monitorTrace(ctx, m, res)
 	if err != nil {
 		return row, fmt.Errorf("experiments: loss %s/%g: %w", c.scenario, c.loss, err)
 	}
-	reports = append(reports, tail...)
 
 	kinds := make(map[diagnose.AlertKind]bool)
 	var windows []truth.LocalizedWindow
 	for _, r := range reports {
 		row.Windows++
-		var alerts []diagnose.Alert
-		for _, j := range r.Jobs {
-			alerts = append(alerts, j.Alerts...)
-		}
-		alerts = append(alerts, r.SwitchAlerts...)
-		for _, a := range alerts {
+		w := localizedWindow(r)
+		for _, a := range w.Alerts {
 			kinds[a.Kind] = true
 		}
 		if r.Coverage.Degraded {
 			row.Degraded++
-			row.DegradedAlerts += len(alerts)
+			row.DegradedAlerts += len(w.Alerts)
 			continue // degraded windows carry no diagnosis to score
 		}
-		windows = append(windows, truth.LocalizedWindow{
-			Start:    r.Window.Start,
-			End:      r.Window.End,
-			Alerts:   alerts,
-			Suspects: r.Suspects,
-			Fused:    r.FusedSuspects,
-		})
+		windows = append(windows, w)
 	}
 	for k := range kinds {
 		row.AlertKinds = append(row.AlertKinds, k)

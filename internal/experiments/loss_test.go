@@ -86,6 +86,7 @@ func TestCollectorLossSweepShortGrid(t *testing.T) {
 	if !strings.Contains(res.Report(), "collector loss") {
 		t.Error("report missing the loss table")
 	}
+	checkGolden(t, "loss_short.golden", res.Report())
 }
 
 func trimFloat(f float64) string {

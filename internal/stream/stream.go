@@ -555,8 +555,8 @@ func (e *Engine[R]) Flush(ctx context.Context) ([]Result[R], error) {
 }
 
 // FloorDiv is integer division rounding toward negative infinity — the
-// grid-index arithmetic both the engine and the Monitor's Feed-path mirror
-// share.
+// engine's grid-index arithmetic (exported for the serial-loop test oracle
+// and bench/).
 func FloorDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {

@@ -50,26 +50,24 @@
 // lateness — see WithHop and WithLateness); a window closes when the
 // watermark (newest record start minus lateness) passes its end, and
 // empty completed windows still yield bounds-carrying reports so window
-// sequence numbers line up with wall clock. Two ingestion paths exist:
-// the synchronous Feed loop (batch-sorts and merges into one buffer, one
-// frame per completed window), and Monitor.Stream, whose per-window
-// columnar builders ingest records incrementally — including out-of-order
-// arrivals within the lateness bound — and whose closed windows analyze
-// asynchronously (WithPipelineDepth) while newer records keep ingesting.
-// Reports are released strictly in window order and are bit-identical to
-// the Feed loop's for the same in-order stream; records later than the
-// lateness bound are dropped and counted rather than misfiled. Across
-// windows, a job registry stamps stable JobIDs by endpoint-set matching,
-// change-point detectors are reused via Reset instead of rebuilt, and
-// Report.Incidents tracks each anomaly's first-seen/still-firing state so
-// a persistent fault is one ongoing incident, not one alert pile per
-// window. WithChronicSuppression goes further: anomalies firing since the
-// monitor's first windows that never resolve are classified chronic and
-// suppressed from the alert surface and localization evidence, and with
-// localization enabled Report.FusedSuspects accumulates each suspect
-// component's score across windows so one persistent root cause outranks
-// per-window noise. The cmd/llmprism CLI exposes this as the monitor
-// subcommand (-window, -hop, -lateness, -localize, -suppress-chronic).
+// sequence numbers line up with wall clock. Monitor.Stream is the one
+// ingestion path: per-window columnar builders ingest records
+// incrementally — including out-of-order arrivals within the lateness
+// bound — and closed windows analyze asynchronously (WithPipelineDepth)
+// while newer records keep ingesting. Reports are released strictly in
+// window order; records later than the lateness bound are dropped and
+// counted. Across windows, a job registry stamps stable JobIDs by
+// endpoint-set matching, change-point detectors are reused via Reset
+// instead of rebuilt, and Report.Incidents tracks each anomaly's
+// first-seen/still-firing state so a persistent fault is one ongoing
+// incident, not one alert pile per window. WithChronicSuppression goes
+// further: anomalies firing since the monitor's first windows that never
+// resolve are classified chronic and suppressed from the alert surface
+// and localization evidence, and with localization enabled
+// Report.FusedSuspects accumulates each suspect component's score across
+// windows so one persistent root cause outranks per-window noise. The
+// cmd/llmprism CLI exposes this as the monitor subcommand (-window, -hop,
+// -lateness, -localize, -suppress-chronic).
 package llmprism
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"github.com/llmprism/llmprism/internal/archive"
@@ -36,19 +35,11 @@ type WindowInfo struct {
 // records still yield an (empty) report carrying their bounds, so report
 // sequence numbers line up with wall-clock windows.
 //
-// Two ingestion paths share the same analysis, window grid and continuity
-// state:
-//
-//   - Feed/FeedContext buffer records and analyze each completed window
-//     synchronously before returning — the historical, and simplest, mode.
-//     It requires tumbling windows (hop == width).
-//   - Stream opens a pipelined session: records append into per-window
-//     columnar builders as they arrive, closed windows are analyzed
-//     asynchronously on the analyzer's worker pool while newer records
-//     keep ingesting, and reports come back strictly in window order,
-//     bit-identical to what the Feed loop produces for the same in-order
-//     record stream. Records later than the allowed lateness are dropped
-//     and counted instead of misfiled.
+// Stream is the one ingestion path: it opens a pipelined session in which
+// records append into per-window columnar builders as they arrive, closed
+// windows are analyzed asynchronously on the analyzer's worker pool while
+// newer records keep ingesting, and reports come back strictly in window
+// order. Records later than the allowed lateness are dropped and counted.
 //
 // Reports gain cross-window continuity: a job registry matches each
 // window's recognized endpoint sets against previous windows and stamps
@@ -64,23 +55,14 @@ type WindowInfo struct {
 // ranks components by suspiciousness fused across the windows they stay
 // suspect, so one persistent root cause rises above per-window noise.
 //
-// Monitor is not safe for concurrent use; feed it from one goroutine, and
-// use either the Feed loop or one Stream session — not both — per
-// Monitor.
+// Monitor is not safe for concurrent use; drive its one Stream session
+// from one goroutine.
 type Monitor struct {
 	analyzer *Analyzer
 	mapper   jobrec.ServerMapper
 	cfg      monitorConfig
 
-	// Legacy feed path state: buffer sorted by (start, id); next is the
-	// start of the next grid window to emit (zero until the first record
-	// anchors the grid).
-	buf  []flow.Record
-	next time.Time
-
-	// Continuity state shared by both ingestion paths, driven strictly in
-	// window order.
-	seq       int
+	// Continuity state, driven strictly in window order.
 	registry  *jobrec.Registry
 	incidents *diagnose.IncidentTracker
 	// suspects carries localization continuity (non-nil only when the
@@ -111,7 +93,6 @@ type monitorConfig struct {
 	hop         time.Duration
 	lateness    time.Duration
 	depth       int
-	registry    jobrec.RegistryConfig
 	archiveSink func(ArchiveMeta) (ArchiveSink, error)
 	anchor      time.Time
 	suppress    bool
@@ -127,17 +108,16 @@ type MonitorOption func(*monitorConfig)
 // WithHop sets the window stride. The default equals the window width
 // (tumbling windows); a smaller hop yields overlapping windows — a record
 // then belongs to every window covering its start time, including the
-// leading partial phase windows that begin before the first record — and
-// only the Stream path supports them.
+// leading partial phase windows that begin before the first record.
 func WithHop(d time.Duration) MonitorOption {
 	return func(c *monitorConfig) { c.hop = d }
 }
 
 // WithLateness sets the allowed out-of-orderness: a window closes only
 // once a record this much past its end has been seen, so records up to the
-// lateness bound out of order still land in the right window. Stream drops
-// (and counts) records later than the bound; the Feed path, which buffers,
-// misfiles them into the oldest open window. Default 0.
+// lateness bound out of order still land in the right window. Records
+// later than the bound are dropped and counted (MonitorStream.Late).
+// Default 0.
 func WithLateness(d time.Duration) MonitorOption {
 	return func(c *monitorConfig) { c.lateness = d }
 }
@@ -147,11 +127,6 @@ func WithLateness(d time.Duration) MonitorOption {
 // pipelining; the default is 2 (window k+1 ingests while k analyzes).
 func WithPipelineDepth(n int) MonitorOption {
 	return func(c *monitorConfig) { c.depth = n }
-}
-
-// WithJobRegistry tunes cross-window job identity matching.
-func WithJobRegistry(cfg jobrec.RegistryConfig) MonitorOption {
-	return func(c *monitorConfig) { c.registry = cfg }
 }
 
 // WithChronicSuppression makes the monitor classify persistent baseline
@@ -179,8 +154,8 @@ func WithChronicSuppression(cfg diagnose.IncidentConfig) MonitorOption {
 // replay` path (Monitor.Stream over each archived window's records, grid
 // pre-anchored via WithAnchor) reproduces the recorded reports bit for
 // bit. MonitorStream.Close finalizes the archive's manifest; the caller
-// still owns (and closes) w itself. Only the Stream path archives; Feed
-// ignores the option. It is WithArchiveSink over an archive.Writer on w.
+// still owns (and closes) w itself. It is WithArchiveSink over an
+// archive.Writer on w.
 func WithArchive(w io.Writer) MonitorOption {
 	return WithArchiveSink(func(meta ArchiveMeta) (ArchiveSink, error) { return archive.NewWriter(w, meta) })
 }
@@ -230,7 +205,7 @@ func WithAnchor(t time.Time) MonitorOption {
 // torn one). A monitor rebuilt from the file with ResumeMonitor continues
 // the session at the next window with the same JobIDs, incident first-seen
 // times and fused suspect scores the uninterrupted session would have
-// produced. Only the Stream path checkpoints; Feed ignores the option.
+// produced.
 func WithCheckpoint(path string) MonitorOption {
 	return func(c *monitorConfig) { c.checkpoint = path }
 }
@@ -333,7 +308,7 @@ func NewMonitor(analyzer *Analyzer, mapper jobrec.ServerMapper, window time.Dura
 	m := &Monitor{
 		mapper:    mapper,
 		cfg:       cfg,
-		registry:  jobrec.NewRegistry(cfg.registry),
+		registry:  jobrec.NewRegistry(jobrec.RegistryConfig{}),
 		incidents: diagnose.NewIncidentTracker(cfg.incident),
 	}
 	if acfg.Localize {
@@ -385,7 +360,6 @@ func ResumeMonitor(analyzer *Analyzer, mapper jobrec.ServerMapper, r io.Reader, 
 		return nil, fmt.Errorf("llmprism: resume: checkpoint coverage guard (%t) does not match options (%t)",
 			ck.Coverage != nil, m.cfg.coverageOn)
 	}
-	m.seq = ck.Engine.Seq
 	m.registry.Restore(ck.Registry)
 	m.incidents.Restore(ck.Incidents)
 	if ck.Suspects != nil {
@@ -431,172 +405,13 @@ func (m *Monitor) Hop() time.Duration { return m.cfg.hop }
 // Lateness returns the monitor's allowed out-of-orderness.
 func (m *Monitor) Lateness() time.Duration { return m.cfg.lateness }
 
-// Pending returns the number of records buffered by the Feed path.
-func (m *Monitor) Pending() int { return len(m.buf) }
-
-// Feed ingests records (in roughly chronological order) and analyzes every
-// window that the newest record closes. It returns one report per
-// completed window, oldest first — including empty windows, which carry
-// their bounds but no jobs. Feed is FeedContext with a background context.
-func (m *Monitor) Feed(records []FlowRecord) ([]*Report, error) {
-	return m.FeedContext(context.Background(), records)
-}
-
-// FeedContext is Feed with cancellation: each completed window is analyzed
-// through the analyzer's worker pool via AnalyzeContext, and a canceled
-// ctx stops between (and inside) windows, returning the reports completed
-// so far alongside the error. Records of windows already analyzed are
-// consumed; the interrupted window's records stay buffered. Only the newly
-// fed batch is sorted — it is merged into the already-sorted buffer rather
-// than re-sorting everything. FeedContext requires tumbling windows; use
-// Stream for overlapping ones.
-func (m *Monitor) FeedContext(ctx context.Context, records []FlowRecord) ([]*Report, error) {
-	if m.cfg.hop != m.cfg.window {
-		return nil, fmt.Errorf("llmprism: Feed supports only tumbling windows (hop %v != window %v); use Stream", m.cfg.hop, m.cfg.window)
-	}
-	if m.streaming {
-		return nil, fmt.Errorf("llmprism: monitor has an open Stream session; do not mix it with Feed")
-	}
-	if m.resume != nil {
-		return nil, fmt.Errorf("llmprism: a resumed monitor supports only Stream")
-	}
-	if len(records) == 0 {
-		return nil, nil
-	}
-	m.ingest(records)
-	if m.next.IsZero() {
-		// UTC-normalized, exactly like the stream engine's grid, so the
-		// stamped window bounds are identical on both paths whatever
-		// location the input records carry.
-		m.next = m.buf[0].Start.UTC()
-	}
-
-	var reports []*Report
-	newest := m.buf[len(m.buf)-1].Start
-	for newest.Sub(m.next) >= m.cfg.window+m.cfg.lateness {
-		m.skipEmptyRun(newest)
-		if newest.Sub(m.next) < m.cfg.window+m.cfg.lateness {
-			break
-		}
-		report, err := m.closeWindow(ctx)
-		if err != nil {
-			return reports, fmt.Errorf("llmprism: monitor window at %v: %w", m.next, err)
-		}
-		reports = append(reports, report)
-	}
-	return reports, nil
-}
-
-// closeWindow analyzes and consumes the buffered records of the next grid
-// window [m.next, m.next+window), advancing the grid. FeedContext and
-// FlushContext share it so the cut predicate and bounds stamping cannot
-// drift apart — the stream-engine equivalence depends on both.
-func (m *Monitor) closeWindow(ctx context.Context) (*Report, error) {
-	end := m.next.Add(m.cfg.window)
-	cut := sort.Search(len(m.buf), func(i int) bool { return !m.buf[i].Start.Before(end) })
-	report, err := m.analyzeWindow(ctx, m.buf[:cut], m.next, end)
-	if err != nil {
-		return nil, err
-	}
-	m.buf = m.buf[cut:]
-	m.next = end
-	return report, nil
-}
-
-// skipEmptyRun jumps the grid over a run of empty windows longer than
-// stream.DefaultMaxEmptyRun slots — the exact mirror of the engine's
-// guard, so a single corrupt far-future timestamp cannot make the Feed
-// path emit one empty report per grid slot across the gap, and Feed stays
-// equivalent to Stream even then. Like the engine's push-time jump, the
-// target is capped at the first window the watermark (newest − lateness)
-// cannot close yet when a newest bound is given; FlushContext passes the
-// zero time to jump all the way to the earliest buffered record's window,
-// matching the engine's Flush. Shorter runs still emit their empty
-// reports.
-func (m *Monitor) skipEmptyRun(newest time.Time) {
-	if len(m.buf) == 0 {
-		return
-	}
-	earliest := m.buf[0].Start
-	if earliest.Before(m.next) {
-		return
-	}
-	w := int64(m.cfg.window)
-	slots := stream.FloorDiv(int64(earliest.Sub(m.next)), w)
-	if !newest.IsZero() {
-		closable := stream.FloorDiv(int64(newest.Sub(m.next)-m.cfg.lateness)-w, w) + 1
-		if closable < slots {
-			slots = closable
-		}
-	}
-	if slots > stream.DefaultMaxEmptyRun {
-		m.next = m.next.Add(time.Duration(slots) * m.cfg.window)
-	}
-}
-
-// ingest merges the batch into the sorted buffer: the batch alone is
-// sorted (O(m log m)) and the two sorted runs merged in place from the
-// back (O(n+m)), replacing the historical full-buffer re-sort on every
-// feed. In-order arrival skips the merge entirely.
-func (m *Monitor) ingest(records []flow.Record) {
-	n := len(m.buf)
-	m.buf = append(m.buf, records...)
-	batch := m.buf[n:]
-	flow.SortByStart(batch)
-	if n == 0 || !recordBefore(&batch[0], &m.buf[n-1]) {
-		return
-	}
-	// Backward merge of buf[:n] and the staged batch into the grown
-	// buffer; staging keeps batch elements readable while the tail is
-	// overwritten.
-	tmp := append([]flow.Record(nil), batch...)
-	i, j := n-1, len(tmp)-1
-	for k := len(m.buf) - 1; j >= 0; k-- {
-		if i >= 0 && recordBefore(&tmp[j], &m.buf[i]) {
-			m.buf[k] = m.buf[i]
-			i--
-		} else {
-			m.buf[k] = tmp[j]
-			j--
-		}
-	}
-}
-
-// recordBefore is the (start, id) order SortByStart establishes.
-func recordBefore(a, b *flow.Record) bool {
-	if !a.Start.Equal(b.Start) {
-		return a.Start.Before(b.Start)
-	}
-	return a.ID < b.ID
-}
-
-// analyzeWindow analyzes one completed window's records (possibly none)
-// and stamps window bounds plus cross-window continuity. It must be called
-// in window order.
-func (m *Monitor) analyzeWindow(ctx context.Context, recs []flow.Record, start, end time.Time) (*Report, error) {
-	var report *Report
-	if len(recs) == 0 {
-		report = &Report{}
-	} else {
-		var err error
-		report, err = m.analyzer.AnalyzeContext(ctx, recs, m.mapper)
-		if err != nil {
-			return nil, err
-		}
-	}
-	report.Window = WindowInfo{Seq: m.seq, Start: start, End: end}
-	m.seq++
-	m.annotate(report, len(recs))
-	return report, nil
-}
-
 // annotate stamps cross-window continuity onto one report: stable JobIDs
 // from the registry, the incident view of the window's alerts (chronic
 // baseline anomalies suppressed from the alert surface and the
 // localization evidence when WithChronicSuppression is on), and the fused
 // cross-window suspect ranking. rows is the window's record count, the
-// coverage guard's input. Reports must be annotated in window order; both
-// ingestion paths guarantee that.
+// coverage guard's input. Reports must be annotated in window order;
+// MonitorStream.collect guarantees that.
 func (m *Monitor) annotate(r *Report, rows int) {
 	if m.cfg.coverageOn {
 		r.Coverage = m.observeCoverage(rows)
@@ -706,49 +521,15 @@ func dropChronic(alerts []diagnose.Alert, job int, chronic map[diagnose.Incident
 	return kept
 }
 
-// Flush analyzes whatever remains in the Feed path's buffer, one report
-// per grid window — with a lateness bound the remainder can span several
-// windows, and each record must stay inside its window's stamped bounds.
-// It returns nil when no records are buffered. Flush is FlushContext with
-// a background context.
-func (m *Monitor) Flush() ([]*Report, error) {
-	return m.FlushContext(context.Background())
-}
-
-// FlushContext is Flush with cancellation. The buffer is consumed even on
-// error, matching Flush's historical contract.
-func (m *Monitor) FlushContext(ctx context.Context) ([]*Report, error) {
-	var reports []*Report
-	for len(m.buf) > 0 {
-		m.skipEmptyRun(time.Time{})
-		report, err := m.closeWindow(ctx)
-		if err != nil {
-			m.buf = nil
-			m.next = time.Time{}
-			return reports, fmt.Errorf("llmprism: monitor flush: %w", err)
-		}
-		reports = append(reports, report)
-	}
-	m.buf = nil
-	m.next = time.Time{}
-	return reports, nil
-}
-
 // Stream opens a pipelined streaming session over the monitor: records
 // append straight into per-window columnar builders, closed windows
 // analyze asynchronously (up to WithPipelineDepth at once) while newer
 // records keep ingesting, and reports are released strictly in window
-// order — bit-identical to the Feed loop's for the same in-order record
-// stream. ctx bounds every analysis started by the session. A monitor
-// supports one Stream session, which cannot be mixed with Feed: Stream
-// refuses a monitor that has Feed-buffered records or an open session,
-// and Feed refuses once a session exists.
+// order. ctx bounds every analysis started by the session. A monitor
+// supports one Stream session; a second call is refused.
 func (m *Monitor) Stream(ctx context.Context) (*MonitorStream, error) {
 	if m.streaming {
 		return nil, fmt.Errorf("llmprism: monitor already has a Stream session")
-	}
-	if len(m.buf) > 0 || (m.seq > 0 && m.resume == nil) {
-		return nil, fmt.Errorf("llmprism: monitor has Feed state (%d buffered records, %d windows emitted); use a fresh Monitor for streaming", len(m.buf), m.seq)
 	}
 	var sink ArchiveSink
 	if m.cfg.archiveSink != nil {
@@ -819,8 +600,8 @@ func (s *MonitorStream) Push(records []FlowRecord) ([]*Report, error) {
 }
 
 // PushFrame ingests one already-columnar frame — the bulk counterpart of
-// Push, used by archive replay (and, eventually, the daemon's LPF1 wire
-// ingest) so a decoded window never materializes per-record structs. It is
+// Push, used by archive replay and the daemon's LPF1 wire ingest so a
+// decoded window never materializes per-record structs. It is
 // semantically Push(f.RecordsByStart()) — same windows, same late counts,
 // bit-identical reports and archived frames — at a fraction of the
 // allocations.
@@ -881,7 +662,6 @@ func (s *MonitorStream) collect(results []stream.Result[*Report]) ([]*Report, er
 		}
 		r := res.Value
 		r.Window = WindowInfo{Seq: res.Window.Seq, Start: res.Window.Start, End: res.Window.End}
-		s.m.seq = res.Window.Seq + 1
 		s.m.annotate(r, res.Rows)
 		if s.sink != nil {
 			// Anchor before every Append, not just at Close: a rotating
@@ -939,8 +719,7 @@ func (m *Monitor) buildCheckpoint(es stream.State) *checkpoint.Checkpoint {
 }
 
 // Late returns how many record-to-window assignments were dropped because
-// they arrived past the lateness bound (the batch Feed path would have
-// misfiled them).
+// they arrived past the lateness bound.
 func (s *MonitorStream) Late() uint64 { return s.eng.Late() }
 
 // Pending returns the number of record-to-window assignments buffered in

@@ -64,19 +64,6 @@ func crossGroupAlerts(r *Report) int {
 	return n
 }
 
-func feedAll(t *testing.T, m *Monitor, records []FlowRecord) []*Report {
-	t.Helper()
-	reports, err := m.Feed(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, err := m.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(reports, tail...)
-}
-
 // TestMonitorChronicSuppression is the chronic-false-alert regression
 // test. The structurally slow DP group fires a cross-group alert on its
 // anchor rank in every window — the pre-fix behavior, held as the test's
@@ -119,7 +106,7 @@ func TestMonitorChronicSuppression(t *testing.T) {
 	// Precondition: without suppression the chronic alert fires in every
 	// window and its host tops every steady-state suspect ranking — the
 	// bug this PR exists to fix.
-	raw := feedAll(t, newMonitor(), records)
+	raw := streamAll(t, newMonitor(), records, 2000)
 	if len(raw) < 5 {
 		t.Fatalf("windows = %d, want >= 5", len(raw))
 	}
@@ -140,7 +127,7 @@ func TestMonitorChronicSuppression(t *testing.T) {
 	// With suppression: the baseline learning period may still alert, but
 	// once the incident turns chronic its alerts and localization evidence
 	// are gone while the incident stays visible.
-	suppressed := feedAll(t, newMonitor(WithChronicSuppression(IncidentConfig{})), records)
+	suppressed := streamAll(t, newMonitor(WithChronicSuppression(IncidentConfig{})), records, 2000)
 	if len(suppressed) != len(raw) {
 		t.Fatalf("suppressed run emitted %d windows, raw %d", len(suppressed), len(raw))
 	}
@@ -188,14 +175,14 @@ func TestMonitorGroupRailStratification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range feedAll(t, m, records) {
+	for i, r := range streamAll(t, m, records, 2000) {
 		if n := crossGroupAlerts(r); n != 0 {
 			t.Errorf("window %d: %d cross-group alerts despite rail stratification, want 0", i, n)
 		}
 	}
 }
 
-// TestMonitorSuppressionStreamMatchesFeed extends the stream/feed
+// TestMonitorSuppressionStreamMatchesFeed extends the stream/feed-oracle
 // equivalence gate to the suppression path, where localization runs in
 // annotate instead of inside the analysis: reports — fused suspects,
 // incidents, suppressed alert surface — must stay bit-identical across
@@ -239,7 +226,7 @@ func TestMonitorSuppressionStreamMatchesFeed(t *testing.T) {
 		return m
 	}
 
-	want := feedAll(t, newM(1), records)
+	want := feedAll(t, newM(1), records, len(records))
 	if len(want) < 3 {
 		t.Fatalf("windows = %d, want >= 3", len(want))
 	}
@@ -250,18 +237,13 @@ func TestMonitorSuppressionStreamMatchesFeed(t *testing.T) {
 	if fused == 0 {
 		t.Fatal("suppression run never produced fused suspects; fixture too quiet")
 	}
-	if got := feedAll(t, newM(8), records); !reflect.DeepEqual(want, got) {
-		t.Fatal("concurrent Feed diverges from sequential Feed under suppression")
+	if got := feedAll(t, newM(8), records, len(records)); !reflect.DeepEqual(want, got) {
+		t.Fatal("concurrent feed oracle diverges from sequential under suppression")
 	}
 	for _, depth := range []int{1, 3} {
-		m := newM(8, WithPipelineDepth(depth))
-		s, err := m.Stream(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := pushAll(t, s, records, 500)
+		got := streamAll(t, newM(8, WithPipelineDepth(depth)), records, 500)
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("depth=%d: stream reports diverge from Feed loop under suppression", depth)
+			t.Errorf("depth=%d: stream reports diverge from the feed oracle under suppression", depth)
 		}
 	}
 	// Arrival order within the allowed lateness must not matter either:
@@ -278,7 +260,7 @@ func TestMonitorSuppressionStreamMatchesFeed(t *testing.T) {
 			t.Fatalf("seed %d: late = %d, want 0 (permutation stayed within lateness)", seed, s.Late())
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("seed %d: permuted arrival diverges from Feed loop under suppression", seed)
+			t.Errorf("seed %d: permuted arrival diverges from the feed oracle under suppression", seed)
 		}
 	}
 }

@@ -34,12 +34,23 @@ func pushAll(t *testing.T, s *MonitorStream, records []FlowRecord, batch int) []
 	return append(reports, got...)
 }
 
+// streamAll opens m's stream session and replays records through it with
+// pushAll.
+func streamAll(t *testing.T, m *Monitor, records []FlowRecord, batch int) []*Report {
+	t.Helper()
+	s, err := m.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pushAll(t, s, records, batch)
+}
+
 // TestMonitorStreamMatchesFeed is the streaming engine's acceptance gate:
 // for an in-order trace, the pipelined stream session must produce reports
 // deep-equal — window bounds, job ids, alerts, float-typed series,
-// incidents, localization suspects — to the serial Feed/Flush loop's, for
-// every worker count and pipeline depth. Run with -race to verify the
-// window handoff.
+// incidents, localization suspects — to the serial feed/flush loop's (the
+// feedOracle reference), for every worker count and pipeline depth. Run
+// with -race to verify the window handoff.
 func TestMonitorStreamMatchesFeed(t *testing.T) {
 	records, topo := concurrencyTrace(t)
 	const window = 5 * time.Second
@@ -49,23 +60,7 @@ func TestMonitorStreamMatchesFeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var reports []*Report
-		for lo := 0; lo < len(records); lo += 500 {
-			hi := lo + 500
-			if hi > len(records) {
-				hi = len(records)
-			}
-			got, err := m.Feed(records[lo:hi])
-			if err != nil {
-				t.Fatal(err)
-			}
-			reports = append(reports, got...)
-		}
-		tail, err := m.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(reports, tail...)
+		return feedAll(t, m, records, 500)
 	}
 
 	want := feed(1)
@@ -73,7 +68,7 @@ func TestMonitorStreamMatchesFeed(t *testing.T) {
 		t.Fatalf("windows = %d, want >= 3", len(want))
 	}
 	if !reflect.DeepEqual(want, feed(8)) {
-		t.Fatal("concurrent Feed diverges from sequential Feed")
+		t.Fatal("concurrent feed oracle diverges from sequential")
 	}
 
 	for _, workers := range []int{1, 8} {
@@ -91,7 +86,7 @@ func TestMonitorStreamMatchesFeed(t *testing.T) {
 				t.Errorf("workers=%d depth=%d: late = %d, want 0", workers, depth, s.Late())
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("workers=%d depth=%d: stream reports diverge from Feed loop", workers, depth)
+				t.Errorf("workers=%d depth=%d: stream reports diverge from the feed oracle", workers, depth)
 			}
 		}
 	}
@@ -155,7 +150,7 @@ func permuteWithinLateness(records []FlowRecord, span time.Duration, seed int64)
 
 // TestMonitorStreamLateRecordsDropped pins the late policy: a record past
 // the lateness bound is dropped and counted, never misfiled into a newer
-// window (the batch path's failure mode).
+// window.
 func TestMonitorStreamLateRecordsDropped(t *testing.T) {
 	m, topo := monitorFixture(t)
 	s, err := m.Stream(context.Background())
@@ -388,31 +383,19 @@ func TestMonitorStreamCanceled(t *testing.T) {
 }
 
 func TestMonitorFeedStreamExclusive(t *testing.T) {
-	m, topo := monitorFixture(t)
+	m, _ := monitorFixture(t)
 	if _, err := m.Stream(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := m.Feed([]FlowRecord{monitorRecord(1, 0, topo)}); err == nil {
-		t.Error("Feed should refuse while a Stream session is open")
 	}
 	if _, err := m.Stream(context.Background()); err == nil {
 		t.Error("second Stream session should refuse")
 	}
-
-	// The opposite order: a monitor with Feed state refuses Stream.
-	m2, _ := monitorFixture(t)
-	if _, err := m2.Feed([]FlowRecord{monitorRecord(1, 0, topo)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Stream(context.Background()); err == nil {
-		t.Error("Stream should refuse a monitor with Feed-buffered records")
-	}
 }
 
-// TestMonitorFlushSpansWindows pins the Flush fix: with a lateness bound
-// the Feed buffer can span several grid windows when the stream ends, and
-// each must get its own bounds-correct report — byte-identical to what
-// Stream.Close emits for the same trace.
+// TestMonitorFlushSpansWindows pins the flush fix: with a lateness bound
+// the feed oracle's buffer can span several grid windows when the stream
+// ends, and each must get its own bounds-correct report — byte-identical
+// to what Stream.Close emits for the same trace.
 func TestMonitorFlushSpansWindows(t *testing.T) {
 	newM := func() (*Monitor, *topology.Topology) {
 		topo, err := topology.New(TopologySpec{Nodes: 4})
@@ -426,20 +409,21 @@ func TestMonitorFlushSpansWindows(t *testing.T) {
 		return m, topo
 	}
 	m, topo := newM()
+	oracle := &feedOracle{m: m}
 	batch := []FlowRecord{
 		monitorRecord(1, 0, topo),
 		monitorRecord(2, 12*time.Second, topo),
 		monitorRecord(3, 14*time.Second, topo),
 	}
 	// Nothing closes: newest (14s) < window + lateness (15s).
-	reports, err := m.Feed(batch)
+	reports, err := oracle.feed(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 0 {
 		t.Fatalf("premature reports: %d", len(reports))
 	}
-	flushed, err := m.Flush()
+	flushed, err := oracle.flush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,20 +449,15 @@ func TestMonitorFlushSpansWindows(t *testing.T) {
 	}
 
 	m2, _ := newM()
-	s, err := m2.Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := pushAll(t, s, batch, len(batch))
-	if !reflect.DeepEqual(flushed, streamed) {
-		t.Error("Feed+Flush reports diverge from Stream+Close on the same trace")
+	if streamed := streamAll(t, m2, batch, len(batch)); !reflect.DeepEqual(flushed, streamed) {
+		t.Error("feed+flush reports diverge from Stream+Close on the same trace")
 	}
 }
 
 // TestMonitorHugeGapGuard pins the corrupt-timestamp guard at the monitor
-// level, on both paths: one record decades ahead yields a handful of
-// reports — with Feed+Flush and Stream+Close still byte-identical — not
-// one empty report per grid slot across the gap.
+// level, on the stream and on the feed oracle: one record decades ahead
+// yields a handful of reports — with feed+flush and Stream+Close still
+// byte-identical — not one empty report per grid slot across the gap.
 func TestMonitorHugeGapGuard(t *testing.T) {
 	newM := func() *Monitor {
 		topo, err := topology.New(TopologySpec{Nodes: 4})
@@ -500,27 +479,12 @@ func TestMonitorHugeGapGuard(t *testing.T) {
 		monitorRecord(2, 10*365*24*time.Hour, topo),
 	}
 
-	m := newM()
-	reports, err := m.Feed(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, err := m.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := append(reports, tail...)
+	fed := feedAll(t, newM(), batch, len(batch))
 	if len(fed) > 3 {
-		t.Fatalf("Feed emitted %d reports across the gap, want a handful", len(fed))
+		t.Fatalf("feed oracle emitted %d reports across the gap, want a handful", len(fed))
 	}
-
-	s, err := newM().Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := pushAll(t, s, batch, len(batch))
-	if !reflect.DeepEqual(fed, streamed) {
-		t.Error("gap-skipping Feed reports diverge from Stream's")
+	if streamed := streamAll(t, newM(), batch, len(batch)); !reflect.DeepEqual(fed, streamed) {
+		t.Error("gap-skipping feed oracle reports diverge from Stream's")
 	}
 }
 
@@ -546,8 +510,8 @@ func TestMonitorStreamPushAfterClose(t *testing.T) {
 
 // TestMonitorHugeGapGuardWithLateness is the gap guard's equivalence
 // corner: with a nonzero lateness bound the engine's push-time jump stops
-// at the watermark while the flush jump does not, and the Feed path must
-// mirror both so the two paths still emit identical report sequences.
+// at the watermark while the flush jump does not, and the feed oracle must
+// mirror both so the two loops still emit identical report sequences.
 func TestMonitorHugeGapGuardWithLateness(t *testing.T) {
 	topo, err := topology.New(TopologySpec{Nodes: 4})
 	if err != nil {
@@ -565,27 +529,13 @@ func TestMonitorHugeGapGuardWithLateness(t *testing.T) {
 		monitorRecord(2, 10*365*24*time.Hour, topo),
 	}
 
-	m := newM()
-	fed, err := m.Feed(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, err := m.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed = append(fed, tail...)
-
-	s, err := newM().Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := pushAll(t, s, batch, len(batch))
+	fed := feedAll(t, newM(), batch, len(batch))
+	streamed := streamAll(t, newM(), batch, len(batch))
 	if len(fed) > 4 {
-		t.Fatalf("Feed emitted %d reports across the gap, want a handful", len(fed))
+		t.Fatalf("feed oracle emitted %d reports across the gap, want a handful", len(fed))
 	}
 	if !reflect.DeepEqual(fed, streamed) {
-		t.Errorf("gap-skipping Feed reports diverge from Stream's under lateness:\nfeed %d reports, stream %d", len(fed), len(streamed))
+		t.Errorf("gap-skipping feed oracle reports diverge from Stream's under lateness:\nfeed %d reports, stream %d", len(fed), len(streamed))
 	}
 }
 

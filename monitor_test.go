@@ -1,6 +1,7 @@
 package llmprism
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -54,32 +55,46 @@ func TestNewMonitorValidation(t *testing.T) {
 
 func TestMonitorWindowing(t *testing.T) {
 	m, topo := monitorFixture(t)
+	s, err := m.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// First batch covers 0..8s: no window closes.
 	var batch []FlowRecord
 	for i := 0; i < 8; i++ {
 		batch = append(batch, monitorRecord(uint64(i+1), time.Duration(i)*time.Second, topo))
 	}
-	reports, err := m.Feed(batch)
+	reports, err := s.Push(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 0 {
 		t.Fatalf("premature reports: %d", len(reports))
 	}
-	if m.Pending() != 8 {
-		t.Fatalf("Pending = %d, want 8", m.Pending())
+	if s.Pending() != 8 {
+		t.Fatalf("Pending = %d, want 8", s.Pending())
 	}
 
 	// A record at 25s closes windows [0,10) and [10,20). Window [10,20)
 	// holds no records but is still reported — with bounds and no jobs —
-	// so report sequence numbers line up with wall-clock windows.
-	reports, err = m.Feed([]FlowRecord{monitorRecord(100, 25*time.Second, topo)})
+	// so report sequence numbers line up with wall-clock windows. Close
+	// analyzes the remainder, [20,30). (A closed window's report is
+	// released once its analysis finishes, by this Push or a later call.)
+	reports, err = s.Push([]FlowRecord{monitorRecord(100, 25*time.Second, topo)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d, want 2 (empty window reported)", len(reports))
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", s.Pending())
+	}
+	tail, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports = append(reports, tail...)
+	if len(reports) != 3 {
+		t.Fatalf("reports = %d, want 3 (empty window reported)", len(reports))
 	}
 	epoch := monitorRecord(0, 0, topo).Start
 	for i, r := range reports {
@@ -95,34 +110,25 @@ func TestMonitorWindowing(t *testing.T) {
 	if len(reports[1].Jobs) != 0 || reports[1].Alerts() != nil {
 		t.Error("empty window report should carry no jobs or alerts")
 	}
-	if m.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", m.Pending())
+	if len(reports[0].Jobs) != 1 || len(reports[2].Jobs) != 1 {
+		t.Error("windows holding records should each report their job")
 	}
-
-	// Flush analyzes the remainder, one report per grid window.
-	flushed, err := m.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flushed) != 1 {
-		t.Fatalf("flush reports = %d, want 1", len(flushed))
-	}
-	if w := flushed[0].Window; w.Seq != 2 || !w.Start.Equal(epoch.Add(20*time.Second)) {
-		t.Errorf("flush window = %+v, want seq 2 at 20s", w)
-	}
-	if m.Pending() != 0 {
-		t.Errorf("Pending after flush = %d", m.Pending())
-	}
-	if r, err := m.Flush(); err != nil || r != nil {
-		t.Error("second flush should be a nil no-op")
+	if s.Pending() != 0 {
+		t.Errorf("Pending after Close = %d", s.Pending())
 	}
 }
 
 func TestMonitorEmptyFeed(t *testing.T) {
 	m, _ := monitorFixture(t)
-	reports, err := m.Feed(nil)
-	if err != nil || reports != nil {
-		t.Error("empty feed should be a no-op")
+	s, err := m.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports, err := s.Push(nil); err != nil || reports != nil {
+		t.Error("empty push should be a no-op")
+	}
+	if reports, err := s.Close(); err != nil || reports != nil {
+		t.Error("closing a session that saw no records should report nothing")
 	}
 }
 
@@ -145,30 +151,38 @@ func TestMonitorOptionValidation(t *testing.T) {
 	if m.Hop() != 5*time.Second || m.Lateness() != 2*time.Second {
 		t.Errorf("hop/lateness = %v/%v, want 5s/2s", m.Hop(), m.Lateness())
 	}
-	// Overlapping windows require the streaming path.
-	if _, err := m.Feed([]FlowRecord{monitorRecord(1, 0, topo)}); err == nil {
-		t.Error("Feed with hop < window should refuse")
-	}
 }
 
 func TestMonitorOutOfOrderTolerated(t *testing.T) {
 	m, topo := monitorFixture(t)
-	// Slightly out-of-order arrivals within the buffer must not break
-	// windowing (only the new batch is sorted, then merged).
+	s, err := m.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Out-of-order arrivals within one batch must not break windowing:
+	// windows close only after the whole batch has landed.
 	batch := []FlowRecord{
 		monitorRecord(2, 3*time.Second, topo),
 		monitorRecord(1, 1*time.Second, topo),
 		monitorRecord(3, 12*time.Second, topo),
 	}
-	reports, err := m.Feed(batch)
+	reports, err := s.Push(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 {
-		t.Fatalf("reports = %d, want 1", len(reports))
+	if s.Pending() != 1 || s.Late() != 0 {
+		t.Errorf("Pending/Late = %d/%d, want 1/0", s.Pending(), s.Late())
 	}
-	if m.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", m.Pending())
+	tail, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports = append(reports, tail...)
+	if len(reports) != 2 {
+		t.Fatalf("reports = %d, want 2", len(reports))
+	}
+	if n := len(reports[0].Jobs[0].Records); n != 2 {
+		t.Errorf("window 0 holds %d records, want 2", n)
 	}
 }
 

@@ -50,8 +50,6 @@ type (
 	JobCluster = jobrec.Cluster
 	// JobID is the monitor's stable cross-window job identity.
 	JobID = jobrec.JobID
-	// JobRegistryConfig tunes cross-window job identity matching.
-	JobRegistryConfig = jobrec.RegistryConfig
 	// PairType is an inferred communication type (phase 2 output).
 	PairType = parallel.Type
 	// Timeline is a reconstructed per-rank schedule (phase 3 output).
