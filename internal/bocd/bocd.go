@@ -10,33 +10,62 @@
 // change-point whenever P(r_t = 0) exceeds a threshold (0.95 in their
 // implementation, our default).
 //
-// All computation is in log space; the run-length distribution is truncated
-// at a configurable maximum length for linear-time operation.
+// All computation is in log space. The run-length distribution is truncated
+// at a configurable maximum length, and hypotheses whose mass has fallen
+// below a fixed floor are dropped, so a step costs what the live part of the
+// posterior costs.
 //
-// # The positional-count invariant
+// # The count column and the mass floor
 //
 // Under the Normal-Gamma update kappa and alpha never see the data: a
 // hypothesis that has absorbed c observations has kappa = Kappa0 + c and
-// alpha = Alpha0 + c/2, whatever the observations were. And c is a function
-// of position in the run-length posterior: the hypothesis at index r has
-// absorbed r+1 observations (Step counts the observation that opened its
-// run, see the convention on Step), except the last index, which holds the
-// longest run — every observation since New or Reset, N() of them, both
-// before the distribution reaches MaxRunLength and after, because the
-// truncation fold keeps the longest run's statistics for the folded bucket.
+// alpha = Alpha0 + c/2, whatever the observations were. So the Detector keeps
+// only the data-dependent columns (log-probability, mu, beta) plus c itself,
+// and reads kappa, alpha and every expression over them — among them the
+// Student-t normalizer, two Lgamma and a Log — from a table indexed by c.
+// (Step counts the observation that opened a run, see the convention there:
+// the change-point hypothesis leaves Step with c = 1. The longest run, last
+// in the posterior, has absorbed every observation since New or Reset, N()
+// of them, through the truncation fold as before it.)
 //
-// So the Detector keeps only the data-dependent columns (log-probability,
-// mu, beta) and reads kappa, alpha and every expression over them — among
-// them the Student-t normalizer, two Lgamma and a Log — from a table indexed
-// by c. The table is bit-exact, not an approximation: entry c+1 is built
-// from entry c by the same float64 `kappa + 1` and `alpha + 0.5` the
-// per-hypothesis update performed c times over, and each derived constant
-// is the same expression, in the same association, over those same inputs.
-// Equal inputs to equal IEEE-754 operations give equal bits, for any prior;
-// TestStepBitIdenticalToReference holds the detector to that against the
-// five-column implementation kept in reference_test.go. A change that
-// reassociates any of those expressions moves floats and must be gated as
-// such.
+// What is exact, bit for bit against the five-column implementation that
+// keeps every hypothesis (reference_test.go, TestStepBitIdenticalToReference):
+//
+//   - The table. Entry c+1 is built from entry c by the same float64
+//     `kappa + 1` and `alpha + 0.5` the per-hypothesis update performed c
+//     times over, and each derived constant is the same expression, in the
+//     same association, over those same inputs.
+//   - Survivors' arithmetic. A hypothesis Step still holds has the logp, mu
+//     and beta the reference holds for the run of that count, and P(r_t = 0)
+//     is the reference's: dropping is the only thing pruning does, nothing
+//     is renormalized after it, and terms of relative size e^-60 vanish in
+//     float64 sums anyway (2^-53 is e^-36.7).
+//   - Fold timing. A run folds into the longest when its own count reaches
+//     MaxRunLength — not when the array does, which pruning has made shorter
+//     than the reference's — so the same run folds at the same step.
+//
+// What is not: after normalization Step drops every hypothesis whose
+// log-mass is below pruneFloor = -60, except the change-point hypothesis and
+// the longest run, and that mass is gone. The longest run is exempt because
+// it is the fold's target (the reference folds live mass onto its statistics
+// however dead it is); its own mass is the one float that can differ from
+// the reference, short by the dropped runs the reference has folded into it.
+//
+// The floor was measured on the SplitTimes inputs of one saturate-hop
+// benchmark run (one-minute windows: 9 792 sequences, 8.6 M observations),
+// where an optimizer pause inside every step — a change-point the separation
+// guard rejects, so SplitTimes does not Reset — kills every run that absorbs
+// it and 70% of the unpruned posterior is below e^-60 (83% below e^-40).
+// Dead is not gone for good: there, runs climbed back from e^-32.9 to over
+// 5% of the posterior, from e^-39.8 to over 1e-3 and from e^-46.6 to over
+// 1e-6 (a run that absorbed one pause predicts the next better than anything
+// younger), and fuzzing found a sequence whose segments change at any floor
+// from -40 up (TestPruneFloorMargin). -60 leaves 13 nats below the deepest
+// return seen; Adams & MacKay's suggested 1e-4 is not a candidate. A change
+// that moves the floor, reassociates an expression above or renormalizes
+// after the drop moves floats and must be gated as such: segments identical
+// to refSplitTimes on TestSplitTimesMatchesReference, the fixtures and
+// FuzzSplitTimes.
 package bocd
 
 import (
@@ -88,10 +117,12 @@ func (c Config) withDefaults() Config {
 //
 // Step is allocation-free in steady state: the posterior arrays are
 // double-buffered, so each update writes into last step's spare buffers
-// and swaps. Once the run-length distribution reaches MaxRunLength both
-// buffer pairs and the constants table have their final capacity and no
-// further allocation occurs — this matters because the analysis pipeline
-// runs one detector per endpoint pair and per rank over every window.
+// and swaps. The posterior never holds more than MaxRunLength hypotheses
+// and the constants table never more than MaxRunLength entries, so once
+// both buffer pairs have grown to the largest live posterior seen no
+// further allocation occurs, however long the sequence — this matters
+// because the analysis pipeline runs one detector per endpoint pair and
+// per rank over every window.
 type Detector struct {
 	cfg    Config
 	logH   float64 // log hazard
@@ -107,14 +138,23 @@ type Detector struct {
 	// longest run once that has absorbed more than the table holds.
 	tab  []countConsts
 	tail countConsts
+	// The posterior, one entry per hypothesis Step still holds, in order of
+	// increasing run length: the change-point hypothesis first, the longest
+	// run last. cnt[i] is the number of observations hypothesis i has
+	// absorbed (the longest run's is n).
 	logp []float64
 	mu   []float64
 	beta []float64
+	cnt  []int32
 	// Spare buffers Step writes the next posterior into before swapping.
 	spareLogp []float64
 	spareMu   []float64
 	spareBeta []float64
+	spareCnt  []int32
 	n         int
+	// floor is pruneFloor; a field only so the package's tests can show what
+	// a shallower one breaks.
+	floor float64
 	// splitBuf is SplitTimes' gap scratch; it lives here so a pooled
 	// detector carries it from call to call.
 	splitBuf []float64
@@ -150,6 +190,12 @@ func newCountConsts(kappa, alpha float64) countConsts {
 	}
 }
 
+// pruneFloor is the normalized log-mass below which Step stops carrying a
+// run-length hypothesis: e^-60 ≈ 1e-26 of the posterior. See "The count
+// column and the mass floor" in the package doc for what set it; a floor
+// anywhere near Adams & MacKay's 1e-4 changes segments.
+const pruneFloor = -60
+
 // New returns a Detector with the given configuration.
 func New(cfg Config) *Detector {
 	cfg = cfg.withDefaults()
@@ -162,6 +208,7 @@ func New(cfg Config) *Detector {
 		priorScale:   priorScale,
 		priorLogNorm: prior.logNorm - math.Log(priorScale),
 		tab:          []countConsts{prior},
+		floor:        pruneFloor,
 	}
 	d.reset()
 	return d
@@ -171,6 +218,7 @@ func (d *Detector) reset() {
 	d.logp = append(d.logp[:0], 0) // P(r_0 = 0) = 1
 	d.mu = append(d.mu[:0], d.cfg.Mu0)
 	d.beta = append(d.beta[:0], d.cfg.Beta0)
+	d.cnt = append(d.cnt[:0], 0)
 	d.n = 0
 }
 
@@ -183,14 +231,11 @@ func (d *Detector) N() int { return d.n }
 func (d *Detector) Reset() { d.reset() }
 
 // nextBuf returns buf resized to n without preserving contents, growing
-// its capacity geometrically when needed.
-func nextBuf(buf []float64, n int) []float64 {
+// its capacity geometrically when needed — from 16, which a pruned posterior
+// seldom outgrows, so a fresh detector's columns are allocated once.
+func nextBuf[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		c := 2 * cap(buf)
-		if c < n {
-			c = n
-		}
-		return make([]float64, n, c)
+		return make([]T, n, max(2*cap(buf), n, 16))
 	}
 	return buf[:n]
 }
@@ -211,27 +256,28 @@ func lgamma(x float64) float64 {
 // paper applies it.)
 func (d *Detector) Step(x float64) float64 {
 	n := len(d.logp)
-	// One pass per run-length hypothesis r: the Student-t predictive
-	// log-probability of x under its run statistics, the growth
-	// probability r -> r+1, and the Normal-Gamma update of (mu, beta) with
-	// x. The new posterior is written into the spare buffers, which never
-	// alias the current ones.
+	// One pass per hypothesis: the Student-t predictive log-probability of x
+	// under its run statistics, the growth probability, and the Normal-Gamma
+	// update of (mu, beta) with x. The new posterior is written into the
+	// spare buffers, which never alias the current ones.
 	newLogp := nextBuf(d.spareLogp, n+1)
 	newMu := nextBuf(d.spareMu, n+1)
 	newBeta := nextBuf(d.spareBeta, n+1)
-	logp, mu, beta := d.logp, d.mu, d.beta
-	grow := func(r int, c *countConsts) {
-		m, b := mu[r], beta[r]
+	newCnt := nextBuf(d.spareCnt, n+1)
+	logp, mu, beta, cnt := d.logp, d.mu, d.beta, d.cnt
+	grow := func(i int, c *countConsts) {
+		m, b := mu[i], beta[i]
 		scale := math.Sqrt(b * c.kappa1 / c.alphaKappa)
 		z := (x - m) / scale
 		logpred := c.logNorm - math.Log(scale) - c.halfNu1*math.Log1p(z*z/c.nu)
-		newLogp[r+1] = logp[r] + logpred + d.log1mH
-		newMu[r+1] = (c.kappa*m + x) / c.kappa1
-		newBeta[r+1] = b + c.kappa*(x-m)*(x-m)/c.twoKappa1
+		newLogp[i+1] = logp[i] + logpred + d.log1mH
+		newMu[i+1] = (c.kappa*m + x) / c.kappa1
+		newBeta[i+1] = b + c.kappa*(x-m)*(x-m)/c.twoKappa1
 	}
 	longest := d.longestConsts()
-	for r := 0; r < n-1; r++ { // hypothesis r < n-1 has absorbed r+1 observations
-		grow(r, &d.tab[r+1])
+	for i, c := range cnt[:n-1] {
+		grow(i, &d.tab[c])
+		newCnt[i+1] = c + 1
 	}
 	grow(n-1, longest)
 
@@ -245,25 +291,44 @@ func (d *Detector) Step(x float64) float64 {
 	newLogp[0] = logSumExp(logp) + d.logH + logPriorPred
 	newMu[0] = (k0*m0 + x) / prior.kappa1
 	newBeta[0] = b0 + k0*(x-m0)*(x-m0)/prior.twoKappa1
+	newCnt[0] = 1
 
-	// Normalize.
+	// Normalize, and in the same pass close the gaps left by hypotheses
+	// whose mass fell below the floor. The change-point hypothesis and the
+	// longest run always stay: the first is the answer, the second is where
+	// the MaxRunLength fold puts live mass however dead it is itself.
 	total := logSumExp(newLogp)
-	for i := range newLogp {
-		newLogp[i] -= total
+	newLogp[0] -= total
+	floor, w := d.floor, 1
+	for i := 1; i < n; i++ {
+		lp := newLogp[i] - total
+		if lp < floor {
+			continue
+		}
+		newLogp[w], newMu[w], newBeta[w], newCnt[w] = lp, newMu[i], newBeta[i], newCnt[i]
+		w++
 	}
-
-	d.spareLogp, d.spareMu, d.spareBeta = d.logp, d.mu, d.beta
-	d.logp, d.mu, d.beta = newLogp, newMu, newBeta
-	d.truncate()
+	newLogp[w], newMu[w], newBeta[w] = newLogp[n]-total, newMu[n], newBeta[n]
+	if int(newCnt[w-1]) == d.cfg.MaxRunLength {
+		// A run that reaches MaxRunLength folds into the longest, which
+		// keeps its own sufficient statistics.
+		newLogp[w-1] = logSumExp(newLogp[w-1 : w+1])
+		newMu[w-1], newBeta[w-1] = newMu[w], newBeta[w]
+		w--
+	}
 	d.n++
+	newCnt[w] = int32(d.n)
+
+	d.spareLogp, d.spareMu, d.spareBeta, d.spareCnt = logp, mu, beta, cnt
+	d.logp, d.mu, d.beta, d.cnt = newLogp[:w+1], newMu[:w+1], newBeta[:w+1], newCnt[:w+1]
 	return math.Exp(d.logp[0])
 }
 
 // longestConsts returns the constants of the longest run, which has
 // absorbed all d.n observations so far. A new longest run extends the table
-// by one entry until it holds MaxRunLength — no positional hypothesis reads
-// further — and from there its constants advance in d.tail, so a detector
-// fed an endless sequence stays bounded.
+// by one entry until it holds MaxRunLength — every shorter run folds before
+// it would read further — and from there its constants advance in d.tail,
+// so a detector fed an endless sequence stays bounded.
 func (d *Detector) longestConsts() *countConsts {
 	if d.n < len(d.tab) {
 		return &d.tab[d.n]
@@ -279,58 +344,6 @@ func (d *Detector) longestConsts() *countConsts {
 	}
 	d.tail = next
 	return &d.tail
-}
-
-// truncate caps the run-length distribution at MaxRunLength by folding the
-// tail mass into the final (longest) hypothesis.
-func (d *Detector) truncate() {
-	max := d.cfg.MaxRunLength
-	if len(d.logp) <= max {
-		return
-	}
-	tail := logSumExp(d.logp[max-1:])
-	d.logp = d.logp[:max]
-	d.logp[max-1] = tail
-	// Keep the sufficient statistics of the longest run for the folded bucket.
-	last := len(d.mu) - 1
-	d.mu[max-1] = d.mu[last]
-	d.beta[max-1] = d.beta[last]
-	d.mu = d.mu[:max]
-	d.beta = d.beta[:max]
-}
-
-// RunLengthDist returns a copy of the current run-length posterior
-// probabilities (index = run length).
-func (d *Detector) RunLengthDist() []float64 {
-	out := make([]float64, len(d.logp))
-	for i, lp := range d.logp {
-		out[i] = math.Exp(lp)
-	}
-	return out
-}
-
-// MAPRunLength returns the maximum a posteriori run length.
-func (d *Detector) MAPRunLength() int {
-	best, bestLP := 0, math.Inf(-1)
-	for r, lp := range d.logp {
-		if lp > bestLP {
-			best, bestLP = r, lp
-		}
-	}
-	return best
-}
-
-// Detect runs a fresh detector over xs and returns the indices i where
-// P(r_i = 0) exceeded the configured threshold.
-func Detect(xs []float64, cfg Config) []int {
-	d := New(cfg)
-	var cps []int
-	for i, x := range xs {
-		if p := d.Step(x); p > d.cfg.Threshold && i > 0 {
-			cps = append(cps, i)
-		}
-	}
-	return cps
 }
 
 func logSumExp(xs []float64) float64 {

@@ -8,6 +8,44 @@ import (
 	"time"
 )
 
+// Test-only views of the posterior. A position in it is not a run length:
+// run lengths are read from the count column.
+
+// detect runs a fresh detector over xs and returns the indices i where
+// P(r_i = 0) exceeded the configured threshold.
+func detect(xs []float64, cfg Config) []int {
+	d := New(cfg)
+	var cps []int
+	for i, x := range xs {
+		if p := d.Step(x); p > d.cfg.Threshold && i > 0 {
+			cps = append(cps, i)
+		}
+	}
+	return cps
+}
+
+// runLengthDist returns the posterior probability of every hypothesis the
+// detector still holds, shortest run first.
+func runLengthDist(d *Detector) []float64 {
+	out := make([]float64, len(d.logp))
+	for i, lp := range d.logp {
+		out[i] = math.Exp(lp)
+	}
+	return out
+}
+
+// mapRunLength returns the number of observations the maximum a posteriori
+// hypothesis has absorbed.
+func mapRunLength(d *Detector) int {
+	best := 0
+	for i, lp := range d.logp {
+		if lp > d.logp[best] {
+			best = i
+		}
+	}
+	return int(d.cnt[best])
+}
+
 func TestDetectorFindsMeanShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var xs []float64
@@ -17,7 +55,7 @@ func TestDetectorFindsMeanShift(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		xs = append(xs, 10+rng.NormFloat64()*0.5)
 	}
-	cps := Detect(xs, Config{Hazard: 1.0 / 50})
+	cps := detect(xs, Config{Hazard: 1.0 / 50})
 	if len(cps) == 0 {
 		t.Fatal("no change-point detected across a 20-sigma mean shift")
 	}
@@ -53,7 +91,7 @@ func TestRunLengthDistNormalized(t *testing.T) {
 		d.Step(rng.NormFloat64())
 	}
 	sum := 0.0
-	for _, p := range d.RunLengthDist() {
+	for _, p := range runLengthDist(d) {
 		if p < 0 || p > 1 {
 			t.Fatalf("probability out of range: %v", p)
 		}
@@ -70,7 +108,7 @@ func TestMAPRunLengthGrowsOnStationaryData(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		d.Step(5 + rng.NormFloat64()*0.1)
 	}
-	if got := d.MAPRunLength(); got < 150 {
+	if got := mapRunLength(d); got < 150 {
 		t.Errorf("MAP run length = %d after 200 stationary obs, want >= 150", got)
 	}
 }
@@ -81,8 +119,8 @@ func TestTruncationKeepsWorking(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		d.Step(rng.NormFloat64())
 	}
-	if len(d.RunLengthDist()) > 16 {
-		t.Errorf("run-length dist has %d entries, want <= 16", len(d.RunLengthDist()))
+	if len(d.logp) > 16 {
+		t.Errorf("run-length dist has %d entries, want <= 16", len(d.logp))
 	}
 	// Detection must still work after long truncated operation.
 	fired := false
@@ -111,7 +149,7 @@ func TestStepOutputsValidProbability(t *testing.T) {
 			}
 		}
 		sum := 0.0
-		for _, q := range d.RunLengthDist() {
+		for _, q := range runLengthDist(d) {
 			sum += q
 		}
 		return math.Abs(sum-1) < 1e-6
@@ -268,20 +306,30 @@ func BenchmarkDetectorStep(b *testing.B) {
 // BenchmarkSplitTimes times the splitter on the shapes the monitor feeds it:
 // short is one pair's or rank's events in a 5 s window, long the same in a
 // 60 s window, both through a pool as the streaming monitor runs them; fresh
-// is the unpooled one-shot path on a mid-sized sequence.
+// is the unpooled one-shot path on a mid-sized sequence. Those three are
+// clean synthetic bursts with a Reset at every boundary, so no hypothesis in
+// them is ever dead; minute-rank is a real rank's one-minute window from the
+// fixtures, where a guard-rejected pause in every step leaves most of the
+// unpruned posterior below the floor.
 func BenchmarkSplitTimes(b *testing.B) {
 	pool := NewPool(Config{})
+	bursts := func(steps, burst int) []time.Time {
+		return syntheticStepTimes(steps, burst, time.Millisecond, time.Second, 0.2, 1)
+	}
+	fixtures := loadSplitFixtures(b)
 	for _, bc := range []struct {
-		name         string
-		steps, burst int
-		cfg          SplitConfig
+		name  string
+		times []time.Time
+		steps int
+		cfg   SplitConfig
 	}{
-		{"fresh", 20, 50, SplitConfig{}},
-		{"short", 2, 20, SplitConfig{Detectors: pool}},
-		{"long", 20, 45, SplitConfig{Detectors: pool}},
+		{"fresh", bursts(20, 50), 20, SplitConfig{}},
+		{"short", bursts(2, 20), 2, SplitConfig{Detectors: pool}},
+		{"long", bursts(20, 45), 20, SplitConfig{Detectors: pool}},
+		{"minute-rank", fixtures[len(fixtures)-1], 22, SplitConfig{Detectors: pool}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			times := syntheticStepTimes(bc.steps, bc.burst, time.Millisecond, time.Second, 0.2, 1)
+			times := bc.times
 			if got := len(SplitTimes(times, bc.cfg)); got != bc.steps {
 				b.Fatalf("%d segments, want %d", got, bc.steps)
 			}
@@ -291,6 +339,40 @@ func BenchmarkSplitTimes(b *testing.B) {
 				SplitTimes(times, bc.cfg)
 			}
 		})
+	}
+}
+
+// TestDetectorBoundedOnEndlessSequence holds the Detector doc to its word:
+// fed without end, across Reset cycles, the constants table, the posterior
+// and every buffer stop growing. Only the longest run's count passes
+// MaxRunLength, and its constants advance in place.
+func TestDetectorBoundedOnEndlessSequence(t *testing.T) {
+	const max = 64
+	rng := rand.New(rand.NewSource(17))
+	d := New(Config{MaxRunLength: max})
+	// Each column is a buffer pair that trades places every step.
+	sizes := func() [5]int {
+		return [5]int{len(d.tab), cap(d.logp) + cap(d.spareLogp), cap(d.mu) + cap(d.spareMu),
+			cap(d.beta) + cap(d.spareBeta), cap(d.cnt) + cap(d.spareCnt)}
+	}
+	var plateau [5]int
+	for cycle := 0; cycle < 3; cycle++ {
+		d.Reset()
+		for i, x := range winsorizedObs(rng, 100000/3) {
+			d.Step(x)
+			if len(d.logp) > max || len(d.tab) > max {
+				t.Fatalf("cycle %d step %d: %d hypotheses, %d table entries under MaxRunLength %d", cycle, i, len(d.logp), len(d.tab), max)
+			}
+			if cycle == 0 && i == 10*max {
+				plateau = sizes()
+			}
+		}
+		if got := sizes(); got != plateau {
+			t.Fatalf("cycle %d: table and buffer sizes %v, were %v after %d steps", cycle, got, plateau, 10*max)
+		}
+		if got := mapRunLength(d); d.N() != 100000/3 || got > d.N() {
+			t.Fatalf("cycle %d: N = %d, MAP run length %d", cycle, d.N(), got)
+		}
 	}
 }
 

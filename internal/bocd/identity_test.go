@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -28,22 +30,14 @@ func winsorizedObs(rng *rand.Rand, n int) []float64 {
 	return xs
 }
 
-func sameBits(a, b []float64) (int, bool) {
-	if len(a) != len(b) {
-		return -1, false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i, false
-		}
-	}
-	return 0, true
-}
-
-// TestStepBitIdenticalToReference holds the table-driven three-column
-// detector to the exact bits of the five-column reference: the returned
-// probability and the whole posterior after every step, through the
-// truncation fold and across Reset cycles (which keep the table).
+// TestStepBitIdenticalToReference holds the table-driven, pruning detector
+// to the exact bits of the five-column reference, which keeps every
+// hypothesis: the returned probability after every step; every hypothesis
+// the detector still holds against the reference hypothesis of the same
+// count (the longest run against the reference's last, whose statistics are
+// exact and whose mass may fall short by what was dropped); and, for every
+// hypothesis it let go, a reference mass below the floor at that step.
+// Through the truncation fold and across Reset cycles (which keep the table).
 func TestStepBitIdenticalToReference(t *testing.T) {
 	configs := map[string]Config{
 		"default":  {},
@@ -54,6 +48,8 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			det, ref := New(cfg), newRefDetector(cfg)
+			dropped := 0
+			var before []int32
 			// Cycle lengths rise and fall so a Reset detector both reuses
 			// and extends the table it built on earlier cycles.
 			for cycle, n := range []int{1500, 1900, 1600, 2300, 1500} {
@@ -62,21 +58,56 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 					ref.Reset()
 				}
 				for i, x := range winsorizedObs(rng, n) {
+					before = append(before[:0], det.cnt[:len(det.cnt)-1]...)
 					got, want := det.Step(x), ref.Step(x)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("cycle %d step %d: P(r=0) = %x, reference %x", cycle, i, got, want)
 					}
-					for _, col := range []struct {
-						name      string
-						got, want []float64
-					}{
-						{"logp", det.logp, ref.logp},
-						{"mu", det.mu, ref.mu},
-						{"beta", det.beta, ref.beta},
-					} {
-						if at, ok := sameBits(col.got, col.want); !ok {
-							t.Fatalf("cycle %d step %d: %s differs from the reference at %d (lengths %d, %d)",
-								cycle, i, col.name, at, len(col.got), len(col.want))
+					longest := len(det.cnt) - 1
+					for h, c := range det.cnt {
+						at := int(c) - 1
+						if h == longest {
+							at = len(ref.logp) - 1
+						}
+						for _, col := range []struct {
+							name      string
+							got, want float64
+						}{
+							{"logp", det.logp[h], ref.logp[at]},
+							{"mu", det.mu[h], ref.mu[at]},
+							{"beta", det.beta[h], ref.beta[at]},
+						} {
+							if math.Float64bits(col.got) == math.Float64bits(col.want) {
+								continue
+							}
+							// The one inexact float: the reference also folds
+							// into its longest run the lineages the detector
+							// dropped, so the detector's can fall short of it
+							// by their mass — each below e^floor when dropped,
+							// one folding per step. Never above, and never by
+							// more than a few thousand floors.
+							if short := math.Exp(col.want) - math.Exp(col.got); h == longest && col.name == "logp" &&
+								col.got < col.want && short < math.Exp(pruneFloor+10) {
+								continue
+							}
+							t.Fatalf("cycle %d step %d: %s of the count-%d hypothesis = %v, reference %v",
+								cycle, i, col.name, c, col.got, col.want)
+						}
+					}
+					// Every run held before the step grew by one. It is still
+					// held, or it folded at MaxRunLength, or it was dropped.
+					held := det.cnt[1:longest]
+					for _, c := range before {
+						c++
+						for len(held) > 0 && held[0] < c {
+							held = held[1:]
+						}
+						if len(held) > 0 && held[0] == c || int(c) == det.cfg.MaxRunLength {
+							continue
+						}
+						dropped++
+						if lp := ref.logp[c-1]; lp >= pruneFloor {
+							t.Fatalf("cycle %d step %d: dropped the count-%d hypothesis at reference log-mass %v", cycle, i, c, lp)
 						}
 					}
 				}
@@ -84,19 +115,23 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 					t.Fatalf("cycle %d: N = %d, reference %d", cycle, det.N(), ref.n)
 				}
 			}
+			if dropped == 0 {
+				t.Fatal("nothing was ever dropped: the sequences no longer exercise pruning")
+			}
 		})
 	}
 }
 
 // splitCaseKinds is the number of shapes splitCase draws.
-const splitCaseKinds = 7
+const splitCaseKinds = 8
 
 // splitCase draws one event-time sequence of the given shape. The shapes
 // cover the splitter's branches: ordinary bursts, no two-regime separation,
 // a guard-clearing gap at index 0 (never a boundary), a guard-clearing last
 // gap (nothing to skip), duplicate timestamps (zero gaps, down to a zero
-// median), runs longer than MaxRunLength, and heavy-tailed gaps where the
-// detector vetoes many guard-clearing candidates.
+// median), runs longer than MaxRunLength, heavy-tailed gaps where the
+// detector vetoes many guard-clearing candidates, and one rank's minute
+// window, where most of the posterior is dead.
 func splitCase(rng *rand.Rand, kind int) []time.Time {
 	var gaps []time.Duration
 	jittered := func(d time.Duration) time.Duration {
@@ -143,6 +178,29 @@ func splitCase(rng *rand.Rand, kind int) []time.Time {
 	case 6:
 		for i, n := 0, 10+rng.Intn(150); i < n; i++ {
 			gaps = append(gaps, time.Duration(float64(time.Millisecond)*math.Exp(rng.NormFloat64()*2.5)))
+		}
+	case 7:
+		// One rank of a DP job over a one-minute window, as the daemon's
+		// default window feeds it (testdata/saturate_hop_splits.bin): some 20
+		// steps of some 110 events, each step's flows leaving in simultaneous
+		// groups a few milliseconds apart, with one optimizer pause ten group
+		// spacings long in the middle. The pause kills every run that absorbs
+		// it, the guard rejects it so SplitTimes does not Reset, and the dead
+		// runs ride along to the step boundary.
+		steps, groups, width := 14+rng.Intn(10), 20+rng.Intn(10), 2+rng.Intn(4)
+		spacing := jittered(3 * time.Millisecond)
+		for s := 0; s < steps; s++ {
+			for g := 0; g < groups; g++ {
+				gaps = append(gaps, make([]time.Duration, width-1)...)
+				switch g {
+				case groups - 1:
+					gaps = append(gaps, jittered(3*time.Second))
+				case groups/2 - 1:
+					gaps = append(gaps, 10*spacing)
+				default:
+					gaps = append(gaps, spacing+time.Duration(rng.Intn(50))*time.Microsecond)
+				}
+			}
 		}
 	}
 	if kind != 3 {
@@ -242,6 +300,13 @@ func decodeSplitCase(data []byte) (flags byte, times []time.Time) {
 	return data[0], times
 }
 
+// maxFuzzGaps bounds a fuzz input above one rank's minute window (2 287 gaps
+// in the fixtures), so the committed seeds of that shape run.
+const maxFuzzGaps = 2400
+
+// FuzzSplitTimes: on arbitrary gap sequences SplitTimes — early stop,
+// constants table, count column, mass floor — returns the segments of the
+// full-scan reference splitter over the detector that prunes nothing.
 func FuzzSplitTimes(f *testing.F) {
 	for seed := 0; seed < 4*splitCaseKinds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -249,9 +314,14 @@ func FuzzSplitTimes(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0})
+	f.Add(foldTargetCase)
+	f.Add(revivalCase)
+	for i, times := range loadSplitFixtures(f) {
+		f.Add(encodeSplitCase(byte(i), times))
+	}
 	configs := splitTestConfigs()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1+2*1024 {
+		if len(data) > 1+2*maxFuzzGaps {
 			return
 		}
 		flags, times := decodeSplitCase(data)
@@ -260,4 +330,133 @@ func FuzzSplitTimes(f *testing.F) {
 		}
 		checkSplitMatchesReference(t, times, configs[flags&3])
 	})
+}
+
+// loadSplitFixtures decodes testdata/saturate_hop_splits.bin: SplitTimes
+// inputs harvested (throw-away hook in SplitTimes, seed 1, default length)
+// from a saturate-hop benchmark run, the one-minute-window shape that holds
+// most of the dead posterior mass the floor exists for. Each sequence is a
+// uvarint gap count followed by that many uvarint gaps in nanoseconds. In
+// order: the three sequences with the deepest revivals measured on that run
+// (a lineage back to >= 5% from e^-32.9, to >= 1e-3 from e^-39.8, to >= 1e-6
+// from e^-46.6), four 48-event pair sequences whose segments change at a
+// floor of -5 (none of the run's 9 792 changes at -6 or below), and eight of
+// the longest rank sequences (2 288 events, 22 steps).
+func loadSplitFixtures(tb testing.TB) [][]time.Time {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/saturate_hop_splits.bin")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	next := func() time.Duration {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			tb.Fatal("testdata/saturate_hop_splits.bin: truncated")
+		}
+		data = data[n:]
+		return time.Duration(v)
+	}
+	var out [][]time.Time
+	for len(data) > 0 {
+		at := splitEpoch
+		times := []time.Time{at}
+		for n := next(); n > 0; n-- {
+			at = at.Add(next())
+			times = append(times, at)
+		}
+		out = append(out, times)
+	}
+	return out
+}
+
+func TestSplitTimesMinuteWindowFixtures(t *testing.T) {
+	configs := splitTestConfigs()
+	for _, times := range loadSplitFixtures(t) {
+		for _, cfg := range configs {
+			checkSplitMatchesReference(t, times, cfg)
+		}
+	}
+}
+
+// revivalCase is a FuzzSplitTimes input (found fuzzing with the floor raised
+// to -20): eight events with gaps 0, 6.8 s, 15.2 s, 0, 0, 61.9 s, 0. The
+// median gap is zero, so observations are in nanoseconds, as they are for
+// every rank sequence in the fixtures. A run that has sunk below e^-40 is the
+// one that explains the last large gap; without it SplitTimes reports a
+// boundary the reference does not.
+var revivalCase = []byte("0\x00\x000 00\x00\x00\x00\x000a\x00\x00")
+
+// withFloor returns cfg drawing its detector from a pool whose one detector
+// drops hypotheses below floor instead of pruneFloor.
+func withFloor(cfg SplitConfig, floor float64) SplitConfig {
+	cfg.Detectors = NewPool(cfg.BOCD)
+	d := cfg.Detectors.Get()
+	d.floor = floor
+	cfg.Detectors.Put(d)
+	return cfg
+}
+
+// TestPruneFloorMargin is the red test for anyone tuning the floor toward
+// Adams & MacKay's 1e-4: at the shipped floor no sequence below differs from
+// the reference, at -20 one does (revivalCase, from -40 up), and at -5 the
+// harvested pair sequences do too.
+func TestPruneFloorMargin(t *testing.T) {
+	_, revival := decodeSplitCase(revivalCase)
+	cases := append(loadSplitFixtures(t), revival)
+	differing := func(floor float64) int {
+		cfg, n := withFloor(SplitConfig{}, floor), 0
+		for _, times := range cases {
+			if !slices.Equal(SplitTimes(times, cfg), refSplitTimes(times, cfg)) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		floor float64
+		want  int
+	}{{pruneFloor, 0}, {-20, 1}, {-5, 5}} {
+		if got := differing(tc.floor); got != tc.want {
+			t.Errorf("floor %g: %d of %d sequences differ from the reference, want %d", tc.floor, got, len(cases), tc.want)
+		}
+	}
+}
+
+// foldTargetCase is a FuzzSplitTimes input (capped config, unpooled): 86
+// events whose longest run is long dead when the runs behind it reach
+// MaxRunLength and fold onto its statistics.
+var foldTargetCase = func() []byte {
+	var vs []uint16
+	repeat := func(n int, v ...uint16) {
+		for ; n > 0; n-- {
+			vs = append(vs, v...)
+		}
+	}
+	repeat(10, 48, 12336, 8496, 48, 48)
+	repeat(7, 48, 12336)
+	repeat(1, 8496, 48, 3888, 2864)
+	repeat(14, 48)
+	repeat(1, 65, 48, 12427)
+	out := []byte{0x32}
+	for _, v := range vs {
+		out = binary.LittleEndian.AppendUint16(out, v)
+	}
+	return out
+}()
+
+// TestSplitTimesFoldTargetSurvivesPruning: the longest run is the
+// MaxRunLength fold's target, so the reference puts live mass on its
+// statistics however dead it is. A detector that drops it with the rest
+// splits this sequence again at 64 and 85 (FuzzSplitTimes found it in 19 s).
+func TestSplitTimesFoldTargetSurvivesPruning(t *testing.T) {
+	flags, times := decodeSplitCase(foldTargetCase)
+	cfg := splitTestConfigs()[flags&3]
+	if cfg.BOCD.MaxRunLength != 16 || cfg.Detectors != nil || len(times) != 86 {
+		t.Fatalf("case decodes to %d events under %+v", len(times), cfg)
+	}
+	checkSplitMatchesReference(t, times, cfg)
+	got := SplitTimes(times, cfg)
+	if last := got[len(got)-1]; last != (Segment{Lo: 62, Hi: 86}) {
+		t.Fatalf("last segment %+v of %v, want {62 86}", last, got)
+	}
 }

@@ -7,12 +7,13 @@ import (
 )
 
 // This file freezes the detector and splitter as they stood before the
-// count-indexed constants table and the early-stopping splitter: five
-// posterior columns, two Lgamma and one Log per hypothesis per step, every
-// gap stepped. They are the oracle the bit-identity tests (and any later
-// float-moving change to Step) gate against, so nothing here may share
-// arithmetic with the production code — only nextBuf and mergeImplausible,
-// which move no float, are reused.
+// count-indexed constants table, the early-stopping splitter and the mass
+// floor: five posterior columns, two Lgamma and one Log per hypothesis per
+// step, every hypothesis kept up to MaxRunLength, every gap stepped. It is
+// the only unpruned detector in the tree and the oracle the bit-identity
+// tests (and any later float-moving change to Step) gate against, so nothing
+// here may share arithmetic with the production code — only nextBuf and
+// mergeImplausible, which move no float, are reused.
 
 type refDetector struct {
 	cfg     Config
