@@ -22,7 +22,11 @@
 // with the daemon-wide analysis flags. Per connection, at most -pending
 // decoded frames wait between the wire reader and the session push, so a
 // collector that outruns analysis is slowed by TCP flow control instead of
-// growing the heap.
+// growing the heap. A window is released — appended to the store,
+// checkpointed, visible to the query listener — when its analysis
+// finishes, by the session's own release goroutine; it does not wait for
+// the cluster's next frame, so a collector that goes quiet mid-stream
+// leaves no analysed window behind.
 //
 // With -dir set, every cluster's session records its windows to the
 // rotating multi-segment store <dir>/<cluster>.llps and checkpoints
@@ -384,8 +388,13 @@ func writeReadyFile(path, ingest, query string) error {
 // onReports accumulates each cluster's released window reports as the same
 // text the CLI prints, so the query endpoint's answer is line-identical to
 // an offline replay. Called by the manager in strict window order per
-// cluster, with at least one report.
+// cluster, with at least one report — from that cluster's pusher or its
+// release goroutine, so calls for different clusters run concurrently: the
+// text is rendered before d.mu is taken, which then covers only the append
+// and the latest swap.
 func (d *daemon) onReports(cluster string, reports []*llmprism.Report) {
+	var rendered strings.Builder
+	session.PrintReports(&rendered, reports)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	b := d.text[cluster]
@@ -393,7 +402,7 @@ func (d *daemon) onReports(cluster string, reports []*llmprism.Report) {
 		b = &strings.Builder{}
 		d.text[cluster] = b
 	}
-	session.PrintReports(b, reports)
+	b.WriteString(rendered.String())
 	d.latest[cluster] = reports[len(reports)-1]
 }
 

@@ -286,6 +286,84 @@ func TestDaemonTwoClusterIngestMatchesOfflineReplay(t *testing.T) {
 	}
 }
 
+// TestDaemonQuietCollectorReleasesWindow: a collector sends the frame that
+// closes window 0 and then holds its connection open and idle. The window
+// must reach the query plane on its own — /v1/clusters counts it,
+// /v1/report and /v1/latest carry its text — rather than wait for the
+// cluster's next frame; and once the collector resumes and the daemon shuts
+// down, the whole report text still equals the offline replay.
+func TestDaemonQuietCollectorReleasesWindow(t *testing.T) {
+	records, topo := daemonTrace(t, 7)
+	frames := chunkFrames(records, 500)
+	d, ingestAddr, queryURL := startTestDaemon(t, topo, t.TempDir())
+	want := offlineText(t, d.cfg.base, frames)
+	// Window 0's share of the text: everything before the second header.
+	wantFirst := want
+	if i := strings.Index(want[1:], "\nwindow "); i >= 0 {
+		wantFirst = want[:i+2]
+	}
+
+	// The frame that closes window 0 — and only window 0.
+	closeAt := records[0].Start.Add(d.cfg.base.Window + d.cfg.base.Lateness)
+	closing := 0
+	for time.Unix(0, frames[closing].MaxStartNanos()).Before(closeAt) {
+		closing++
+	}
+	if !time.Unix(0, frames[closing].MaxStartNanos()).Before(closeAt.Add(d.cfg.base.Window)) {
+		t.Fatal("trace too sparse: the frame closing window 0 also closes window 1")
+	}
+
+	conn, err := net.Dial("tcp", ingestAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := session.WriteHello(conn, "east"); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames[:closing+1] {
+		if err := session.WriteFrameMessage(conn, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The connection stays open and silent from here on.
+	if n := pollClusterWindows(t, queryURL, "east", 1); n != 1 {
+		t.Fatalf("%d windows released with window 1 still open, want 1", n)
+	}
+	for _, endpoint := range []string{"/v1/report", "/v1/latest"} {
+		code, body := httpGet(t, queryURL+endpoint+"?cluster=east")
+		if code != http.StatusOK || body != wantFirst {
+			t.Errorf("%s with the collector idle: status %d, body %q, want window 0's text %q", endpoint, code, body, wantFirst)
+		}
+	}
+
+	// The collector resumes; nothing the early release did may show in
+	// the final text.
+	for _, f := range frames[closing+1:] {
+		if err := session.WriteFrameMessage(conn, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := session.WriteEndOfStream(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if code, body := httpGet(t, queryURL+"/v1/report?cluster=east"); code != http.StatusOK || body != want {
+		t.Errorf("final report text differs from offline replay (status %d, %d vs %d bytes)", code, len(body), len(want))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDaemonSurvivesGarbageConnections: junk hellos and abruptly dropped
 // streams must cost only their own connection — a well-behaved collector
 // on the same daemon still ingests and queries normally.

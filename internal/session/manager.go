@@ -23,10 +23,13 @@ type ManagerConfig struct {
 	// creating one past the bound fails. 0 means unbounded.
 	MaxSessions int
 	// OnReports, when non-nil, receives every batch of completed window
-	// reports a cluster session releases — pushes and the final flush at
-	// Close alike — in strict window order per cluster. It is called with
-	// the owning cluster session's lock held, so implementations must not
-	// call back into that session; calls for different clusters may be
+	// reports a cluster session releases — from its release goroutine when
+	// a window's analysis finishes, from a push that finds windows ready,
+	// and from the final flush at Close alike — in strict window order per
+	// cluster, never empty. Which of the three delivers a given window
+	// depends on timing; the sequence does not. It is called with the
+	// owning cluster session's lock held, so implementations must not call
+	// back into that session; calls for different clusters may be
 	// concurrent.
 	OnReports func(cluster string, reports []*llmprism.Report)
 }
@@ -35,9 +38,13 @@ type ManagerConfig struct {
 // heart of the fleet daemon, usable by any embedder. Sessions are created
 // lazily on first use, bounded by MaxSessions, and closed together:
 // Close checkpoints and finalizes every session's archive in deterministic
-// (sorted cluster) order. Manager is safe for concurrent use.
+// (sorted cluster) order and joins every session's release goroutine.
+// Manager is safe for concurrent use.
 type Manager struct {
 	cfg ManagerConfig
+	// releasers counts live release goroutines, one per session that is
+	// neither closed nor dead; Close waits for it.
+	releasers sync.WaitGroup
 
 	mu       sync.Mutex
 	sessions map[string]*ClusterSession
@@ -98,8 +105,10 @@ func (m *Manager) Session(ctx context.Context, cluster string) (*ClusterSession,
 		}
 		return nil, fmt.Errorf("session: cluster %q: %w", cluster, err)
 	}
-	cs := &ClusterSession{mgr: m, cluster: cluster, s: s}
+	cs := &ClusterSession{mgr: m, cluster: cluster, s: s, halt: make(chan struct{})}
 	m.sessions[cluster] = cs
+	m.releasers.Add(1)
+	go cs.releaseLoop()
 	return cs, nil
 }
 
@@ -158,8 +167,9 @@ func (m *Manager) Clusters() []string {
 // remaining windows (delivering the final reports through OnReports),
 // writes its last checkpoint, and finalizes its archive atomically. The
 // manager accepts no new sessions afterwards. Sessions that already died
-// of a push error are released without finalizing (their archive
-// temporary stays salvageable). Close is idempotent.
+// of a push or release error are released without finalizing (their
+// archive temporary stays salvageable). Close returns once every session's
+// release goroutine has exited, and is idempotent.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -184,19 +194,26 @@ func (m *Manager) Close() error {
 			errs = append(errs, fmt.Errorf("cluster %q: %w", clusters[i], err))
 		}
 	}
+	m.releasers.Wait()
 	return errors.Join(errs...)
 }
 
 // ClusterSession is one cluster's managed session. All methods serialize
 // behind the session's lock, so any number of collector connections (or
 // goroutines) may feed one cluster — their pushes interleave atomically,
-// and reports reach OnReports in strict window order. For deterministic
-// replayability, frames for one cluster must still arrive in event-time
-// order across that interleaving (one collector per cluster, or
-// within-lateness disorder, which the watermark absorbs).
+// and reports reach OnReports in strict window order. The session's
+// release goroutine takes the same lock to deliver a window as soon as
+// its analysis finishes, so a quiet collector delays nothing: the window's
+// store append, checkpoint and OnReports call do not wait for the next
+// frame. For deterministic replayability, frames for one cluster must
+// still arrive in event-time order across that interleaving (one collector
+// per cluster, or within-lateness disorder, which the watermark absorbs).
 type ClusterSession struct {
 	mgr     *Manager
 	cluster string
+	// halt stops the release goroutine. It is closed exactly once, under
+	// mu, by whichever comes first: the session dying (err set) or closing.
+	halt chan struct{}
 
 	mu     sync.Mutex
 	s      *Session
@@ -216,12 +233,7 @@ func (cs *ClusterSession) Push(records []flow.Record) error {
 	if err := cs.usable(); err != nil {
 		return err
 	}
-	reports, err := cs.s.Push(records)
-	cs.deliver(reports)
-	if err != nil {
-		cs.err = err
-	}
-	return err
+	return cs.release(cs.s.Push(records))
 }
 
 // PushFrame ingests one decoded wire frame; completed reports go to
@@ -232,12 +244,7 @@ func (cs *ClusterSession) PushFrame(f *flow.Frame) error {
 	if err := cs.usable(); err != nil {
 		return err
 	}
-	reports, err := cs.s.PushFrame(f)
-	cs.deliver(reports)
-	if err != nil {
-		cs.err = err
-	}
-	return err
+	return cs.release(cs.s.PushFrame(f))
 }
 
 // Stats returns the session's released-window and late-drop counters.
@@ -258,6 +265,39 @@ func (cs *ClusterSession) usable() error {
 		return cs.err
 	}
 	return nil
+}
+
+// release is the tail of every push and of the release goroutine's
+// collect: deliver what was released, and on error mark the session dead
+// and stop its release goroutine. Called with cs.mu held on a usable
+// session, so an error here is the session's first.
+func (cs *ClusterSession) release(reports []*llmprism.Report, err error) error {
+	cs.deliver(reports)
+	if err != nil {
+		cs.err = err
+		close(cs.halt)
+	}
+	return err
+}
+
+// releaseLoop is the session's release goroutine: each time an analysis
+// finishes it takes the session lock and collects — the same release a push
+// ends with — so a finished window leaves without waiting for the cluster's
+// next frame. It exits when the session closes or dies.
+func (cs *ClusterSession) releaseLoop() {
+	defer cs.mgr.releasers.Done()
+	for {
+		select {
+		case <-cs.halt:
+			return
+		case <-cs.s.Completed():
+		}
+		cs.mu.Lock()
+		if cs.usable() == nil {
+			cs.release(cs.s.Collect())
+		}
+		cs.mu.Unlock()
+	}
 }
 
 func (cs *ClusterSession) deliver(reports []*llmprism.Report) {
@@ -281,6 +321,7 @@ func (cs *ClusterSession) close() error {
 		cs.s.Abort()
 		return cs.err
 	}
+	close(cs.halt)
 	reports, err := cs.s.Close()
 	cs.deliver(reports)
 	return err

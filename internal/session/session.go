@@ -35,8 +35,15 @@
 //     collector connections can feed the manager concurrently while every
 //     cluster's window pipeline stays strictly ordered; completed reports
 //     are delivered, in window order, through the OnReports callback.
+//     Release is completion-driven: every ClusterSession owns one release
+//     goroutine that waits on the stream's completion signal, takes that
+//     same mutex and runs Session.Collect — the release a push ends with —
+//     so a window's archive append, checkpoint and OnReports delivery
+//     happen when its analysis finishes, not on the cluster's next frame,
+//     and a collector that goes quiet leaves nothing analysed but
+//     unreleased. The goroutine exits when its session closes or dies.
 //     Close checkpoints and finalizes every session in deterministic
-//     (sorted cluster) order.
+//     (sorted cluster) order and joins the release goroutines.
 //
 //   - Wire framing (wire.go): the minimal length-prefixed LPF1 stream
 //     framing llmprismd ingests — an LPW1 hello naming the cluster, then
@@ -351,6 +358,21 @@ func (s *Session) PushFrame(f *flow.Frame) ([]*llmprism.Report, error) {
 	s.windows += len(reports)
 	return reports, err
 }
+
+// Collect releases, without ingesting or blocking, every report whose
+// analysis has finished since the last Push, PushFrame or Collect — the
+// same release those end with (archive append, checkpoint, window count).
+func (s *Session) Collect() ([]*llmprism.Report, error) {
+	reports, err := s.stream.Collect()
+	s.windows += len(reports)
+	return reports, err
+}
+
+// Completed returns the stream's coalescing completion signal (see
+// llmprism.MonitorStream.Completed): the one member another goroutine may
+// use without serializing with the session's calls. The Manager's release
+// goroutine waits on it; the single-goroutine CLI never reads it.
+func (s *Session) Completed() <-chan struct{} { return s.stream.Completed() }
 
 // Close flushes every remaining window and returns the trailing reports in
 // window order. The stream commits the capture sink on its way out — the

@@ -38,6 +38,17 @@
 // and in-order release means any cross-window folding the caller does sees
 // windows in the same order a serial loop would — so pipelined results are
 // bit-identical to serial ones.
+//
+// Every analysis goroutine, after posting its result, raises the Completed
+// signal: a coalescing capacity-1 channel, sent to without blocking, so a
+// caller that wants to release a window when its analysis finishes — not at
+// its next Push — can park a goroutine on it and call Ready when it fires.
+// The send is the only thing the engine does outside its caller's
+// serialization: Ready still runs on (or is locked with) the feeding
+// goroutine. A signal means "some window finished", not "Ready is
+// non-empty" — a window that finishes ahead of an earlier one raises it
+// and Ready yields nothing — and a caller that never reads it costs the
+// analysis goroutines nothing.
 package stream
 
 import (
@@ -170,6 +181,9 @@ type Engine[R any] struct {
 
 	sem      chan struct{}
 	inflight []chan Result[R]
+	// done is the completion signal: capacity 1, sent to without blocking
+	// by every analysis goroutine after it has posted its result.
+	done chan struct{}
 }
 
 type openWindow struct {
@@ -193,6 +207,7 @@ func New[R any](cfg Config, analyze func(ctx context.Context, w Window, f *flow.
 		analyze: analyze,
 		open:    make(map[int64]*openWindow),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
+		done:    make(chan struct{}, 1),
 	}
 	switch {
 	case cfg.Resume != nil:
@@ -500,9 +515,19 @@ func (e *Engine[R]) dispatch(ctx context.Context, k int64) error {
 		}
 		v, err := e.analyze(ctx, win, f)
 		ch <- Result[R]{Window: win, Rows: rows, Frame: f, Value: v, Err: err}
+		select {
+		case e.done <- struct{}{}:
+		default: // already raised; one wake-up collects every posted result
+		}
 	}()
 	return nil
 }
+
+// Completed returns the completion signal: it becomes receivable after an
+// analysis has posted its result, at most one signal outstanding however
+// many analyses finished since it was last received. It is the one engine
+// member safe to use from a goroutine other than the feeder's.
+func (e *Engine[R]) Completed() <-chan struct{} { return e.done }
 
 // Ready returns, without blocking, every completed result that is next in
 // window order. A finished window is withheld while an earlier one is

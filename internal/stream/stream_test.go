@@ -526,3 +526,98 @@ func TestResumeContinuesGrid(t *testing.T) {
 		}
 	}
 }
+
+// awaitCompleted receives the engine's completion signal or fails the test.
+func awaitCompleted[R any](t *testing.T, e *Engine[R]) {
+	t.Helper()
+	select {
+	case <-e.Completed():
+	case <-time.After(30 * time.Second):
+		t.Fatal("completion signal never raised")
+	}
+}
+
+// TestCompletedSignalOutOfOrder pins what the signal means: "an analysis
+// posted its result", not "Ready is non-empty". Window 1 finishing ahead of
+// window 0 raises it and Ready still withholds everything; window 0
+// finishing raises it again and Ready yields both, in order.
+func TestCompletedSignalOutOfOrder(t *testing.T) {
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	e := New(Config{Width: 10 * time.Second, MaxInFlight: 2},
+		func(_ context.Context, w Window, f *flow.Frame) (summary, error) {
+			<-gates[w.Seq]
+			return summarize(w, f), nil
+		})
+	if err := e.Push(context.Background(), []flow.Record{rec(1, 0), rec(2, 12*time.Second), rec(3, 25*time.Second)}); err != nil {
+		t.Fatal(err)
+	}
+	if e.InFlight() != 2 {
+		t.Fatalf("in flight = %d, want 2", e.InFlight())
+	}
+	select {
+	case <-e.Completed():
+		t.Fatal("signal raised before any analysis finished")
+	default:
+	}
+
+	close(gates[1])
+	awaitCompleted(t, e)
+	if got := e.Ready(); len(got) != 0 {
+		t.Fatalf("Ready released %d results while window 0 is still analyzing", len(got))
+	}
+
+	close(gates[0])
+	awaitCompleted(t, e)
+	got := e.Ready()
+	if len(got) != 2 || got[0].Window.Seq != 0 || got[1].Window.Seq != 1 {
+		t.Fatalf("Ready after window 0 finished = %+v, want windows 0 then 1", got)
+	}
+	if !reflect.DeepEqual(got[0].Value.IDs, []uint64{1}) || !reflect.DeepEqual(got[1].Value.IDs, []uint64{2}) {
+		t.Errorf("released values = %+v", got)
+	}
+}
+
+// TestCompletedSignalNeverBlocksAnalysis: the CLI's single-goroutine
+// sessions never read the signal. A hundred analyses must all finish and
+// free their pipeline slots anyway (a blocked send would wedge Push on the
+// depth bound), Flush must return every window in order, and the hundred
+// completions must have coalesced into one outstanding signal.
+func TestCompletedSignalNeverBlocksAnalysis(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	e := newSummaryEngine(Config{Width: 10 * time.Second, MaxInFlight: 2})
+	const windows = 100
+	for i := 0; i < windows; i++ {
+		if err := e.Push(ctx, []flow.Record{rec(uint64(i+1), time.Duration(i)*10*time.Second)}); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	results, err := e.Flush(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != windows {
+		t.Fatalf("Flush returned %d windows, want %d", len(results), windows)
+	}
+	for i, r := range results {
+		if r.Window.Seq != i || !reflect.DeepEqual(r.Value.IDs, []uint64{uint64(i + 1)}) {
+			t.Fatalf("result %d = seq %d ids %v", i, r.Window.Seq, r.Value.IDs)
+		}
+	}
+	// Flush returns once the last result is posted; its goroutine signals
+	// after that and frees its slot last. Holding every slot means every
+	// send has happened.
+	for i := 0; i < cap(e.sem); i++ {
+		e.sem <- struct{}{}
+	}
+	select {
+	case <-e.Completed():
+	default:
+		t.Fatal("no signal outstanding after 100 completions")
+	}
+	select {
+	case <-e.Completed():
+		t.Fatal("completions did not coalesce: a second signal was outstanding")
+	default:
+	}
+}

@@ -565,7 +565,10 @@ func (m *Monitor) Stream(ctx context.Context) (*MonitorStream, error) {
 // MonitorStream is one streaming ingestion session. Drive it from a single
 // goroutine: Push batches as the collector exports them, consume the
 // reports each Push releases, and Close at end of stream. After an error
-// the session is dead; every later call returns the same error.
+// the session is dead; every later call returns the same error. A caller
+// that must not wait for the next Push to release a finished window
+// serializes a second goroutine with the first (one lock around every
+// method), parks it on Completed and has it call Collect.
 type MonitorStream struct {
 	m    *Monitor
 	ctx  context.Context
@@ -584,7 +587,9 @@ type MonitorStream struct {
 // returns every report that became ready, in window order. A report is
 // ready once its window's analysis and those of all earlier windows have
 // finished; Push never blocks waiting for analysis except to hold the
-// pipeline-depth bound.
+// pipeline-depth bound. Which call returns a given report — this Push, a
+// later one, a Collect in between, or Close — depends on when its analysis
+// finishes; the sequence of reports over all calls does not.
 func (s *MonitorStream) Push(records []FlowRecord) ([]*Report, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -596,7 +601,7 @@ func (s *MonitorStream) Push(records []FlowRecord) ([]*Report, error) {
 		s.err = err
 		return nil, err
 	}
-	return s.collect(s.eng.Ready())
+	return s.Collect()
 }
 
 // PushFrame ingests one already-columnar frame — the bulk counterpart of
@@ -616,14 +621,32 @@ func (s *MonitorStream) PushFrame(f *FlowFrame) ([]*Report, error) {
 		s.err = err
 		return nil, err
 	}
+	return s.Collect()
+}
+
+// Collect releases, without ingesting anything and without blocking, every
+// report that is ready — the tail Push and PushFrame end with, callable on
+// its own when Completed fires. Nothing ready (an earlier window is still
+// analyzing, or the stream is closed and drained) returns nil, nil.
+func (s *MonitorStream) Collect() ([]*Report, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	return s.collect(s.eng.Ready())
 }
 
+// Completed returns the engine's coalescing completion signal: receivable
+// after a window's analysis has finished, so a Collect may have something
+// to release. It is the only member safe to use without serializing with
+// the stream's other calls.
+func (s *MonitorStream) Completed() <-chan struct{} { return s.eng.Completed() }
+
 // Close flushes every remaining window — partial trailing windows
 // included — waits for in-flight analyses and returns the remaining
-// reports in window order. With an archive sink configured it then stamps
-// the grid anchor and closes the sink, which finalizes the capture. The
-// session stays usable only for Late and Pending afterwards.
+// reports in window order: whatever no earlier Push or Collect released.
+// With an archive sink configured it then stamps the grid anchor and
+// closes the sink, which finalizes the capture. The session stays usable
+// only for Late and Pending afterwards.
 func (s *MonitorStream) Close() ([]*Report, error) {
 	if s.err != nil {
 		return nil, s.err
