@@ -395,7 +395,8 @@ func BenchmarkLoadTraceBinary(b *testing.B) {
 func BenchmarkArchiveWrite(b *testing.B) {
 	records, _ := benchTrace(b)
 	frame := flow.NewFrame(records)
-	from, to, _ := flow.TimeSpan(records)
+	from := records[0].Start // start order: the one-minute window the trace fills
+	to := from.Add(time.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -419,7 +420,8 @@ func BenchmarkArchiveWrite(b *testing.B) {
 func BenchmarkArchiveRead(b *testing.B) {
 	records, _ := benchTrace(b)
 	frame := flow.NewFrame(records)
-	from, to, _ := flow.TimeSpan(records)
+	from := records[0].Start // start order: the one-minute window the trace fills
+	to := from.Add(time.Minute)
 	var buf bytes.Buffer
 	aw, err := archive.NewWriter(&buf, archive.Meta{Width: time.Minute, Hop: time.Minute})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism"
+	"github.com/llmprism/llmprism/internal/flow"
 )
 
 // writeTrace simulates a tiny two-job platform and writes the flows + topo
@@ -38,7 +39,7 @@ func writeTrace(t *testing.T) (flowsPath, topoPath string) {
 		t.Fatal(err)
 	}
 	defer ff.Close()
-	if err := llmprism.WriteFlowsCSV(ff, res.Records); err != nil {
+	if err := flow.WriteCSV(ff, res.Records); err != nil {
 		t.Fatal(err)
 	}
 	topoPath = filepath.Join(dir, "topo.json")

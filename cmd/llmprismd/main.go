@@ -88,6 +88,7 @@ import (
 
 	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/archive"
+	"github.com/llmprism/llmprism/internal/binfmt"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/session"
 	"github.com/llmprism/llmprism/internal/topology"
@@ -374,15 +375,14 @@ func (d *daemon) ResumeClusters() ([]string, error) {
 
 // writeReadyFile publishes the bound listener addresses for supervisors
 // (and the kill-and-resume test harness): two lines, "ingest <addr>" and
-// "query <addr>", written to a temporary and renamed so a reader never
+// "query <addr>", replaced atomically (binfmt.WriteFile: temporary, fsync,
+// rename — binfmt.Commit without the directory fsync) so a reader never
 // sees a partial file.
 func writeReadyFile(path, ingest, query string) error {
-	body := fmt.Sprintf("ingest %s\nquery %s\n", ingest, query)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
+	return binfmt.WriteFile(path, false, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "ingest %s\nquery %s\n", ingest, query)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // onReports accumulates each cluster's released window reports as the same

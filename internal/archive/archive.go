@@ -66,9 +66,11 @@
 // Writer and Reader are the container codec over any io.Writer and
 // io.ReaderAt. On disk there is one unit of capture, the file-backed LPA1
 // segment: FileWriter (file.go) appends to a temporary and commits it —
-// trailer, fsync, rename, directory fsync — and a single-file archive
-// (CreateFile), every segment of a rotating store (StoreWriter) and the
-// resume salvage's rewrite are all that one writer. The read side mirrors
+// trailer, then binfmt.Commit: fsync, rename, directory fsync — and a
+// single-file archive (CreateFile), every segment of a rotating store
+// (StoreWriter) and the resume salvage's rewrite are all that one writer;
+// the store manifest is replaced through binfmt.WriteFile, the same commit
+// behind a fixed temporary name. The read side mirrors
 // it: one helper opens a file strictly or leniently (openFile), one folds
 // its windows into a store-manifest entry (readEntry, segEntry.add), and a
 // single-file archive reads as a one-segment store (FileStore). Recovery of
@@ -85,6 +87,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/binfmt"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -142,13 +145,10 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	if meta.Width < 0 || meta.Hop < 0 || meta.Lateness < 0 {
 		return nil, fmt.Errorf("archive: negative window geometry %+v", meta)
 	}
-	hdr := make([]byte, headerSize)
-	copy(hdr, headerMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(meta.Width))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(meta.Hop))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(meta.Lateness))
+	hdr := append(make([]byte, 0, headerSize), headerMagic[:]...)
+	hdr = append(hdr, 0, 0, 0, 0) // flags
 	aw := &Writer{w: w}
-	if err := aw.write(hdr); err != nil {
+	if err := aw.write(appendMeta(hdr, meta)); err != nil {
 		return nil, err
 	}
 	return aw, nil
@@ -178,15 +178,15 @@ func (aw *Writer) Append(seq int, start, end time.Time, f *flow.Frame) error {
 	if n := len(aw.segs); n > 0 && seq <= aw.segs[n-1].Seq {
 		return fmt.Errorf("archive: segment seq %d not after previous %d", seq, aw.segs[n-1].Seq)
 	}
-	hdrAt := aw.n
-	frameLen := f.EncodedLen()
-	hdr := make([]byte, segHeaderSize)
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(int64(seq)))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(start.UnixNano()))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(end.UnixNano()))
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(f.Len()))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(frameLen))
-	if err := aw.write(hdr); err != nil {
+	seg := Segment{
+		Seq:    seq,
+		Start:  start.UTC(),
+		End:    end.UTC(),
+		Rows:   f.Len(),
+		offset: aw.n + segHeaderSize,
+		length: f.EncodedLen(),
+	}
+	if err := aw.write(appendSegment(make([]byte, 0, segHeaderSize), seg, false)); err != nil {
 		return err
 	}
 	// The encoded length is a closed-form function of the frame, so the
@@ -199,18 +199,11 @@ func (aw *Writer) Append(seq int, start, end time.Time, f *flow.Frame) error {
 		}
 		return aw.err
 	}
-	if wrote != frameLen {
-		aw.err = fmt.Errorf("archive: frame encoded %d bytes, EncodedLen said %d", wrote, frameLen)
+	if wrote != seg.length {
+		aw.err = fmt.Errorf("archive: frame encoded %d bytes, EncodedLen said %d", wrote, seg.length)
 		return aw.err
 	}
-	aw.segs = append(aw.segs, Segment{
-		Seq:    seq,
-		Start:  start.UTC(),
-		End:    end.UTC(),
-		Rows:   f.Len(),
-		offset: hdrAt + segHeaderSize,
-		length: frameLen,
-	})
+	aw.segs = append(aw.segs, seg)
 	return nil
 }
 
@@ -274,14 +267,7 @@ func (aw *Writer) Close() error {
 	manifestOff := aw.n
 	manifest := make([]byte, 0, len(aw.segs)*manifestedSize)
 	for _, s := range aw.segs {
-		var e [manifestedSize]byte
-		binary.LittleEndian.PutUint64(e[0:], uint64(int64(s.Seq)))
-		binary.LittleEndian.PutUint64(e[8:], uint64(s.Start.UnixNano()))
-		binary.LittleEndian.PutUint64(e[16:], uint64(s.End.UnixNano()))
-		binary.LittleEndian.PutUint32(e[24:], uint32(s.Rows))
-		binary.LittleEndian.PutUint64(e[32:], uint64(s.offset))
-		binary.LittleEndian.PutUint64(e[40:], uint64(s.length))
-		manifest = append(manifest, e[:]...)
+		manifest = appendSegment(manifest, s, true)
 	}
 	if err := aw.write(manifest); err != nil {
 		return err
@@ -320,13 +306,13 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if _, err := r.ReadAt(trailer, size-trailerSize); err != nil {
 		return nil, fmt.Errorf("archive: read trailer: %w", err)
 	}
-	if [4]byte(trailer[28:]) != trailerMagic {
+	c := binfmt.NewCursor("archive", trailer)
+	anchorNS, manifestOff := c.I64(), c.I64()
+	count, wantCRC := int64(c.U32()), c.U32()
+	c.U32() // reserved
+	if [4]byte(c.Take(4)) != trailerMagic {
 		return nil, fmt.Errorf("archive: missing trailer (archive not closed?)")
 	}
-	anchorNS := int64(binary.LittleEndian.Uint64(trailer[0:]))
-	manifestOff := int64(binary.LittleEndian.Uint64(trailer[8:]))
-	count := int64(binary.LittleEndian.Uint32(trailer[16:]))
-	wantCRC := binary.LittleEndian.Uint32(trailer[20:])
 	if manifestOff < headerSize || manifestOff+count*manifestedSize != size-trailerSize {
 		return nil, fmt.Errorf("archive: manifest bounds [%d, %d) inconsistent with size %d", manifestOff, size-trailerSize, size)
 	}
@@ -337,17 +323,10 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if got := crc32.ChecksumIEEE(manifest); got != wantCRC {
 		return nil, fmt.Errorf("archive: manifest checksum mismatch: file %08x, computed %08x", wantCRC, got)
 	}
+	c = binfmt.NewCursor("archive", manifest)
 	segs := make([]Segment, count)
 	for i := range segs {
-		e := manifest[i*manifestedSize:]
-		segs[i] = Segment{
-			Seq:    int(int64(binary.LittleEndian.Uint64(e[0:]))),
-			Start:  time.Unix(0, int64(binary.LittleEndian.Uint64(e[8:]))).UTC(),
-			End:    time.Unix(0, int64(binary.LittleEndian.Uint64(e[16:]))).UTC(),
-			Rows:   int(binary.LittleEndian.Uint32(e[24:])),
-			offset: int64(binary.LittleEndian.Uint64(e[32:])),
-			length: int64(binary.LittleEndian.Uint64(e[40:])),
-		}
+		segs[i] = readSegment(c, true)
 		s := &segs[i]
 		if s.offset < headerSize+segHeaderSize || s.length < 0 || s.offset+s.length > manifestOff {
 			return nil, fmt.Errorf("archive: segment %d blob [%d, %d) outside data region", i, s.offset, s.offset+s.length)
@@ -356,7 +335,43 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 			return nil, fmt.Errorf("archive: segment seqs not increasing at %d", i)
 		}
 	}
+	if err := c.Done(); err != nil {
+		return nil, err
+	}
 	return newReader(r, size, meta, nanosTime(anchorNS), segs), nil
+}
+
+// appendSegment encodes an archived window's bookkeeping: as the segment
+// header in front of its frame blob or, manifested, as the manifest entry
+// that also records the blob's offset.
+func appendSegment(b []byte, s Segment, manifested bool) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(s.Seq)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.Start.UnixNano()))
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.End.UnixNano()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.Rows))
+	b = append(b, 0, 0, 0, 0) // reserved
+	if manifested {
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.offset))
+	}
+	return binary.LittleEndian.AppendUint64(b, uint64(s.length))
+}
+
+// readSegment is appendSegment's inverse — the one parse of a window's
+// bookkeeping, for the strict open (manifest entries) and the salvage scan
+// (segment headers, whose blob follows at once) alike.
+func readSegment(c *binfmt.Cursor, manifested bool) Segment {
+	s := Segment{
+		Seq:   int(c.I64()),
+		Start: time.Unix(0, c.I64()).UTC(),
+		End:   time.Unix(0, c.I64()).UTC(),
+		Rows:  int(c.U32()),
+	}
+	c.U32() // reserved
+	if manifested {
+		s.offset = c.I64()
+	}
+	s.length = c.I64()
+	return s
 }
 
 // readHeader parses and validates the 32-byte LPA1 header — the one parse
@@ -369,18 +384,32 @@ func readHeader(r io.ReaderAt, size int64) (Meta, error) {
 	if _, err := r.ReadAt(hdr, 0); err != nil {
 		return Meta{}, fmt.Errorf("archive: read header: %w", err)
 	}
-	if [4]byte(hdr[:4]) != headerMagic {
+	c := binfmt.NewCursor("archive", hdr)
+	if [4]byte(c.Take(4)) != headerMagic {
 		return Meta{}, fmt.Errorf("archive: bad magic %q", hdr[:4])
 	}
-	meta := Meta{
-		Width:    time.Duration(binary.LittleEndian.Uint64(hdr[8:])),
-		Hop:      time.Duration(binary.LittleEndian.Uint64(hdr[16:])),
-		Lateness: time.Duration(binary.LittleEndian.Uint64(hdr[24:])),
-	}
+	c.U32() // flags
+	meta := readMeta(c)
 	if meta.Width < 0 || meta.Hop < 0 || meta.Lateness < 0 {
 		return Meta{}, fmt.Errorf("archive: negative window geometry in header")
 	}
-	return meta, nil
+	return meta, c.Done()
+}
+
+// appendMeta and readMeta are the window geometry as the LPA1 header and
+// the LPS1 store manifest both carry it: width i64 | hop i64 | lateness i64.
+func appendMeta(b []byte, meta Meta) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(meta.Width))
+	b = binary.LittleEndian.AppendUint64(b, uint64(meta.Hop))
+	return binary.LittleEndian.AppendUint64(b, uint64(meta.Lateness))
+}
+
+func readMeta(c *binfmt.Cursor) Meta {
+	return Meta{
+		Width:    time.Duration(c.I64()),
+		Hop:      time.Duration(c.I64()),
+		Lateness: time.Duration(c.I64()),
+	}
 }
 
 // eventTimeLess is the replay order — ascending (Start, Seq) — within one

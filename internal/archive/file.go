@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/binfmt"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -14,15 +15,16 @@ import (
 // capture. A single-file archive is one FileWriter; a StoreWriter runs one
 // per segment; the resume salvage rewrites a torn segment through one. It
 // appends to a temporary and Close commits it: archive manifest + trailer,
-// fsync, close, rename onto the final path, fsync of the parent directory.
+// then binfmt.Commit — fsync, close, rename onto the final path, fsync of
+// the parent directory.
 // Abort, or a Close that fails, leaves the temporary on disk for salvage
 // and never touches the final path.
 type FileWriter struct {
-	tmp, path string
-	f         *os.File // nil once committed or aborted
-	aw        *Writer
-	entry     segEntry
-	err       error
+	path  string
+	f     *os.File // the temporary; nil once committed or aborted
+	aw    *Writer
+	entry segEntry
+	err   error
 }
 
 // CreateFile starts a capture that Close commits to path. It is written to
@@ -44,7 +46,7 @@ func createFile(tmp, path string, meta Meta, flag int) (*FileWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileWriter{tmp: tmp, path: path, f: f, aw: aw, entry: segEntry{sum: newSegSummary()}}, nil
+	return &FileWriter{path: path, f: f, aw: aw, entry: segEntry{sum: newSegSummary()}}, nil
 }
 
 // Append archives one window; windows arrive in emission (seq) order.
@@ -59,7 +61,8 @@ func (fw *FileWriter) Append(seq int, start, end time.Time, f *flow.Frame) error
 // SetAnchor records the session's event-time grid origin for the trailer.
 func (fw *FileWriter) SetAnchor(t time.Time) { fw.aw.SetAnchor(t) }
 
-// Close commits the file. Idempotent and sticky, like Writer.Close.
+// Close commits the file: the archive trailer, then binfmt.Commit with the
+// directory fsync. Idempotent and sticky, like Writer.Close.
 func (fw *FileWriter) Close() error {
 	if fw.f == nil {
 		return fw.err
@@ -67,17 +70,10 @@ func (fw *FileWriter) Close() error {
 	f := fw.f
 	fw.f = nil
 	err := fw.aw.Close()
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(fw.tmp, fw.path)
-	}
-	if err == nil {
-		err = syncDir(filepath.Dir(fw.path))
+	if err != nil {
+		f.Close()
+	} else {
+		err = binfmt.Commit(f, fw.path, true)
 	}
 	if err != nil {
 		fw.err = fmt.Errorf("archive: commit %s: %w", filepath.Base(fw.path), err)
@@ -98,20 +94,6 @@ func (fw *FileWriter) Abort() {
 // segment returns the store-manifest entry for what has been appended.
 func (fw *FileWriter) segment(index int) StoreSegment {
 	return fw.entry.finish(index, fw.aw.Bytes())
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err == nil {
-		err = d.Sync()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("archive: sync dir: %w", err)
-	}
-	return nil
 }
 
 // openFile opens one LPA1 file and parses it: strictly, or (lenient)

@@ -1,12 +1,12 @@
 package archive
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/binfmt"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -59,7 +59,7 @@ func Recover(r io.ReaderAt, size int64) (*Reader, *RecoveryReport, error) {
 	var (
 		segs    []Segment
 		off     = int64(headerSize)
-		lastSeq = int64(math.MinInt64)
+		lastSeq = math.MinInt
 		reason  = "end of data"
 	)
 	var sh [segHeaderSize]byte
@@ -75,49 +75,39 @@ scan:
 			reason = fmt.Sprintf("read segment header at offset %d: %v", off, err)
 			break
 		}
-		seq := int64(binary.LittleEndian.Uint64(sh[0:]))
-		start := int64(binary.LittleEndian.Uint64(sh[8:]))
-		end := int64(binary.LittleEndian.Uint64(sh[16:]))
-		rows := int64(binary.LittleEndian.Uint32(sh[24:]))
-		frameLen := int64(binary.LittleEndian.Uint64(sh[32:]))
+		seg := readSegment(binfmt.NewCursor("archive", sh[:]), false)
+		seg.offset = off + segHeaderSize
 		switch {
-		case seq <= lastSeq:
+		case seg.Seq <= lastSeq:
 			// Also what a manifest entry or trailer parses as after the
 			// last segment of a cleanly closed file: the scan stops there
 			// rather than misreading bookkeeping bytes as a segment.
-			reason = fmt.Sprintf("segment seq %d not after previous at offset %d", seq, off)
+			reason = fmt.Sprintf("segment seq %d not after previous at offset %d", seg.Seq, off)
 			break scan
-		case frameLen < int64(flow.FrameOverhead):
-			reason = fmt.Sprintf("implausible frame length %d at offset %d", frameLen, off)
+		case seg.length < int64(flow.FrameOverhead):
+			reason = fmt.Sprintf("implausible frame length %d at offset %d", seg.length, off)
 			break scan
-		case frameLen > size-off-segHeaderSize:
-			reason = fmt.Sprintf("segment at offset %d claims %d frame bytes, only %d remain", off, frameLen, size-off-segHeaderSize)
+		case seg.length > size-seg.offset:
+			reason = fmt.Sprintf("segment at offset %d claims %d frame bytes, only %d remain", off, seg.length, size-seg.offset)
 			break scan
 		}
 		var magic [4]byte
-		if _, err := r.ReadAt(magic[:], off+segHeaderSize); err != nil || magic != flow.FrameMagic {
+		if _, err := r.ReadAt(magic[:], seg.offset); err != nil || magic != flow.FrameMagic {
 			reason = fmt.Sprintf("segment at offset %d does not hold a frame blob", off)
 			break
 		}
-		f, err := flow.ReadFrame(io.NewSectionReader(r, off+segHeaderSize, frameLen))
+		f, err := flow.ReadFrame(io.NewSectionReader(r, seg.offset, seg.length))
 		if err != nil {
 			reason = fmt.Sprintf("segment at offset %d: %v", off, err)
 			break
 		}
-		if int64(f.Len()) != rows {
-			reason = fmt.Sprintf("segment at offset %d holds %d rows, header says %d", off, f.Len(), rows)
+		if f.Len() != seg.Rows {
+			reason = fmt.Sprintf("segment at offset %d holds %d rows, header says %d", off, f.Len(), seg.Rows)
 			break
 		}
-		segs = append(segs, Segment{
-			Seq:    int(seq),
-			Start:  time.Unix(0, start).UTC(),
-			End:    time.Unix(0, end).UTC(),
-			Rows:   int(rows),
-			offset: off + segHeaderSize,
-			length: frameLen,
-		})
-		lastSeq = seq
-		off += segHeaderSize + frameLen
+		segs = append(segs, seg)
+		lastSeq = seg.Seq
+		off = seg.offset + seg.length
 	}
 
 	rep := &RecoveryReport{

@@ -51,12 +51,13 @@ package archive
 // FileWriter) and rotates lazily: when an Append finds the current segment
 // already past a rotation bound (windows, bytes, or event-time span), it
 // finalizes that segment first — FileWriter.Close: manifest + trailer
-// written, file fsynced, renamed to its final name, directory fsynced —
-// rewrites the store manifest atomically and starts a fresh one. Rotating before the new append (rather than
-// after) keeps the crash contract aligned with the session checkpoint: a
-// segment is only ever finalized between the checkpoint of its last window
-// and the append of the next, so salvage-at-resume never has to un-write a
-// finalized file. Retention prunes the oldest finalized segments (never
+// written, then binfmt.Commit (file fsynced, renamed to its final name,
+// directory fsynced) — rewrites the store manifest atomically
+// (binfmt.WriteFile) and starts a fresh one. Rotating before the new append
+// (rather than after) keeps the crash contract aligned with the session
+// checkpoint: a segment is only ever finalized between the checkpoint of its
+// last window and the append of the next, so salvage-at-resume never has to
+// un-write a finalized file. Retention prunes the oldest finalized segments (never
 // the newest) once the finalized count or byte total exceeds the policy.
 //
 // A crashed writer leaves finalized segments, a possibly stale manifest
@@ -76,6 +77,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/binfmt"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -284,9 +286,7 @@ func encodeStoreManifest(meta Meta, anchor int64, next int, segs []StoreSegment)
 	b := make([]byte, 0, n)
 	b = append(b, storeMagic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, 0)
-	b = binary.LittleEndian.AppendUint64(b, uint64(meta.Width))
-	b = binary.LittleEndian.AppendUint64(b, uint64(meta.Hop))
-	b = binary.LittleEndian.AppendUint64(b, uint64(meta.Lateness))
+	b = appendMeta(b, meta)
 	b = binary.LittleEndian.AppendUint64(b, uint64(anchor))
 	b = binary.LittleEndian.AppendUint32(b, uint32(next))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(segs)))
@@ -309,11 +309,10 @@ func encodeStoreManifest(meta Meta, anchor int64, next int, segs []StoreSegment)
 		b = append(b, flags, 0, 0, 0)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Pairs)))
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Switches)))
-		for _, k := range s.Pairs {
-			b = binary.LittleEndian.AppendUint64(b, k)
-		}
-		for _, k := range s.Switches {
-			b = binary.LittleEndian.AppendUint64(b, k)
+		for _, keys := range [][]uint64{s.Pairs, s.Switches} {
+			for _, k := range keys {
+				b = binary.LittleEndian.AppendUint64(b, k)
+			}
 		}
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
@@ -323,125 +322,105 @@ func encodeStoreManifest(meta Meta, anchor int64, next int, segs []StoreSegment)
 // decodeStoreManifest parses and validates a manifest strictly; every
 // accepted input re-encodes to the identical bytes.
 func decodeStoreManifest(b []byte) (meta Meta, anchor int64, next int, segs []StoreSegment, err error) {
-	fail := func(format string, args ...any) (Meta, int64, int, []StoreSegment, error) {
-		return Meta{}, 0, 0, nil, fmt.Errorf("archive: store manifest: "+format, args...)
+	c, err := binfmt.Open("archive: store manifest", b, storeMagic)
+	if err != nil {
+		return Meta{}, 0, 0, nil, err
 	}
-	if len(b) < storeHeaderSize+storeTrailerSize {
-		return fail("%d bytes is too small", len(b))
+	if flags := c.U32(); flags != 0 {
+		c.Fail("unknown flags %#x", flags)
 	}
-	if [4]byte(b[:4]) != storeMagic {
-		return fail("bad magic %q", b[:4])
-	}
-	if flags := binary.LittleEndian.Uint32(b[4:]); flags != 0 {
-		return fail("unknown flags %#x", flags)
-	}
-	payload, tail := b[:len(b)-storeTrailerSize], b[len(b)-storeTrailerSize:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tail); got != want {
-		return fail("checksum mismatch: file %08x, computed %08x", want, got)
-	}
-	meta = Meta{
-		Width:    time.Duration(binary.LittleEndian.Uint64(b[8:])),
-		Hop:      time.Duration(binary.LittleEndian.Uint64(b[16:])),
-		Lateness: time.Duration(binary.LittleEndian.Uint64(b[24:])),
-	}
+	meta = readMeta(c)
 	if meta.Width <= 0 || meta.Hop <= 0 || meta.Hop > meta.Width || meta.Lateness < 0 {
-		return fail("invalid window geometry %+v", meta)
+		c.Fail("invalid window geometry %+v", meta)
 	}
-	anchor = int64(binary.LittleEndian.Uint64(b[32:]))
-	next = int(binary.LittleEndian.Uint32(b[40:]))
-	count := int(binary.LittleEndian.Uint32(b[44:]))
+	anchor = c.I64()
+	next = int(c.U32())
 	if next < 1 {
-		return fail("next segment index %d below 1", next)
+		c.Fail("next segment index %d below 1", next)
 	}
+	count := c.Count(storeEntryFixed, "entry")
 	if count > maxStoreSegments {
-		return fail("entry count %d exceeds limit %d", count, maxStoreSegments)
+		c.Fail("entry count %d exceeds limit %d", count, maxStoreSegments)
 	}
-	rest := payload[storeHeaderSize:]
-	segs = make([]StoreSegment, 0, min(count, len(rest)/storeEntryFixed+1))
-	for e := 0; e < count; e++ {
-		if len(rest) < storeEntryFixed {
-			return fail("truncated entry %d", e)
-		}
+	segs = make([]StoreSegment, 0, count)
+	for e := 0; e < count && c.Err() == nil; e++ {
 		s := StoreSegment{
-			Index:    int(binary.LittleEndian.Uint32(rest[0:])),
-			Windows:  int(binary.LittleEndian.Uint32(rest[4:])),
-			FirstSeq: int(int64(binary.LittleEndian.Uint64(rest[8:]))),
-			LastSeq:  int(int64(binary.LittleEndian.Uint64(rest[16:]))),
-			MinStart: time.Unix(0, int64(binary.LittleEndian.Uint64(rest[24:]))).UTC(),
-			MaxEnd:   time.Unix(0, int64(binary.LittleEndian.Uint64(rest[32:]))).UTC(),
-			Bytes:    int64(binary.LittleEndian.Uint64(rest[40:])),
+			Index:    int(c.U32()),
+			Windows:  int(c.U32()),
+			FirstSeq: int(c.I64()),
+			LastSeq:  int(c.I64()),
+			MinStart: time.Unix(0, c.I64()).UTC(),
+			MaxEnd:   time.Unix(0, c.I64()).UTC(),
+			Bytes:    c.I64(),
 		}
-		flags := rest[48]
-		if flags&^byte(sumFlagPairOver|sumFlagSwitchOver) != 0 {
-			return fail("entry %d: unknown summary flags %#x", e, flags)
-		}
-		if rest[49] != 0 || rest[50] != 0 || rest[51] != 0 {
-			return fail("entry %d: nonzero padding", e)
+		flags := c.U8()
+		pad := c.Take(3)
+		pairCount := int(c.U32())
+		switchCount := int(c.U32())
+		if c.Err() != nil {
+			break
 		}
 		s.PairOverflow = flags&sumFlagPairOver != 0
 		s.SwitchOverflow = flags&sumFlagSwitchOver != 0
-		pairCount := int(binary.LittleEndian.Uint32(rest[52:]))
-		switchCount := int(binary.LittleEndian.Uint32(rest[56:]))
-		rest = rest[storeEntryFixed:]
 		switch {
+		case flags&^byte(sumFlagPairOver|sumFlagSwitchOver) != 0:
+			c.Fail("entry %d: unknown summary flags %#x", e, flags)
+		case pad[0] != 0 || pad[1] != 0 || pad[2] != 0:
+			c.Fail("entry %d: nonzero padding", e)
 		case s.Index < 1:
-			return fail("entry %d: segment index %d below 1", e, s.Index)
+			c.Fail("entry %d: segment index %d below 1", e, s.Index)
 		case len(segs) > 0 && s.Index <= segs[len(segs)-1].Index:
-			return fail("entry %d: segment index %d not after previous %d", e, s.Index, segs[len(segs)-1].Index)
+			c.Fail("entry %d: segment index %d not after previous %d", e, s.Index, segs[len(segs)-1].Index)
 		case s.Windows < 1:
-			return fail("entry %d: empty segment", e)
+			c.Fail("entry %d: empty segment", e)
 		case s.FirstSeq < 0 || s.LastSeq-s.FirstSeq+1 != s.Windows:
-			return fail("entry %d: seq range %d..%d inconsistent with %d windows", e, s.FirstSeq, s.LastSeq, s.Windows)
+			c.Fail("entry %d: seq range %d..%d inconsistent with %d windows", e, s.FirstSeq, s.LastSeq, s.Windows)
 		case len(segs) > 0 && s.FirstSeq != segs[len(segs)-1].LastSeq+1:
-			return fail("entry %d: seq %d not contiguous with previous segment's %d", e, s.FirstSeq, segs[len(segs)-1].LastSeq)
+			c.Fail("entry %d: seq %d not contiguous with previous segment's %d", e, s.FirstSeq, segs[len(segs)-1].LastSeq)
 		case !s.MinStart.Before(s.MaxEnd):
-			return fail("entry %d: empty event-time range", e)
+			c.Fail("entry %d: empty event-time range", e)
 		case s.Bytes < int64(headerSize+trailerSize):
-			return fail("entry %d: implausible segment size %d", e, s.Bytes)
+			c.Fail("entry %d: implausible segment size %d", e, s.Bytes)
 		case s.PairOverflow && pairCount != 0, s.SwitchOverflow && switchCount != 0:
-			return fail("entry %d: overflowed summary carries keys", e)
+			c.Fail("entry %d: overflowed summary carries keys", e)
 		case pairCount > MaxStoreSummary || switchCount > MaxStoreSummary:
-			return fail("entry %d: summary counts %d/%d exceed limit %d", e, pairCount, switchCount, MaxStoreSummary)
+			c.Fail("entry %d: summary counts %d/%d exceed limit %d", e, pairCount, switchCount, MaxStoreSummary)
+		case 8*(pairCount+switchCount) > c.Left():
+			c.Fail("entry %d: truncated summaries", e)
 		}
-		if len(rest) < 8*(pairCount+switchCount) {
-			return fail("entry %d: truncated summaries", e)
-		}
-		s.Pairs, rest, err = decodeKeys(rest, pairCount, e, "pair")
-		if err != nil {
-			return fail("%v", err)
-		}
+		s.Pairs = decodeKeys(c, pairCount, e, "pair")
 		for _, k := range s.Pairs {
 			if k>>32 > k&0xffffffff {
-				return fail("entry %d: non-canonical pair key %#x", e, k)
+				c.Fail("entry %d: non-canonical pair key %#x", e, k)
 			}
 		}
-		s.Switches, rest, err = decodeKeys(rest, switchCount, e, "switch")
-		if err != nil {
-			return fail("%v", err)
-		}
+		s.Switches = decodeKeys(c, switchCount, e, "switch")
 		segs = append(segs, s)
 	}
-	if len(rest) != 0 {
-		return fail("%d trailing bytes after %d entries", len(rest), count)
-	}
 	if len(segs) > 0 && next <= segs[len(segs)-1].Index {
-		return fail("next segment index %d not past last entry's %d", next, segs[len(segs)-1].Index)
+		c.Fail("next segment index %d not past last entry's %d", next, segs[len(segs)-1].Index)
+	}
+	if err := c.Done(); err != nil {
+		return Meta{}, 0, 0, nil, err
 	}
 	return meta, anchor, next, segs, nil
 }
 
-func decodeKeys(b []byte, n, entry int, kind string) ([]uint64, []byte, error) {
-	if n == 0 {
-		return nil, b, nil
+// decodeKeys reads one summary list of n keys — the caller has checked
+// that they fit in the bytes that remain — and fails the cursor unless
+// they are sorted ascending and distinct. No keys decode to nil.
+func decodeKeys(c *binfmt.Cursor, n, entry int, kind string) []uint64 {
+	if n == 0 || c.Err() != nil {
+		return nil
 	}
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = binary.LittleEndian.Uint64(b[8*i:])
+		keys[i] = c.U64()
 		if i > 0 && keys[i] <= keys[i-1] {
-			return nil, nil, fmt.Errorf("entry %d: %s summary not sorted-distinct", entry, kind)
+			c.Fail("entry %d: %s summary not sorted-distinct", entry, kind)
 		}
 	}
-	return keys, b[8*n:], nil
+	return keys
 }
 
 // ReadStoreManifest reads and strictly decodes a store directory's

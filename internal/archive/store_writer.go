@@ -3,12 +3,14 @@ package archive
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/binfmt"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -168,7 +170,7 @@ func (sw *StoreWriter) prune() error {
 			return sw.fail(fmt.Errorf("archive: prune segment: %w", err))
 		}
 	}
-	return sw.fail(syncDir(sw.dir))
+	return sw.fail(binfmt.SyncDir(sw.dir))
 }
 
 // Close finalizes the open segment (if any) and persists the manifest.
@@ -209,32 +211,18 @@ func (sw *StoreWriter) fail(err error) error {
 	return sw.err
 }
 
+// writeManifest replaces the store manifest atomically and durably
+// (binfmt.WriteFile with the directory fsync).
 func (sw *StoreWriter) writeManifest() error {
 	b := encodeStoreManifest(sw.meta, anchorNanos(sw.anchor), sw.next, sw.segs)
-	return sw.fail(writeFileAtomic(filepath.Join(sw.dir, StoreManifestName), b))
-}
-
-func writeFileAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	err := binfmt.WriteFile(filepath.Join(sw.dir, StoreManifestName), true, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("archive: write %s: %w", filepath.Base(path), err)
+		return sw.fail(fmt.Errorf("archive: write %s: %w", StoreManifestName, err))
 	}
-	_, werr := f.Write(b)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("archive: write %s: %w", filepath.Base(path), werr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("archive: write %s: %w", filepath.Base(path), err)
-	}
-	return syncDir(filepath.Dir(path))
+	return nil
 }
 
 // ResumeStoreWriter reopens a store for continued appending after a crash
@@ -390,7 +378,7 @@ func salvageTmp(dir string, idx int, meta Meta, anchor time.Time, prevLast, resu
 		err = os.Remove(tmpPath)
 	}
 	if err == nil {
-		err = syncDir(dir)
+		err = binfmt.SyncDir(dir)
 	}
 	return out.segment(idx), discarded, err
 }

@@ -48,9 +48,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/binfmt"
 	"github.com/llmprism/llmprism/internal/core/diagnose"
 	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/localize"
@@ -216,85 +216,23 @@ func Write(w io.Writer, c *Checkpoint) error {
 	return err
 }
 
-// cursor is a strict sequential decoder: every read is bounds-checked and
-// the caller verifies full consumption at the end.
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("checkpoint: "+format, args...)
-	}
-}
-
-func (c *cursor) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || len(c.b)-c.off < n {
-		c.fail("truncated at offset %d (need %d bytes, %d left)", c.off, n, len(c.b)-c.off)
-		return nil
-	}
-	p := c.b[c.off : c.off+n]
-	c.off += n
-	return p
-}
-
-func (c *cursor) u8() byte {
-	if p := c.take(1); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
-func (c *cursor) u32() uint32 {
-	if p := c.take(4); p != nil {
-		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
-}
-
-func (c *cursor) u64() uint64 {
-	if p := c.take(8); p != nil {
-		return binary.LittleEndian.Uint64(p)
-	}
-	return 0
-}
-
-func (c *cursor) i64() int64 { return int64(c.u64()) }
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-func (c *cursor) time() time.Time {
-	v := c.i64()
+// readTime is putTime's inverse.
+func readTime(c *binfmt.Cursor) time.Time {
+	v := c.I64()
 	if v == zeroTime {
 		return time.Time{}
 	}
 	return time.Unix(0, v).UTC()
 }
 
-// count reads an element count and rejects one that could not fit in the
-// remaining bytes at unit bytes per element, so a forged count fails here
-// instead of committing decode memory.
-func (c *cursor) count(unit int, what string) int {
-	n := int(c.u32())
-	if c.err == nil && n*unit > len(c.b)-c.off {
-		c.fail("%s count %d exceeds remaining %d bytes", what, n, len(c.b)-c.off)
-		return 0
-	}
-	return n
-}
-
-func (c *cursor) component() localize.Component {
+// readComponent is putComponent's inverse.
+func readComponent(c *binfmt.Cursor) localize.Component {
 	return localize.Component{
-		Kind:   localize.ComponentKind(c.u8()),
-		Switch: flow.SwitchID(c.i64()),
-		A:      flow.SwitchID(c.i64()),
-		B:      flow.SwitchID(c.i64()),
-		Host:   flow.Addr(c.u32()),
+		Kind:   localize.ComponentKind(c.U8()),
+		Switch: flow.SwitchID(c.I64()),
+		A:      flow.SwitchID(c.I64()),
+		B:      flow.SwitchID(c.I64()),
+		Host:   flow.Addr(c.U32()),
 	}
 }
 
@@ -305,158 +243,135 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read: %w", err)
 	}
-	if len(b) < 8+4 {
-		return nil, fmt.Errorf("checkpoint: %d bytes is too small", len(b))
+	cur, err := binfmt.Open("checkpoint", b, magic)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(b[:4]) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", b[:4])
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, Version)
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("checkpoint: checksum mismatch: file %08x, computed %08x", want, got)
+	if v := cur.U32(); v != Version {
+		cur.Fail("unsupported version %d (want %d)", v, Version)
 	}
 
-	cur := &cursor{b: body, off: 8}
 	c := &Checkpoint{}
-	c.Width = time.Duration(cur.i64())
-	c.Hop = time.Duration(cur.i64())
-	c.Lateness = time.Duration(cur.i64())
-	if cur.err == nil && (c.Width <= 0 || c.Hop <= 0 || c.Lateness < 0 || c.Hop > c.Width) {
-		cur.fail("invalid window geometry width=%v hop=%v lateness=%v", c.Width, c.Hop, c.Lateness)
+	c.Width = time.Duration(cur.I64())
+	c.Hop = time.Duration(cur.I64())
+	c.Lateness = time.Duration(cur.I64())
+	if cur.Err() == nil && (c.Width <= 0 || c.Hop <= 0 || c.Lateness < 0 || c.Hop > c.Width) {
+		cur.Fail("invalid window geometry width=%v hop=%v lateness=%v", c.Width, c.Hop, c.Lateness)
 	}
 
 	c.Engine = stream.State{
-		Anchor:   cur.i64(),
-		MaxEvent: cur.i64(),
-		NextK:    cur.i64(),
-		Seq:      int(cur.i64()),
-		Late:     cur.u64(),
-		Skipped:  cur.u64(),
+		Anchor:   cur.I64(),
+		MaxEvent: cur.I64(),
+		NextK:    cur.I64(),
+		Seq:      int(cur.I64()),
+		Late:     cur.U64(),
+		Skipped:  cur.U64(),
 	}
-	if cur.err == nil && c.Engine.Seq < 0 {
-		cur.fail("negative emission index %d", c.Engine.Seq)
+	if cur.Err() == nil && c.Engine.Seq < 0 {
+		cur.Fail("negative emission index %d", c.Engine.Seq)
 	}
 
-	c.Registry.Next = jobrec.JobID(cur.i64())
-	njobs := cur.count(8+8+8+4, "job")
-	for i := 0; i < njobs && cur.err == nil; i++ {
+	c.Registry.Next = jobrec.JobID(cur.I64())
+	njobs := cur.Count(8+8+8+4, "job")
+	for i := 0; i < njobs && cur.Err() == nil; i++ {
 		j := jobrec.JobSnapshot{
-			ID:        jobrec.JobID(cur.i64()),
-			FirstSeen: cur.time(),
-			LastSeq:   int(cur.i64()),
+			ID:        jobrec.JobID(cur.I64()),
+			FirstSeen: readTime(cur),
+			LastSeq:   int(cur.I64()),
 		}
-		nend := cur.count(4, "endpoint")
-		for k := 0; k < nend && cur.err == nil; k++ {
-			j.Endpoints = append(j.Endpoints, flow.Addr(cur.u32()))
+		nend := cur.Count(4, "endpoint")
+		for k := 0; k < nend && cur.Err() == nil; k++ {
+			j.Endpoints = append(j.Endpoints, flow.Addr(cur.U32()))
 		}
 		c.Registry.Jobs = append(c.Registry.Jobs, j)
 	}
 
-	c.Incidents.Seq = int(cur.i64())
-	c.Incidents.FirstAlertSeq = int(cur.i64())
-	nincs := cur.count(8+1+4+8+8+8+8+1+8+4, "incident")
-	for i := 0; i < nincs && cur.err == nil; i++ {
+	c.Incidents.Seq = int(cur.I64())
+	c.Incidents.FirstAlertSeq = int(cur.I64())
+	nincs := cur.Count(8+1+4+8+8+8+8+1+8+4, "incident")
+	for i := 0; i < nincs && cur.Err() == nil; i++ {
 		var o diagnose.OpenIncident
 		o.Incident.Key = diagnose.IncidentKey{
-			Job:    int(cur.i64()),
-			Kind:   diagnose.AlertKind(cur.u8()),
-			Rank:   flow.Addr(cur.u32()),
-			Switch: flow.SwitchID(cur.i64()),
+			Job:    int(cur.I64()),
+			Kind:   diagnose.AlertKind(cur.U8()),
+			Rank:   flow.Addr(cur.U32()),
+			Switch: flow.SwitchID(cur.I64()),
 		}
-		o.Incident.FirstSeen = cur.time()
-		o.Incident.LastSeen = cur.time()
-		o.Incident.Windows = int(cur.i64())
-		flags := cur.u8()
+		o.Incident.FirstSeen = readTime(cur)
+		o.Incident.LastSeen = readTime(cur)
+		o.Incident.Windows = int(cur.I64())
+		flags := cur.U8()
 		o.Incident.StillFiring = flags&1 != 0
 		o.Incident.Chronic = flags&2 != 0
-		if cur.err == nil && flags&^byte(3) != 0 {
-			cur.fail("unknown incident flags %#x", flags)
+		if cur.Err() == nil && flags&^byte(3) != 0 {
+			cur.Fail("unknown incident flags %#x", flags)
 		}
-		o.OpenedSeq = int(cur.i64())
-		ndetail := cur.count(1, "detail byte")
-		if p := cur.take(ndetail); p != nil {
+		o.OpenedSeq = int(cur.I64())
+		ndetail := cur.Count(1, "detail byte")
+		if p := cur.Take(ndetail); p != nil {
 			o.Incident.Detail = string(p)
 		}
 		c.Incidents.Open = append(c.Incidents.Open, o)
 	}
 
 	const componentSize = 1 + 8 + 8 + 8 + 4
-	switch cur.u8() {
+	switch cur.U8() {
 	case 0:
 	case 1:
 		c.Suspects = &localize.TrackerSnapshot{}
-		n := cur.count(componentSize*2+8*13, "suspect track")
-		for i := 0; i < n && cur.err == nil; i++ {
+		n := cur.Count(componentSize*2+8*13, "suspect track")
+		for i := 0; i < n && cur.Err() == nil; i++ {
 			tr := localize.TrackSnapshot{
-				Component: cur.component(),
-				FirstSeen: cur.time(),
-				Windows:   int(cur.i64()),
-				Fused:     cur.f64(),
-				Missed:    int(cur.i64()),
+				Component: readComponent(cur),
+				FirstSeen: readTime(cur),
+				Windows:   int(cur.I64()),
+				Fused:     cur.F64(),
+				Missed:    int(cur.I64()),
 			}
 			tr.Last = localize.Suspect{
-				Component:  cur.component(),
-				Score:      cur.f64(),
-				Coverage:   cur.f64(),
-				Contrast:   cur.f64(),
-				Implicated: int(cur.i64()),
-				Healthy:    int(cur.i64()),
-				FirstSeen:  cur.time(),
-				Windows:    int(cur.i64()),
-				Fused:      cur.f64(),
+				Component:  readComponent(cur),
+				Score:      cur.F64(),
+				Coverage:   cur.F64(),
+				Contrast:   cur.F64(),
+				Implicated: int(cur.I64()),
+				Healthy:    int(cur.I64()),
+				FirstSeen:  readTime(cur),
+				Windows:    int(cur.I64()),
+				Fused:      cur.F64(),
 			}
 			c.Suspects.Tracks = append(c.Suspects.Tracks, tr)
 		}
 	default:
-		cur.fail("invalid suspects presence byte")
+		cur.Fail("invalid suspects presence byte")
 	}
 
-	switch cur.u8() {
+	switch cur.U8() {
 	case 0:
 	case 1:
 		c.Coverage = &CoverageState{}
-		n := cur.count(8, "coverage window")
-		for i := 0; i < n && cur.err == nil; i++ {
-			c.Coverage.Recent = append(c.Coverage.Recent, cur.i64())
+		n := cur.Count(8, "coverage window")
+		for i := 0; i < n && cur.Err() == nil; i++ {
+			c.Coverage.Recent = append(c.Coverage.Recent, cur.I64())
 		}
 	default:
-		cur.fail("invalid coverage presence byte")
+		cur.Fail("invalid coverage presence byte")
 	}
 
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	if cur.off != len(body) {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes", len(body)-cur.off)
+	if err := cur.Done(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// Save writes the checkpoint to path atomically: a temp file in the same
-// directory, fsynced, then renamed over the target — a crash mid-write
-// leaves either the previous checkpoint or none, never a torn one.
+// Save replaces the checkpoint at path atomically (binfmt.WriteFile: the
+// bytes go to path+".tmp", which binfmt.Commit fsyncs and renames over the
+// target) — a crash mid-write leaves the previous checkpoint or none, never
+// a torn one, and at most one stray temporary. The directory is not
+// fsynced: after a power loss the previous checkpoint may be the one that
+// survives.
 func Save(path string, c *Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	err := binfmt.WriteFile(path, false, func(w io.Writer) error { return Write(w, c) })
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := Write(tmp, c); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

@@ -219,6 +219,40 @@ func TestCheckpointSaveLoadAtomic(t *testing.T) {
 	}
 }
 
+// TestCheckpointSaveReusesOneTemporary pins the bound on strays: Save
+// writes through the fixed, truncated path+".tmp", so a temporary left by
+// a process killed mid-save is replaced by the next save rather than
+// joined by another, and any number of saves leave the checkpoint alone in
+// its directory.
+func TestCheckpointSaveReusesOneTemporary(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "east.llpk")
+	if err := os.WriteFile(path+".tmp", bytes.Repeat([]byte("torn by a crash "), 200), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	c := sampleCheckpoint()
+	for i := 0; i < 100; i++ {
+		c.Engine.Seq++
+		c.Engine.NextK++
+		if err := Save(path, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "east.llpk" {
+		t.Errorf("directory holds %v after 100 saves over a stray temporary", entries)
+	}
+	if got, err := Load(path); err != nil || !reflect.DeepEqual(got, c) {
+		t.Errorf("reload after 100 saves: %v", err)
+	}
+	if err := Save(filepath.Join(dir, "missing", "east.llpk"), c); err == nil {
+		t.Error("save into a missing directory succeeded")
+	}
+}
+
 // FuzzCheckpointRead holds the decoder to the strict-decoder bar:
 // arbitrary bytes either fail or decode to a checkpoint that re-encodes
 // to the identical bytes.

@@ -96,19 +96,6 @@ func ReduceScatter(n int, buckets []int64, rings [][]int) []Transfer {
 	return phaseTransfers(n, buckets, rings, PhaseReduceScatter)
 }
 
-// AllGather decomposes a bucketed ring all-gather over n members into
-// transfers. The wire volume is identical in shape to reduce-scatter.
-func AllGather(n int, buckets []int64, rings [][]int) []Transfer {
-	return phaseTransfers(n, buckets, rings, PhaseAllGather)
-}
-
-// AllReduce is a ring all-reduce: reduce-scatter followed by all-gather of
-// the same buffer (classic DDP gradient synchronization).
-func AllReduce(n int, buckets []int64, rings [][]int) []Transfer {
-	out := phaseTransfers(n, buckets, rings, PhaseReduceScatter)
-	return append(out, phaseTransfers(n, buckets, rings, PhaseAllGather)...)
-}
-
 func phaseTransfers(n int, buckets []int64, rings [][]int, phase Phase) []Transfer {
 	if n <= 1 || len(rings) == 0 {
 		return nil
@@ -142,29 +129,4 @@ func phaseTransfers(n int, buckets []int64, rings [][]int, phase Phase) []Transf
 		}
 	}
 	return out
-}
-
-// EdgeSet returns the distinct undirected member pairs used by the rings,
-// encoded as from*n+to with from < to.
-func EdgeSet(n int, rings [][]int) map[int]struct{} {
-	edges := make(map[int]struct{})
-	for _, succ := range rings {
-		for from := 0; from < n; from++ {
-			a, b := from, succ[from]
-			if a > b {
-				a, b = b, a
-			}
-			edges[a*n+b] = struct{}{}
-		}
-	}
-	return edges
-}
-
-// TotalBytes sums the payload of transfers.
-func TotalBytes(ts []Transfer) int64 {
-	var sum int64
-	for _, t := range ts {
-		sum += t.Bytes
-	}
-	return sum
 }

@@ -76,7 +76,12 @@ func TestMultiRingEdgeDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := EdgeSet(16, rings)
+	edges := make(map[[2]int]struct{})
+	for _, succ := range rings {
+		for from, to := range succ {
+			edges[[2]int{min(from, to), max(from, to)}] = struct{}{}
+		}
+	}
 	if len(edges) != 32 {
 		t.Errorf("2 rings over 16 members produced %d distinct undirected edges, want 32", len(edges))
 	}
@@ -110,7 +115,10 @@ func TestTransferVolumeMatchesRingAlgebra(t *testing.T) {
 	rings, _ := Rings(n, 2)
 	bucket := int64(1 << 24)
 	ts := ReduceScatter(n, []int64{bucket}, rings)
-	got := TotalBytes(ts)
+	var got int64
+	for _, tr := range ts {
+		got += tr.Bytes
+	}
 	want := bucket * (n - 1)
 	tolerance := int64(n * len(rings) * 2) // integer division slack
 	if got < want-tolerance || got > want+tolerance {
@@ -118,23 +126,11 @@ func TestTransferVolumeMatchesRingAlgebra(t *testing.T) {
 	}
 }
 
-func TestAllReduceIsBothPhases(t *testing.T) {
-	rings, _ := Rings(4, 1)
-	ts := AllReduce(4, []int64{1000}, rings)
-	counts := make(map[Phase]int)
-	for _, tr := range ts {
-		counts[tr.Phase]++
-	}
-	if counts[PhaseReduceScatter] != 4 || counts[PhaseAllGather] != 4 {
-		t.Errorf("phase counts = %v, want 4 of each", counts)
-	}
-}
-
 func TestDistinctSizesAcrossBuckets(t *testing.T) {
 	// Uneven buckets must produce multiple distinct transfer sizes —
 	// the signature Algorithm 2 uses to classify a pair as DP.
 	rings, _ := Rings(8, 2)
-	ts := AllReduce(8, []int64{1 << 26, 1 << 26, 1 << 22}, rings)
+	ts := ReduceScatter(8, []int64{1 << 26, 1 << 26, 1 << 22}, rings)
 	sizes := make(map[int64]struct{})
 	for _, tr := range ts {
 		sizes[tr.Bytes] = struct{}{}
@@ -195,11 +191,11 @@ func TestTransferEdgeConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkAllReduceDecomposition(b *testing.B) {
+func BenchmarkReduceScatterDecomposition(b *testing.B) {
 	rings, _ := Rings(16, 2)
 	buckets := []int64{1 << 28, 1 << 28, 1 << 28, 1 << 26}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AllReduce(16, buckets, rings)
+		ReduceScatter(16, buckets, rings)
 	}
 }

@@ -216,15 +216,3 @@ func dpComponents(types map[flow.Pair]Type) [][]flow.Addr {
 	})
 	return groups
 }
-
-// DPRecords filters a job's records to those between DP-classified pairs.
-// Records must be sorted; order is preserved.
-func DPRecords(records []flow.Record, types map[flow.Pair]Type) []flow.Record {
-	out := make([]flow.Record, 0, len(records))
-	for _, r := range records {
-		if types[r.Pair()] == TypeDP {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -115,23 +115,6 @@ func TestMinFlowsSkipsSparsePairs(t *testing.T) {
 	}
 }
 
-func TestDPRecordsFilter(t *testing.T) {
-	var records []flow.Record
-	records = stepFlows(records, 1, 2, 4, time.Second, []int64{100, 200}) // DP
-	records = stepFlows(records, 2, 3, 4, time.Second, []int64{300})      // PP
-	records = sorted(records)
-	cls := Identify(records, Config{})
-	dp := DPRecords(records, cls.Types)
-	if len(dp) != 8 {
-		t.Fatalf("DP records = %d, want 8", len(dp))
-	}
-	for _, r := range dp {
-		if r.Pair() != flow.MakePair(1, 2) {
-			t.Fatalf("non-DP record in filter: %+v", r)
-		}
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	if TypePP.String() != "PP" || TypeDP.String() != "DP" || Type(9).String() == "" {
 		t.Error("Type.String labels wrong")

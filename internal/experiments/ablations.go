@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism/internal/bocd"
-	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/erspan"
 	"github.com/llmprism/llmprism/internal/flow"
@@ -222,14 +221,13 @@ func AblationRingCount(ctx context.Context, opts Options) (*RingCountResult, err
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: A3: %w", err)
 			}
-			records := res.Window(40*time.Second, time.Minute)
-			perJob := jobrec.SplitRecords(records, jobrec.Recognize(records, res.Topo, jobrec.Config{}))
-			if len(perJob) == 0 {
+			views := jobViews(flow.NewFrame(res.Window(40*time.Second, time.Minute)), res.Topo)
+			if len(views) == 0 {
 				return cellResult{}, nil
 			}
 			tj := res.Truth.Jobs[0]
-			with := pairAccuracy(parallel.Identify(perJob[0], parallel.Config{}).Types, tj)
-			without := pairAccuracy(parallel.Identify(perJob[0], parallel.Config{DisableRefinement: true}).Types, tj)
+			with := pairAccuracy(parallel.IdentifyView(views[0], parallel.Config{}).Types, tj)
+			without := pairAccuracy(parallel.IdentifyView(views[0], parallel.Config{DisableRefinement: true}).Types, tj)
 			return cellResult{
 				accWith:    with.Accuracy(),
 				accWithout: without.Accuracy(),

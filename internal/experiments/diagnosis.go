@@ -3,17 +3,15 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/core/diagnose"
-	"github.com/llmprism/llmprism/internal/core/jobrec"
-	"github.com/llmprism/llmprism/internal/core/parallel"
-	"github.com/llmprism/llmprism/internal/core/timeline"
 	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/platform"
-	"github.com/llmprism/llmprism/internal/pool"
 	"github.com/llmprism/llmprism/internal/topology"
 )
 
@@ -89,65 +87,30 @@ func Diagnosis(ctx context.Context, opts Options) (*DiagnosisResult, error) {
 		SimWall:        time.Since(simStart),
 	}
 
-	clusters := jobrec.Recognize(res.Records, res.Topo, jobrec.Config{})
-	perJob := jobrec.SplitRecords(res.Records, clusters)
-
-	// Analyze the two victim jobs on the worker pool; folding the per-job
-	// partial counts in job order keeps the outcome identical to a
-	// sequential pass.
-	type jobDiag struct {
-		stepAlerts, stepInWindow int
-		groupAlerts              int
-		stragglerJob, slowGroup  bool
-	}
-	diags, err := pool.Map(ctx, opts.Workers, perJob,
-		func(ctx context.Context, i int, jobRecs []flow.Record) (jobDiag, error) {
-			cls := parallel.Identify(jobRecs, parallel.Config{})
-			tls := timeline.Reconstruct(jobRecs, cls.Types, timeline.Config{})
-			stepAlerts := diagnose.CrossStep(tls, diagnose.Config{})
-			groupAlerts := diagnose.CrossGroup(tls, cls.DPGroups, diagnose.Config{})
-
-			var d jobDiag
-			for _, a := range clusters[i].Endpoints {
-				if a == straggler {
-					d.stragglerJob = true
-				}
-			}
-			if d.stragglerJob {
-				d.stepAlerts = len(stepAlerts)
-				for _, a := range stepAlerts {
-					off := a.Time.Sub(res.Truth.Epoch)
-					if off >= 18*time.Second && off <= 42*time.Second {
-						d.stepInWindow++
-					}
-				}
-				return d, nil
-			}
-			d.groupAlerts = len(groupAlerts)
-			for _, a := range groupAlerts {
-				if a.Group < len(cls.DPGroups) {
-					for _, member := range cls.DPGroups[a.Group] {
-						if member == degraded {
-							d.slowGroup = true
-						}
-					}
-				}
-			}
-			return d, nil
-		})
+	report, err := llmprism.New(llmprism.WithWorkers(opts.Workers)).AnalyzeFrameContext(ctx, res.Frame, res.Topo)
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range diags {
-		if d.stragglerJob {
-			out.CrossStepAlerts += d.stepAlerts
-			out.CrossStepInWindow += d.stepInWindow
-			out.StragglerJobDetected = out.StragglerJobDetected || d.stepInWindow > 0
-			continue
+	// Cross-step alerts count for the straggler's job, cross-group alerts
+	// for every other job.
+	for _, job := range report.Jobs {
+		stragglerJob := slices.Contains(job.Cluster.Endpoints, straggler)
+		for _, a := range job.Alerts {
+			switch {
+			case stragglerJob && a.Kind == diagnose.AlertCrossStep:
+				out.CrossStepAlerts++
+				if off := a.Time.Sub(res.Truth.Epoch); off >= 18*time.Second && off <= 42*time.Second {
+					out.CrossStepInWindow++
+				}
+			case !stragglerJob && a.Kind == diagnose.AlertCrossGroup:
+				out.CrossGroupAlerts++
+				if a.Group < len(job.DPGroups) && slices.Contains(job.DPGroups[a.Group], degraded) {
+					out.SlowGroupDetected = true
+				}
+			}
 		}
-		out.CrossGroupAlerts += d.groupAlerts
-		out.SlowGroupDetected = out.SlowGroupDetected || d.slowGroup
 	}
+	out.StragglerJobDetected = out.CrossStepInWindow > 0
 	return out, nil
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/truth"
@@ -72,6 +73,14 @@ func scaleDur(d time.Duration, scale float64, min time.Duration) time.Duration {
 		return min
 	}
 	return v
+}
+
+// jobViews runs job recognition the way the analyzer does — one DSU pass
+// over the frame's pair index — and returns a zero-copy view of each job's
+// rows in smallest-endpoint order: the input of parallel.IdentifyView and
+// timeline.ReconstructView.
+func jobViews(f *flow.Frame, mapper jobrec.ServerMapper) []flow.View {
+	return jobrec.SelectJobs(f, jobrec.RecognizeFrame(f, mapper, jobrec.Config{}))
 }
 
 // predToTruth converts inferred pair types to the ground-truth enum.

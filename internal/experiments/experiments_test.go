@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +13,7 @@ import (
 	"time"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden accuracy matrices under testdata")
+var update = flag.Bool("update", false, "rewrite the golden accuracy matrices and paper tables under testdata")
 
 // checkGolden compares an accuracy matrix — an experiment's Report() minus
 // its wall-clock line — against testdata/<name>, so "no refactor may move a
@@ -287,6 +288,29 @@ func TestLocalizationMatrixShortGrid(t *testing.T) {
 		t.Error("report missing the localization table")
 	}
 	checkGolden(t, "localize_short.golden", res.Report())
+}
+
+// TestPaperGolden pins the paper's own tables and figures: the reports of
+// E1–E5 and the two ablations whose columns are not timings, at -scale 0.25
+// and seed 1, against testdata/paper_short.golden. It runs in the -short
+// pass, so a change that moves a float anywhere under the analyzer is
+// judged against the paper's numbers by a test. The file was written by the
+// experiments as they stood on the record-slice reference path, before they
+// moved onto the shipped frame path.
+func TestPaperGolden(t *testing.T) {
+	names := []string{"fig3", "table1", "fig4", "fig5", "diagnosis", "a2", "a3"}
+	outcomes, err := Run(context.Background(), names, Options{Scale: 0.25, Seed: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report strings.Builder
+	for _, o := range outcomes {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.Spec.Name, o.Err)
+		}
+		fmt.Fprintf(&report, "=== %s ===\n%s\n", o.Spec.Desc, o.Result.Report())
+	}
+	checkGolden(t, "paper_short.golden", report.String())
 }
 
 func TestRunnerRegistryComplete(t *testing.T) {

@@ -77,8 +77,9 @@ func Fig3(ctx context.Context, opts Options) (*Fig3Result, error) {
 	// Analyze a one-minute window, as in the paper.
 	window := res.Window(30*time.Second, time.Minute)
 	anStart := time.Now()
-	cross := jobrec.CrossMachineClusters(window)
-	clusters := jobrec.Recognize(window, res.Topo, jobrec.Config{})
+	frame := flow.NewFrame(window)
+	cross := jobrec.CrossMachineClustersFrame(frame)
+	clusters := jobrec.RecognizeFrame(frame, res.Topo, jobrec.Config{})
 	anWall := time.Since(anStart)
 
 	predicted := make([][]flow.Addr, len(clusters))

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/core/timeline"
 	"github.com/llmprism/llmprism/internal/flow"
@@ -72,14 +71,12 @@ func fig4WithMode(ctx context.Context, opts Options, netCfg netsim.Config) (*Fig
 	}
 
 	anStart := time.Now()
-	records := res.Records
-	perJob := jobrec.SplitRecords(records, jobrec.Recognize(records, res.Topo, jobrec.Config{}))
-	if len(perJob) == 0 {
+	views := jobViews(res.Frame, res.Topo)
+	if len(views) == 0 {
 		return nil, fmt.Errorf("experiments: fig4: job not recognized")
 	}
-	jobRecs := perJob[0]
-	cls := parallel.Identify(jobRecs, parallel.Config{})
-	tls := timeline.Reconstruct(jobRecs, cls.Types, timeline.Config{})
+	cls := parallel.IdentifyView(views[0], parallel.Config{})
+	tls := timeline.ReconstructView(views[0], cls.Types, timeline.Config{})
 	anWall := time.Since(anStart)
 
 	tj := res.Truth.Jobs[0]

@@ -7,13 +7,11 @@ import (
 	"strings"
 	"time"
 
+	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/core/diagnose"
-	"github.com/llmprism/llmprism/internal/core/jobrec"
-	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/platform"
-	"github.com/llmprism/llmprism/internal/pool"
 	"github.com/llmprism/llmprism/internal/stats"
 	"github.com/llmprism/llmprism/internal/topology"
 	"github.com/llmprism/llmprism/internal/viz"
@@ -87,30 +85,15 @@ func Fig5(ctx context.Context, opts Options) (*Fig5Result, error) {
 	}
 	simWall := time.Since(simStart)
 
-	// Classify each job's DP traffic on the worker pool, accumulating a
-	// per-job partial switch series; merging the partials in job order
-	// keeps the platform-wide series bit-identical for any worker count.
-	records := res.Records
-	clusters := jobrec.Recognize(records, res.Topo, jobrec.Config{})
-	perJob := jobrec.SplitRecords(records, clusters)
+	// The shipped analyzer builds the platform-wide series from per-job
+	// partials merged in job order — bit-identical for any worker count.
 	bucket := horizon / 12
-	diagCfg := diagnose.Config{Bucket: bucket}
-	partials, err := pool.Map(ctx, opts.Workers, perJob,
-		func(ctx context.Context, _ int, jobRecs []flow.Record) (*diagnose.SeriesAccum, error) {
-			cls := parallel.Identify(jobRecs, parallel.Config{})
-			accum := diagnose.NewSeriesAccum(diagCfg)
-			accum.Add(jobRecs, cls.Types)
-			return accum, nil
-		})
+	report, err := llmprism.New(llmprism.WithWorkers(opts.Workers), llmprism.WithSwitchBucket(bucket)).
+		AnalyzeFrameContext(ctx, res.Frame, res.Topo)
 	if err != nil {
 		return nil, err
 	}
-	merged := diagnose.NewSeriesAccum(diagCfg)
-	for _, p := range partials {
-		merged.Merge(p)
-	}
-	series := merged.Series()
-	alerts := diagnose.SwitchDiagnose(series, diagCfg)
+	series, alerts := report.SwitchSeries, report.SwitchAlerts
 
 	out := &Fig5Result{
 		Switches: len(series),

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/erspan"
+	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/pool"
 	"github.com/llmprism/llmprism/internal/topology"
@@ -126,15 +126,13 @@ func Table1(ctx context.Context, cfg Table1Config, opts Options) (*Table1Result,
 
 			rows := make([]Table1Row, len(cfg.Windows))
 			for wi, window := range cfg.Windows {
-				records := res.Window(offset, window)
-				perJob := jobrec.SplitRecords(records, jobrec.Recognize(records, res.Topo, jobrec.Config{}))
-				if len(perJob) == 0 {
+				views := jobViews(flow.NewFrame(res.Window(offset, window)), res.Topo)
+				if len(views) == 0 {
 					continue
 				}
-				jobRecs := perJob[0]
 
-				with := parallel.Identify(jobRecs, parallel.Config{})
-				without := parallel.Identify(jobRecs, parallel.Config{DisableRefinement: true})
+				with := parallel.IdentifyView(views[0], parallel.Config{})
+				without := parallel.IdentifyView(views[0], parallel.Config{DisableRefinement: true})
 				sWith := pairAccuracy(with.Types, tj)
 				sWithout := pairAccuracy(without.Types, tj)
 

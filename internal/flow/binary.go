@@ -114,32 +114,32 @@ func (f *Frame) WriteTo(w io.Writer) (int64, error) {
 	buf := make([]byte, 0, readChunk)
 	var err error
 	writeCols := func() error {
-		if buf, err = writeCol64(cw, buf, f.ids); err != nil {
+		if buf, err = writeCol(cw, buf, f.ids); err != nil {
 			return err
 		}
-		if buf, err = writeCol64(cw, buf, f.starts); err != nil {
+		if buf, err = writeCol(cw, buf, f.starts); err != nil {
 			return err
 		}
-		if buf, err = writeCol64(cw, buf, f.durs); err != nil {
+		if buf, err = writeCol(cw, buf, f.durs); err != nil {
 			return err
 		}
-		if buf, err = writeCol32(cw, buf, f.srcs); err != nil {
+		if buf, err = writeCol(cw, buf, f.srcs); err != nil {
 			return err
 		}
-		if buf, err = writeCol32(cw, buf, f.dsts); err != nil {
+		if buf, err = writeCol(cw, buf, f.dsts); err != nil {
 			return err
 		}
-		if buf, err = writeCol64(cw, buf, f.nbytes); err != nil {
+		if buf, err = writeCol(cw, buf, f.nbytes); err != nil {
 			return err
 		}
-		if buf, err = writeCol32(cw, buf, f.paths); err != nil {
+		if buf, err = writeCol(cw, buf, f.paths); err != nil {
 			return err
 		}
 		if paths > 0 {
-			if buf, err = writeCol32(cw, buf, f.table.offs); err != nil {
+			if buf, err = writeCol(cw, buf, f.table.offs); err != nil {
 				return err
 			}
-			if buf, err = writeCol64(cw, buf, f.table.switches); err != nil {
+			if buf, err = writeCol(cw, buf, f.table.switches); err != nil {
 				return err
 			}
 		}
@@ -166,30 +166,29 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeCol32 / writeCol64 stream one fixed-width column through the shared
-// scratch buffer, readChunk bytes at a time, converting elements in place.
-// They return the (possibly re-capacitied) buffer for reuse.
-func writeCol32[T ~int32 | ~uint32](w io.Writer, buf []byte, vs []T) ([]byte, error) {
-	for lo := 0; lo < len(vs); {
-		hi := min(lo+readChunk/4, len(vs))
-		buf = buf[:0]
-		for _, v := range vs[lo:hi] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return buf, err
-		}
-		lo = hi
-	}
-	return buf, nil
+// column is the element types a frame column holds: 32- or 64-bit integers,
+// stored little-endian at their own width.
+type column interface {
+	~int32 | ~uint32 | ~int64 | ~uint64
 }
 
-func writeCol64[T ~int64 | ~uint64](w io.Writer, buf []byte, vs []T) ([]byte, error) {
+// writeCol streams one fixed-width column through the shared scratch
+// buffer, readChunk bytes at a time, converting elements in place. It
+// returns the (possibly re-capacitied) buffer for reuse.
+func writeCol[T column](w io.Writer, buf []byte, vs []T) ([]byte, error) {
+	var zero T
+	size := binary.Size(zero)
 	for lo := 0; lo < len(vs); {
-		hi := min(lo+readChunk/8, len(vs))
+		hi := min(lo+readChunk/size, len(vs))
 		buf = buf[:0]
-		for _, v := range vs[lo:hi] {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		if size == 4 {
+			for _, v := range vs[lo:hi] {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+			}
+		} else {
+			for _, v := range vs[lo:hi] {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			}
 		}
 		if _, err := w.Write(buf); err != nil {
 			return buf, err
@@ -235,19 +234,18 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 
 	d := &frameDecoder{r: tr}
 	f := &Frame{
-		ids:    d.u64s(rows),
-		starts: d.i64s(rows),
-		durs:   d.i64s(rows),
-		srcs:   d.addrs(rows),
-		dsts:   d.addrs(rows),
-		nbytes: d.i64s(rows),
+		ids:    readCol[uint64](d, rows),
+		starts: readCol[int64](d, rows),
+		durs:   readCol[int64](d, rows),
+		srcs:   readCol[Addr](d, rows),
+		dsts:   readCol[Addr](d, rows),
+		nbytes: readCol[int64](d, rows),
+		paths:  readCol[PathID](d, rows),
 	}
-	rowPaths := d.u32s(rows)
 	var offs []uint32
-	var switches []int64
 	if paths > 0 {
-		offs = d.u32s(paths + 1)
-		switches = d.i64s64(nswitches)
+		offs = readCol[uint32](d, paths+1)
+		f.table.switches = readCol[SwitchID](d, nswitches)
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("flow: read frame columns: %w", d.err)
@@ -272,7 +270,7 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 			return nil, fmt.Errorf("flow: frame row %d: negative bytes %d", i, f.nbytes[i])
 		}
 	}
-	for i, s := range switches {
+	for i, s := range f.table.switches {
 		if s < 0 {
 			return nil, fmt.Errorf("flow: frame path table entry %d: negative switch id %d", i, s)
 		}
@@ -295,18 +293,11 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		if int(offs[paths]) != nswitches {
 			return nil, fmt.Errorf("flow: frame path offsets cover %d of %d switches", offs[paths], nswitches)
 		}
-		f.table.switches = make([]SwitchID, nswitches)
-		for i, s := range switches {
-			f.table.switches[i] = SwitchID(s)
-		}
 	}
-	f.paths = make([]PathID, rows)
-	for i, p := range rowPaths {
-		id := PathID(int32(p))
+	for i, id := range f.paths {
 		if id != NoPath && (id < 0 || int(id) >= paths) {
 			return nil, fmt.Errorf("flow: frame row %d references path %d of %d", i, id, paths)
 		}
-		f.paths[i] = id
 	}
 	// Canonical row order: (pair, start, id) non-decreasing, exactly the
 	// order FrameBuilder.Build establishes. The derived indexes below
@@ -366,60 +357,27 @@ func (d *frameDecoder) block(n int) []byte {
 	return out
 }
 
-func (d *frameDecoder) u64s(n int) []uint64 {
-	out := make([]uint64, 0, min(n, readChunk/8))
+// readCol reads one n-element column, converting each little-endian
+// element straight into the column's own type.
+func readCol[T column](d *frameDecoder, n int) []T {
+	var zero T
+	size := binary.Size(zero)
+	out := make([]T, 0, min(n, readChunk/size))
 	for len(out) < n {
-		m := min(n-len(out), readChunk/8)
-		b := d.block(m * 8)
+		m := min(n-len(out), readChunk/size)
+		b := d.block(m * size)
 		if d.err != nil {
 			return nil
 		}
-		for i := 0; i < m; i++ {
-			out = append(out, binary.LittleEndian.Uint64(b[i*8:]))
+		if size == 4 {
+			for i := 0; i < m; i++ {
+				out = append(out, T(binary.LittleEndian.Uint32(b[i*4:])))
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				out = append(out, T(binary.LittleEndian.Uint64(b[i*8:])))
+			}
 		}
-	}
-	return out
-}
-
-func (d *frameDecoder) i64s(n int) []int64 {
-	u := d.u64s(n)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, len(u))
-	for i, v := range u {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-// i64s64 is i64s for columns whose natural Go type is []int64 already; it
-// exists only to keep call sites readable.
-func (d *frameDecoder) i64s64(n int) []int64 { return d.i64s(n) }
-
-func (d *frameDecoder) u32s(n int) []uint32 {
-	out := make([]uint32, 0, min(n, readChunk/4))
-	for len(out) < n {
-		m := min(n-len(out), readChunk/4)
-		b := d.block(m * 4)
-		if d.err != nil {
-			return nil
-		}
-		for i := 0; i < m; i++ {
-			out = append(out, binary.LittleEndian.Uint32(b[i*4:]))
-		}
-	}
-	return out
-}
-
-func (d *frameDecoder) addrs(n int) []Addr {
-	u := d.u32s(n)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]Addr, len(u))
-	for i, v := range u {
-		out[i] = Addr(v)
 	}
 	return out
 }

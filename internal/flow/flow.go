@@ -202,30 +202,3 @@ func ByEndpoint(records []Record) map[Addr][]Record {
 	}
 	return buckets
 }
-
-// TotalBytes sums the byte counts of records.
-func TotalBytes(records []Record) int64 {
-	var total int64
-	for _, r := range records {
-		total += r.Bytes
-	}
-	return total
-}
-
-// TimeSpan returns the earliest start and latest end over records.
-// ok is false when records is empty.
-func TimeSpan(records []Record) (from, to time.Time, ok bool) {
-	if len(records) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	from, to = records[0].Start, records[0].End()
-	for _, r := range records[1:] {
-		if r.Start.Before(from) {
-			from = r.Start
-		}
-		if r.End().After(to) {
-			to = r.End()
-		}
-	}
-	return from, to, true
-}

@@ -151,26 +151,6 @@ func TestEndpointsAndByEndpoint(t *testing.T) {
 	}
 }
 
-func TestTotalBytesAndTimeSpan(t *testing.T) {
-	if TotalBytes(nil) != 0 {
-		t.Error("TotalBytes(nil) != 0")
-	}
-	records := []Record{
-		rec(1, time.Second, time.Second, 1, 2, 10),
-		rec(2, 0, 500*time.Millisecond, 1, 2, 20),
-	}
-	if got := TotalBytes(records); got != 30 {
-		t.Errorf("TotalBytes = %d, want 30", got)
-	}
-	from, to, ok := TimeSpan(records)
-	if !ok || !from.Equal(epoch) || !to.Equal(epoch.Add(2*time.Second)) {
-		t.Errorf("TimeSpan = %v..%v ok=%v, want %v..%v", from, to, ok, epoch, epoch.Add(2*time.Second))
-	}
-	if _, _, ok := TimeSpan(nil); ok {
-		t.Error("TimeSpan(nil) should report !ok")
-	}
-}
-
 func randomRecords(seed int64, n int) []Record {
 	rng := rand.New(rand.NewSource(seed))
 	records := make([]Record, n)

@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit used across the
 // LLMPrism pipeline: summary statistics, mode estimation (used to classify
 // communication pairs), Jaccard similarity (used to merge job clusters),
-// percentiles, and online (Welford/EWMA) accumulators used by the
-// continuous monitors.
+// percentiles, and the online Welford accumulator used by the continuous
+// monitors.
 package stats
 
 import (
@@ -188,59 +188,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// EWMA is an exponentially weighted moving average. The zero value is not
-// usable; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add incorporates x and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Histogram builds a fixed-width histogram of xs over [min, max] with the
-// given number of buckets. Values outside the range are clamped into the
-// edge buckets. It returns the per-bucket counts.
-func Histogram(xs []float64, min, max float64, buckets int) []int {
-	if buckets <= 0 {
-		return nil
-	}
-	counts := make([]int, buckets)
-	if max <= min {
-		counts[0] = len(xs)
-		return counts
-	}
-	width := (max - min) / float64(buckets)
-	for _, x := range xs {
-		i := int((x - min) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= buckets {
-			i = buckets - 1
-		}
-		counts[i]++
-	}
-	return counts
-}

@@ -181,50 +181,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Value() != 0 {
-		t.Error("EWMA initial value should be 0")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Errorf("first Add should seed value, got %v", e.Value())
-	}
-	e.Add(20)
-	if !almostEqual(e.Value(), 15, 1e-12) {
-		t.Errorf("EWMA = %v, want 15", e.Value())
-	}
-	// Invalid alpha falls back to a sane default rather than panicking.
-	e2 := NewEWMA(-1)
-	e2.Add(1)
-	e2.Add(2)
-	if v := e2.Value(); v <= 1 || v >= 2 {
-		t.Errorf("EWMA with fallback alpha out of range: %v", v)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 9, 10, -5, 15}
-	counts := Histogram(xs, 0, 10, 5)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Errorf("histogram total = %d, want %d", total, len(xs))
-	}
-	if counts[0] == 0 || counts[4] == 0 {
-		t.Error("edge buckets should have absorbed clamped values")
-	}
-	if Histogram(xs, 0, 10, 0) != nil {
-		t.Error("zero buckets should return nil")
-	}
-	degenerate := Histogram(xs, 5, 5, 3)
-	if degenerate[0] != len(xs) {
-		t.Error("degenerate range should place all values in bucket 0")
-	}
-}
-
 func BenchmarkWelford(b *testing.B) {
 	var w Welford
 	for i := 0; i < b.N; i++ {

@@ -75,22 +75,25 @@ func TestAnalyzeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestPublicCodecAliases round-trips the public FlowRecord alias through
+// the text codecs the CLIs read and write (flowgen writes CSV; llmprism
+// reads CSV or JSONL by extension).
 func TestPublicCodecAliases(t *testing.T) {
 	records := []FlowRecord{{ID: 1, Start: time.Unix(0, 0).UTC(), Src: 1, Dst: 2, Bytes: 9}}
 	var csvBuf, jsonBuf bytes.Buffer
-	if err := WriteFlowsCSV(&csvBuf, records); err != nil {
+	if err := flow.WriteCSV(&csvBuf, records); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFlowsCSV(&csvBuf)
+	got, err := flow.ReadCSV(&csvBuf)
 	if err != nil || len(got) != 1 || got[0].Bytes != 9 {
-		t.Errorf("CSV alias round trip failed: %v %v", got, err)
+		t.Errorf("CSV round trip failed: %v %v", got, err)
 	}
-	if err := WriteFlowsJSONL(&jsonBuf, records); err != nil {
+	if err := flow.WriteJSONL(&jsonBuf, records); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ReadFlowsJSONL(&jsonBuf)
+	got, err = flow.ReadJSONL(&jsonBuf)
 	if err != nil || len(got) != 1 || got[0].Bytes != 9 {
-		t.Errorf("JSONL alias round trip failed: %v %v", got, err)
+		t.Errorf("JSONL round trip failed: %v %v", got, err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/archive"
 	"github.com/llmprism/llmprism/internal/topology"
 )
 
@@ -38,9 +39,9 @@ func archiveBoundaries(t *testing.T, data []byte, segments int) []int64 {
 // replayRecovered salvages an archive image (torn or clean) and replays
 // whatever survived through a fresh monitor session on the reconstructed
 // grid — the library-level equivalent of `llmprism replay -recover`.
-func replayRecovered(t *testing.T, data []byte, topo *topology.Topology, opts ...Option) ([]*Report, *TraceRecoveryReport) {
+func replayRecovered(t *testing.T, data []byte, topo *topology.Topology, opts ...Option) ([]*Report, *archive.RecoveryReport) {
 	t.Helper()
-	ar, rep, err := RecoverTraceArchive(bytes.NewReader(data), int64(len(data)))
+	ar, rep, err := archive.OpenReaderRecovering(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,6 @@ type (
 	TraceArchiveMeta = archive.Meta
 	// TraceArchiveSegment locates one archived window.
 	TraceArchiveSegment = archive.Segment
-	// TraceRecoveryReport describes what a salvage scan of a torn archive
-	// kept and discarded (RecoverTraceArchive).
-	TraceRecoveryReport = archive.RecoveryReport
 
 	// CollectorConfig parameterizes the simulated collection pipeline's
 	// noise (Scenario.Collector): loss, duplication, jitter, aggregation
@@ -159,9 +156,6 @@ var (
 // NewTopology builds a fabric from a spec.
 func NewTopology(spec TopologySpec) (*Topology, error) { return topology.New(spec) }
 
-// ReadTopology loads a fabric spec written with Topology.WriteJSON.
-func ReadTopology(r io.Reader) (*Topology, error) { return topology.ReadJSON(r) }
-
 // Simulate runs a platform scenario and returns flows plus ground truth.
 func Simulate(s Scenario) (*SimResult, error) { return platform.Run(s) }
 
@@ -174,20 +168,6 @@ func PlanJobs(spec TopologySpec, plans []JobPlan, seed int64) ([]JobConfig, erro
 // not modified and need not be sorted.
 func NewFlowFrame(records []FlowRecord) *FlowFrame { return flow.NewFrame(records) }
 
-// ReadFlowsCSV / WriteFlowsCSV read and write the collector CSV format.
-func ReadFlowsCSV(r io.Reader) ([]FlowRecord, error)  { return flow.ReadCSV(r) }
-func WriteFlowsCSV(w io.Writer, f []FlowRecord) error { return flow.WriteCSV(w, f) }
-
-// ReadFlowsJSONL / WriteFlowsJSONL read and write the JSONL flow format.
-func ReadFlowsJSONL(r io.Reader) ([]FlowRecord, error)  { return flow.ReadJSONL(r) }
-func WriteFlowsJSONL(w io.Writer, f []FlowRecord) error { return flow.WriteJSONL(w, f) }
-
-// ReadFlowFrame / WriteFlowFrame read and write one frame in the binary
-// columnar layout — the persistence form the trace archive stores, decoded
-// without text parsing or re-sorting.
-func ReadFlowFrame(r io.Reader) (*FlowFrame, error)           { return flow.ReadFrame(r) }
-func WriteFlowFrame(w io.Writer, f *FlowFrame) (int64, error) { return f.WriteTo(w) }
-
 // OpenTraceArchive opens a binary trace archive recorded by a Monitor
 // Stream session with WithArchive. r must cover the whole archive (size
 // bytes); segments come back in event-time order, ready to replay through
@@ -195,15 +175,4 @@ func WriteFlowFrame(w io.Writer, f *FlowFrame) (int64, error) { return f.WriteTo
 // (WithAnchor + TraceArchive.Anchor).
 func OpenTraceArchive(r io.ReaderAt, size int64) (*TraceArchive, error) {
 	return archive.OpenReader(r, size)
-}
-
-// RecoverTraceArchive opens a trace archive leniently: a clean archive
-// opens strictly, while an unclosed or torn one has its intact prefix
-// segments salvaged — every fully-written, checksum-valid segment up to
-// the first corruption — with the report saying what was kept and what
-// was lost. A salvaged prefix replays bit-identically to the same windows
-// of the uninterrupted session (the replay grid anchor is reconstructed
-// from the first salvaged window).
-func RecoverTraceArchive(r io.ReaderAt, size int64) (*TraceArchive, *TraceRecoveryReport, error) {
-	return archive.OpenReaderRecovering(r, size)
 }
