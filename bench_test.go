@@ -286,11 +286,13 @@ func BenchmarkFrameBuildParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPushFrame compares the two replay-ingest paths over one decoded
-// window: per-record Push (materialize []Record, re-intern every row) vs
-// bulk PushFrame (wholesale column appends plus a one-shot path-table
-// remap). The window is wider than the trace so nothing closes — this is
-// pure wire-to-builder ingest, the daemon's hot path.
+// BenchmarkPushFrame measures the engine's one ingest over one window's
+// rows from two starting points: "records" is what a record batch costs
+// (MonitorStream.Push, the CLI monitor: build the batch's frame, then
+// PushFrame it), "bulk" is an already-decoded frame (wire ingest, archive
+// replay: wholesale column appends plus a one-shot path-table remap). The
+// window is wider than the trace so nothing closes — this is pure
+// ingest-to-builder cost.
 func BenchmarkPushFrame(b *testing.B) {
 	records, _ := benchTrace(b)
 	frame := flow.NewFrame(records)
@@ -303,7 +305,7 @@ func BenchmarkPushFrame(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e := stream.New(cfg, noop)
-			if err := e.Push(context.Background(), byStart); err != nil {
+			if err := e.PushFrame(context.Background(), flow.NewFrame(byStart)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -483,8 +485,8 @@ func benchBatches(b *testing.B) [][]flow.Record {
 const monitorBenchWindow = 5 * time.Second
 
 // BenchmarkMonitorStream measures the pipelined streaming session over the
-// bench trace in collector batches: incremental per-window ingestion
-// (append + intern per record) with closed windows analyzing
+// bench trace in collector batches: each batch built into a frame and
+// routed into its windows' builders, with closed windows analyzing
 // asynchronously at the given pipeline depth.
 func BenchmarkMonitorStream(b *testing.B) {
 	batches := benchBatches(b)

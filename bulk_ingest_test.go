@@ -56,8 +56,10 @@ func bulkReplay(t *testing.T, data []byte, topo *topology.Topology, depth int, r
 }
 
 // TestPushFrameReplayEquivalence is the end-to-end bulk-ingest gate: an
-// archive replayed through PushFrame must reproduce, bit for bit, what the
-// per-record Push replay produces — reports (incidents, suspects and fused
+// archive replayed through PushFrame must reproduce, bit for bit, what
+// replaying its materialized records through Push produces (each window's
+// frame rebuilt from []FlowRecord, so the decoded path table and row order
+// are never reused) — reports (incidents, suspects and fused
 // suspects included), late counts, and the re-archived frame bytes — across
 // pipeline depths, localization shard counts, and a live session that
 // ingested its records permuted within the lateness bound. Run with -race.

@@ -305,7 +305,7 @@ func runMonitor(ctx context.Context, stdout io.Writer, records []flow.Record, cf
 		for hi < len(sorted) && sorted[hi].Start.Before(cut) {
 			hi++
 		}
-		reports, err := s.Push(sorted[lo:hi])
+		reports, err := s.PushFrame(flow.NewFrame(sorted[lo:hi]))
 		session.PrintReports(stdout, reports)
 		if err != nil {
 			return err

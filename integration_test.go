@@ -12,6 +12,18 @@ import (
 	"github.com/llmprism/llmprism/internal/truth"
 )
 
+// truthJobOf returns the ground-truth job owning addr, or nil.
+func truthJobOf(p *truth.Platform, addr flow.Addr) *truth.Job {
+	for i := range p.Jobs {
+		for _, a := range p.Jobs[i].Addrs {
+			if a == addr {
+				return &p.Jobs[i]
+			}
+		}
+	}
+	return nil
+}
+
 // simulateSmallPlatform runs a 3-job platform for the given horizon.
 func simulateSmallPlatform(t testing.TB, horizon time.Duration, sched faults.Schedule) *SimResult {
 	t.Helper()
@@ -59,7 +71,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Phase 2: pair classification 100%.
 	for _, j := range report.Jobs {
-		tj := res.Truth.JobOf(j.Cluster.Endpoints[0])
+		tj := truthJobOf(&res.Truth, j.Cluster.Endpoints[0])
 		if tj == nil {
 			t.Fatalf("no truth job for cluster starting at %v", j.Cluster.Endpoints[0])
 		}
@@ -87,7 +99,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// scenario that is up to ~1.3% relative. The paper-scale experiment
 	// (10s+ steps) asserts the paper's 0.3% bound in bench_test.go.
 	for _, j := range report.Jobs {
-		tj := res.Truth.JobOf(j.Cluster.Endpoints[0])
+		tj := truthJobOf(&res.Truth, j.Cluster.Endpoints[0])
 		ends := timeline.AllStepEnds(j.Timelines, res.Truth.Epoch)
 		score := truth.ScoreTimeline(ends, *tj)
 		if score.MatchedSteps == 0 {

@@ -158,16 +158,6 @@ func (r *Registry) Assign(seq int, at time.Time, clusters []Cluster) []JobID {
 	return ids
 }
 
-// TrackedIDs returns the ids of all tracked jobs, ascending.
-func (r *Registry) TrackedIDs() []JobID {
-	out := make([]JobID, 0, len(r.jobs))
-	for i := range r.jobs {
-		out = append(out, r.jobs[i].id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // sortedJaccard is the Jaccard similarity of two ascending-sorted,
 // duplicate-free endpoint slices, computed with a linear merge (the
 // recognizer sorts and dedups cluster endpoints, and the registry stores

@@ -6,6 +6,11 @@
 // records from retransmission, timestamp jitter, and active-timeout record
 // splitting. Intra-node (NVLink) traffic never reaches a switch and is
 // silently invisible, exactly as in production.
+//
+// A Collector's output is columnar: Frame builds everything collected as
+// one flow.Frame — the form a monitor stream ingests — and Records and
+// WriteArchive are a materialized copy and a persisted copy of that frame.
+// A caller that streams cuts the collected records into batches itself.
 package erspan
 
 import (
@@ -89,7 +94,6 @@ type Collector struct {
 	observed uint64
 	lost     uint64
 	blacked  uint64
-	drained  int
 }
 
 // New returns a Collector anchoring sim-time offsets at epoch.
@@ -198,19 +202,11 @@ func (c *Collector) emit(src, dst flow.Addr, path flow.PathID, start, dur time.D
 	c.fb.Append(c.nextID, c.epoch.Add(start), dur, src, dst, bytes, path)
 }
 
-// flush exports pending aggregations in deterministic key order.
-func (c *Collector) flush() { c.flushBefore(-1) }
-
-// flushBefore exports, in deterministic key order, every pending
-// aggregation whose stream has been idle since before horizon — i.e. that
-// no future in-order transmission can extend. A negative horizon flushes
-// everything.
-func (c *Collector) flushBefore(horizon time.Duration) {
+// flush exports every pending aggregation in deterministic key order.
+func (c *Collector) flush() {
 	keys := make([]pendingKey, 0, len(c.agg))
 	for k := range c.agg {
-		if horizon < 0 || c.agg[k].end+c.cfg.AggregateGap < horizon {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].src != keys[j].src {
@@ -226,30 +222,6 @@ func (c *Collector) flushBefore(horizon time.Duration) {
 		c.export(k.src, k.dst, p.path, p.start, p.end, p.bytes)
 		delete(c.agg, k)
 	}
-}
-
-// DrainRecords is the streaming bridge between collection and the monitor:
-// it flushes aggregation streams that have been idle past the aggregation
-// gap as of sim-time now (so later in-order transmissions cannot extend
-// them) and returns the records exported since the previous drain, in
-// export order — ready to push into a Monitor stream while collection
-// continues. Switch paths alias the collector's interned table and must be
-// treated as read-only. Note the record content matches a single final
-// Records() call only up to collection noise: loss/duplication random
-// draws follow export order, which interleaving drains with observation
-// changes.
-func (c *Collector) DrainRecords(now time.Duration) []flow.Record {
-	c.flushBefore(now)
-	total := c.fb.Len()
-	if total == c.drained {
-		return nil
-	}
-	out := make([]flow.Record, 0, total-c.drained)
-	for i := c.drained; i < total; i++ {
-		out = append(out, c.fb.RecordAt(i))
-	}
-	c.drained = total
-	return out
 }
 
 // Frame flushes any pending aggregations and builds the columnar frame of

@@ -195,50 +195,6 @@ func TestRecordsSorted(t *testing.T) {
 	}
 }
 
-func TestDrainRecordsStreams(t *testing.T) {
-	c := New(epoch, Config{})
-	c.Observe(comp(1, 2, 1000, 0, time.Millisecond))
-	c.Observe(comp(3, 4, 2000, time.Second, time.Second+time.Millisecond))
-	got := c.DrainRecords(2 * time.Second)
-	if len(got) != 2 {
-		t.Fatalf("first drain = %d records, want 2", len(got))
-	}
-	if got[0].Bytes != 1000 || got[1].Bytes != 2000 {
-		t.Errorf("drained records wrong: %+v", got)
-	}
-	if extra := c.DrainRecords(3 * time.Second); extra != nil {
-		t.Errorf("idle drain = %d records, want none", len(extra))
-	}
-	// Later observations reach only later drains.
-	c.Observe(comp(5, 6, 3000, 4*time.Second, 4*time.Second+time.Millisecond))
-	got = c.DrainRecords(5 * time.Second)
-	if len(got) != 1 || got[0].Bytes != 3000 {
-		t.Errorf("second drain = %+v, want the new record only", got)
-	}
-	// The full frame still covers everything collected.
-	if n := c.Frame().Len(); n != 3 {
-		t.Errorf("frame rows = %d, want 3", n)
-	}
-}
-
-func TestDrainRecordsHoldsOpenAggregations(t *testing.T) {
-	c := New(epoch, Config{AggregateGap: 10 * time.Millisecond})
-	c.Observe(chunk(1, 2, 1000, 0, 5*time.Millisecond))
-	// Within the gap horizon the stream may still be extended: no export.
-	if got := c.DrainRecords(8 * time.Millisecond); got != nil {
-		t.Fatalf("drain exported a still-open aggregation: %+v", got)
-	}
-	c.Observe(chunk(1, 2, 1000, 7*time.Millisecond, 12*time.Millisecond))
-	// Past the horizon the merged record flushes.
-	got := c.DrainRecords(30 * time.Millisecond)
-	if len(got) != 1 || got[0].Bytes != 2000 {
-		t.Fatalf("drain = %+v, want one 2000-byte aggregate", got)
-	}
-	if got[0].Duration != 12*time.Millisecond {
-		t.Errorf("aggregate duration = %v, want 12ms", got[0].Duration)
-	}
-}
-
 func TestBlackoutDropsCrossingRecords(t *testing.T) {
 	cfg := Config{Blackouts: []Blackout{{Switch: 9, From: time.Second, Until: 3 * time.Second}}}
 	c := New(epoch, cfg)

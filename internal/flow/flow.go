@@ -137,9 +137,6 @@ func (p Pair) Other(a Addr) Addr {
 	return p.A
 }
 
-// Has reports whether a is one of the pair's endpoints.
-func (p Pair) Has(a Addr) bool { return p.A == a || p.B == a }
-
 // SortByStart sorts records by start time ascending (stable on ID for
 // deterministic ordering of simultaneous flows).
 func SortByStart(records []Record) {

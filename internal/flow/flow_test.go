@@ -69,9 +69,6 @@ func TestMakePairCanonical(t *testing.T) {
 	if p1.A != 3 || p1.B != 5 {
 		t.Errorf("MakePair order = %v, want A=3 B=5", p1)
 	}
-	if !p1.Has(3) || !p1.Has(5) || p1.Has(4) {
-		t.Error("Pair.Has results wrong")
-	}
 	if p1.Other(3) != 5 || p1.Other(5) != 3 {
 		t.Error("Pair.Other results wrong")
 	}

@@ -144,21 +144,6 @@ func (b *FrameBuilder) AppendRecord(r Record) {
 // slice aliases the builder's path table and must be treated as read-only.
 func (b *FrameBuilder) Path(id PathID) []SwitchID { return b.table.Path(id) }
 
-// RecordAt materializes row i in append order (rows are not sorted until
-// Build). The Switches slice aliases the builder's interned path table and
-// must be treated as read-only.
-func (b *FrameBuilder) RecordAt(i int) Record {
-	return Record{
-		ID:       b.ids[i],
-		Start:    time.Unix(0, b.starts[i]).UTC(),
-		Duration: time.Duration(b.durs[i]),
-		Src:      b.srcs[i],
-		Dst:      b.dsts[i],
-		Bytes:    b.nbytes[i],
-		Switches: b.table.Path(b.paths[i]),
-	}
-}
-
 // Build freezes the accumulated rows into a Frame. The builder remains
 // usable; paths interned so far keep their ids, and rows appended later
 // appear only in subsequently built frames.
@@ -223,14 +208,7 @@ type Frame struct {
 
 // NewFrame builds a frame from a record slice. The input is not modified;
 // its order does not matter.
-func NewFrame(records []Record) *Frame {
-	b := NewFrameBuilder()
-	b.Grow(len(records))
-	for _, r := range records {
-		b.AppendRecord(r)
-	}
-	return b.Build()
-}
+func NewFrame(records []Record) *Frame { return NewFrameParallel(records, 1) }
 
 // Len returns the number of rows.
 func (f *Frame) Len() int { return len(f.ids) }

@@ -7,9 +7,6 @@ package flow
 // renumbering then guarantees the resulting frame is byte-identical to the
 // one the per-record AppendRecord path would have produced.
 
-// NumSwitches returns the total switch entries across all interned paths.
-func (t *PathTable) NumSwitches() int { return len(t.switches) }
-
 // GrowTable pre-sizes the builder's path table for paths additional paths
 // totalling switches switch entries — the table-side counterpart of Grow,
 // which pre-sizes only the row columns. A following InternTable (or
@@ -93,13 +90,6 @@ func (b *FrameBuilder) AppendFrameRows(f *Frame, remap []PathID, rows []int32) {
 	}
 }
 
-// AppendFrame bulk-appends every row of f: one table remap plus wholesale
-// column appends — no per-row path re-interning, no Record structs.
-func (b *FrameBuilder) AppendFrame(f *Frame) {
-	b.Grow(f.Len())
-	b.AppendFrameRows(f, b.InternTable(&f.table), nil)
-}
-
 // MinStartNanos returns the smallest row start (UnixNano). The frame must
 // be non-empty.
 func (f *Frame) MinStartNanos() int64 { return f.starts[f.byStart[0]] }
@@ -110,7 +100,7 @@ func (f *Frame) MaxStartNanos() int64 { return f.starts[f.byStart[len(f.byStart)
 
 // NewFrameParallel is NewFrame with the close-time Build spread over
 // workers goroutines (workers <= 0 means GOMAXPROCS); the result is
-// byte-identical to NewFrame's.
+// byte-identical to NewFrame's, which is NewFrameParallel(records, 1).
 func NewFrameParallel(records []Record, workers int) *Frame {
 	b := NewFrameBuilder()
 	b.Grow(len(records))

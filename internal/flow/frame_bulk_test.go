@@ -71,6 +71,13 @@ func TestBuildCanonicalAcrossIngestOrder(t *testing.T) {
 	}
 }
 
+// appendFrame bulk-appends every row of f: one table remap plus wholesale
+// column appends — no per-row path re-interning, no Record structs.
+func appendFrame(b *FrameBuilder, f *Frame) {
+	b.Grow(f.Len())
+	b.AppendFrameRows(f, b.InternTable(f.PathTable()), nil)
+}
+
 func TestAppendFrameMatchesAppendRecord(t *testing.T) {
 	records := bulkRecords(11, 900)
 	src := NewFrame(records)
@@ -82,7 +89,7 @@ func TestAppendFrameMatchesAppendRecord(t *testing.T) {
 	want := frameBytes(t, ref.Build())
 
 	bulk := NewFrameBuilder()
-	bulk.AppendFrame(src)
+	appendFrame(bulk, src)
 	if got := frameBytes(t, bulk.Build()); !bytes.Equal(got, want) {
 		t.Fatal("AppendFrame frame diverges from per-record AppendRecord frame")
 	}
@@ -94,7 +101,7 @@ func TestAppendFrameMatchesAppendRecord(t *testing.T) {
 	for _, r := range extra[:25] {
 		mixed.AppendRecord(r)
 	}
-	mixed.AppendFrame(src)
+	appendFrame(mixed, src)
 	for _, r := range extra[25:] {
 		mixed.AppendRecord(r)
 	}
@@ -132,7 +139,7 @@ func TestInternTablePreSizesTable(t *testing.T) {
 	}
 
 	b := NewFrameBuilder()
-	b.GrowTable(tbl.NumPaths(), tbl.NumSwitches())
+	b.GrowTable(tbl.NumPaths(), len(tbl.switches))
 	capOffs, capSwitches := cap(b.table.offs), cap(b.table.switches)
 	remap := b.InternTable(tbl)
 	if cap(b.table.offs) != capOffs || cap(b.table.switches) != capSwitches {

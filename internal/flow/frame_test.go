@@ -231,22 +231,3 @@ func TestEmptyFrame(t *testing.T) {
 		t.Error("zero View not empty")
 	}
 }
-
-func TestFrameBuilderRecordAt(t *testing.T) {
-	records := frameRecords(29, 50)
-	b := NewFrameBuilder()
-	for _, r := range records {
-		b.AppendRecord(r)
-	}
-	for i, want := range records {
-		got := b.RecordAt(i)
-		// Timestamps normalize to UTC on append, like the built frame's.
-		want.Start = want.Start.UTC()
-		if len(want.Switches) == 0 {
-			want.Switches = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("RecordAt(%d) = %+v, want %+v", i, got, want)
-		}
-	}
-}

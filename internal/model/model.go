@@ -62,12 +62,6 @@ func (s Spec) EmbeddingParams() int64 {
 	return int64(s.Vocab) * int64(s.Hidden)
 }
 
-// TotalParams returns the total parameter count (blocks + embedding +
-// final norm; the unembedding is tied).
-func (s Spec) TotalParams() int64 {
-	return int64(s.Layers)*s.ParamsPerLayer() + s.EmbeddingParams() + int64(s.Hidden)
-}
-
 // StageLayers returns how many transformer blocks stage (0-based) holds
 // when the model is split into ppStages pipeline stages. Remainder layers
 // go to the earliest stages.

@@ -14,6 +14,12 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// totalParams is the total parameter count (blocks + embedding + final
+// norm; the unembedding is tied).
+func totalParams(s Spec) int64 {
+	return int64(s.Layers)*s.ParamsPerLayer() + s.EmbeddingParams() + int64(s.Hidden)
+}
+
 func TestTotalParamsMagnitudes(t *testing.T) {
 	tests := []struct {
 		spec Spec
@@ -27,7 +33,7 @@ func TestTotalParamsMagnitudes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.spec.Name, func(t *testing.T) {
-			b := float64(tt.spec.TotalParams()) / 1e9
+			b := float64(totalParams(tt.spec)) / 1e9
 			if b < tt.loB || b > tt.hiB {
 				t.Errorf("TotalParams = %.1fB, want within [%v, %v]B", b, tt.loB, tt.hiB)
 			}
@@ -57,8 +63,8 @@ func TestStageParamsSumToTotal(t *testing.T) {
 		for stage := 0; stage < pp; stage++ {
 			sum += Llama13B.StageParams(pp, stage)
 		}
-		if sum != Llama13B.TotalParams() {
-			t.Errorf("pp=%d: stage params sum %d != total %d", pp, sum, Llama13B.TotalParams())
+		if sum != totalParams(Llama13B) {
+			t.Errorf("pp=%d: stage params sum %d != total %d", pp, sum, totalParams(Llama13B))
 		}
 	}
 }

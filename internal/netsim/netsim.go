@@ -128,8 +128,6 @@ type Network struct {
 	linkFlows [][]Handle
 	heap      completionHeap
 	now       float64 // sim seconds
-	active    int
-	completed uint64
 }
 
 // New builds a Network over topo.
@@ -152,12 +150,6 @@ func New(topo *topology.Topology, cfg Config) *Network {
 
 // Now returns the current simulation time.
 func (n *Network) Now() time.Duration { return secToDur(n.now) }
-
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return n.active }
-
-// CompletedFlows returns the total number of completed flows.
-func (n *Network) CompletedFlows() uint64 { return n.completed }
 
 // Start admits a flow at sim time `at` (which must be >= the time of the
 // last processed event). label differentiates ECMP paths. Intra-node pairs
@@ -193,7 +185,6 @@ func (n *Network) Start(src, dst flow.Addr, bytes int64, label uint32, tag uint6
 	st.intraNode = path.IntraNode
 	st.links = path.Links
 	st.switches = path.Switches
-	n.active++
 
 	if path.IntraNode {
 		st.rate = n.cfg.NVLinkGBps * 1e9
@@ -332,8 +323,6 @@ func (n *Network) complete(h Handle) Completion {
 	st := &n.flows[h]
 	n.settle(h)
 	st.active = false
-	n.active--
-	n.completed++
 	c := Completion{
 		Handle:    h,
 		Tag:       st.tag,

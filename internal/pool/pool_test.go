@@ -85,6 +85,12 @@ func TestMapErrorAborts(t *testing.T) {
 		if idx == 3 {
 			return 0, fmt.Errorf("item %d: %w", idx, boom)
 		}
+		if idx > 3 {
+			// Slow the other worker down, so a loaded host that deschedules
+			// the failing worker between its return and the stop signal
+			// cannot let the feed run through every remaining item.
+			time.Sleep(time.Millisecond)
+		}
 		return 0, nil
 	})
 	if !errors.Is(err, boom) {

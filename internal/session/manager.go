@@ -221,23 +221,10 @@ type ClusterSession struct {
 	closed bool
 }
 
-// Cluster returns the session's cluster ID.
-func (cs *ClusterSession) Cluster() string { return cs.cluster }
-
-// Push ingests one batch of records; completed reports go to OnReports.
+// PushFrame ingests one frame (a decoded wire frame, or flow.NewFrame of a
+// record batch; nil ingests nothing); completed reports go to OnReports.
 // After an error the session is dead: every later call returns the same
 // error, and Manager.Close will not finalize its archive.
-func (cs *ClusterSession) Push(records []flow.Record) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if err := cs.usable(); err != nil {
-		return err
-	}
-	return cs.release(cs.s.Push(records))
-}
-
-// PushFrame ingests one decoded wire frame; completed reports go to
-// OnReports. Error semantics match Push.
 func (cs *ClusterSession) PushFrame(f *flow.Frame) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()

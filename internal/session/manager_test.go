@@ -180,7 +180,7 @@ func TestManagerConcurrentSessionsMatchDirectStream(t *testing.T) {
 			}
 			for lo := 0; lo < len(perm); lo += 400 {
 				hi := min(lo+400, len(perm))
-				if err := cs.Push(perm[lo:hi]); err != nil {
+				if err := cs.PushFrame(flow.NewFrame(perm[lo:hi])); err != nil {
 					errs[i] = err
 					return
 				}
@@ -229,6 +229,65 @@ func TestManagerConcurrentSessionsMatchDirectStream(t *testing.T) {
 		if gotText.String() != wantText.String() {
 			t.Errorf("cluster %d: replay of managed archive differs from direct stream text", i)
 		}
+	}
+}
+
+// TestNilFramePushIsEmpty: a nil frame is an empty push at every layer. On
+// a live Session and a live ClusterSession, a nil push after every batch
+// neither fails nor changes a report.
+func TestNilFramePushIsEmpty(t *testing.T) {
+	records, topo := managerTrace(t)
+	cfg := baseConfig(topo)
+	want := directStreamReports(t, cfg, records, 400)
+
+	s, err := session.Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	var got []*llmprism.Report
+	for lo := 0; lo < len(records); lo += 400 {
+		for _, f := range []*flow.Frame{flow.NewFrame(records[lo:min(lo+400, len(records))]), nil} {
+			reports, err := s.PushFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, reports...)
+		}
+	}
+	tail, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, tail...); !reflect.DeepEqual(got, want) {
+		t.Errorf("Session: nil pushes changed the reports (%d vs %d windows)", len(got), len(want))
+	}
+
+	var managed []*llmprism.Report
+	mgr, err := session.NewManager(session.ManagerConfig{
+		Config:    func(string) (session.Config, error) { return cfg, nil },
+		OnReports: func(_ string, reports []*llmprism.Report) { managed = append(managed, reports...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := mgr.Session(context.Background(), "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(records); lo += 400 {
+		if err := cs.PushFrame(flow.NewFrame(records[lo:min(lo+400, len(records))])); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.PushFrame(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(managed, want) {
+		t.Errorf("ClusterSession: nil pushes changed the reports (%d vs %d windows)", len(managed), len(want))
 	}
 }
 

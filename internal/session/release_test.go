@@ -38,7 +38,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the first push error.
 func pushAll(cs *session.ClusterSession, records []flow.Record) error {
 	for lo := 0; lo < len(records); lo += 400 {
-		if err := cs.Push(records[lo:min(lo+400, len(records))]); err != nil {
+		if err := cs.PushFrame(flow.NewFrame(records[lo:min(lo+400, len(records))])); err != nil {
 			return err
 		}
 	}
@@ -207,7 +207,7 @@ func TestManagerReleaseGoroutinesBounded(t *testing.T) {
 		waitFor(t, "the dead session's release goroutine to exit", func() bool {
 			return releaseGoroutines() == len(clusters)-1
 		})
-		if err := sessions["dead"].Push(records[:1]); err == nil {
+		if err := sessions["dead"].PushFrame(flow.NewFrame(records[:1])); err == nil {
 			t.Fatal("dead session accepted another push")
 		}
 		for _, cluster := range []string{"healthy", "healthystore"} {
@@ -301,7 +301,7 @@ func TestManagerReleasePathsMatchDirectStream(t *testing.T) {
 				for lo := 0; lo < len(perm); lo += 150 {
 					batch := perm[lo:min(lo+150, len(perm))]
 					inPush[i].Store(true)
-					err := cs.Push(batch)
+					err := cs.PushFrame(flow.NewFrame(batch))
 					inPush[i].Store(false)
 					if err != nil {
 						errs[i] = err

@@ -10,7 +10,9 @@
 //     window geometry, analyzer knobs (bucket, workers, localization,
 //     chronic suppression), archive and checkpoint paths — and the session
 //     built from it. Open assembles the tier-stratified analyzer, the
-//     monitor options and the capture sink once. There is one capture
+//     monitor options and the capture sink once. There is one way in:
+//     PushFrame, which wire frames, archived windows and the CLI's record
+//     batches (as flow.NewFrame) all take. There is one capture
 //     path: the monitor stream appends every released window to an
 //     llmprism.ArchiveSink and closes it, and the sink commits. ArchivePath
 //     makes that sink one archive.FileWriter (written to .tmp; trailer,
@@ -31,7 +33,7 @@
 //     Sessions are created lazily on first use from a per-cluster Config
 //     builder, bounded by MaxSessions, and rejected with a precise error
 //     when two clusters would write the same archive or checkpoint path.
-//     Each ClusterSession serializes its pushes behind a mutex, so many
+//     Each ClusterSession serializes its frame pushes behind a mutex, so many
 //     collector connections can feed the manager concurrently while every
 //     cluster's window pipeline stays strictly ordered; completed reports
 //     are delivered, in window order, through the OnReports callback.
@@ -330,29 +332,10 @@ func (s *Session) Windows() int { return s.windows }
 // arriving past the lateness bound.
 func (s *Session) Late() uint64 { return s.stream.Late() }
 
-// Pending returns the number of record-to-window assignments buffered in
-// open windows.
-func (s *Session) Pending() int { return s.stream.Pending() }
-
-// Watermark returns the session's current event-time watermark.
-func (s *Session) Watermark() time.Time { return s.stream.Watermark() }
-
-// Checkpoint serializes the session's continuity state as of the most
-// recently released window to w — the explicit counterpart of
-// Config.CheckpointPath for callers that manage persistence themselves.
-func (s *Session) Checkpoint(w io.Writer) error { return s.stream.Checkpoint(w) }
-
-// Push ingests one batch of records and returns every report that became
-// ready, in window order.
-func (s *Session) Push(records []flow.Record) ([]*llmprism.Report, error) {
-	reports, err := s.stream.Push(records)
-	s.windows += len(reports)
-	return reports, err
-}
-
-// PushFrame ingests one already-columnar frame — the bulk counterpart of
-// Push used by archive replay and the daemon's wire ingest, so a decoded
-// window never materializes per-record structs.
+// PushFrame ingests one frame and returns every report that became ready,
+// in window order — the session's one way in: archive replay and the
+// daemon's wire ingest push decoded frames, the CLI's monitor and record
+// push flow.NewFrame of each record batch. A nil frame ingests nothing.
 func (s *Session) PushFrame(f *flow.Frame) ([]*llmprism.Report, error) {
 	reports, err := s.stream.PushFrame(f)
 	s.windows += len(reports)
@@ -360,7 +343,7 @@ func (s *Session) PushFrame(f *flow.Frame) ([]*llmprism.Report, error) {
 }
 
 // Collect releases, without ingesting or blocking, every report whose
-// analysis has finished since the last Push, PushFrame or Collect — the
+// analysis has finished since the last PushFrame or Collect — the
 // same release those end with (archive append, checkpoint, window count).
 func (s *Session) Collect() ([]*llmprism.Report, error) {
 	reports, err := s.stream.Collect()

@@ -40,7 +40,7 @@ func runSession(t *testing.T, cfg session.Config, records []flow.Record, batch i
 	var out []*llmprism.Report
 	for lo := 0; lo < len(records); lo += batch {
 		hi := min(lo+batch, len(records))
-		reports, err := s.Push(records[lo:hi])
+		reports, err := s.PushFrame(flow.NewFrame(records[lo:hi]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestSessionStoreResumeMatchesUninterrupted(t *testing.T) {
 			var crashed []*llmprism.Report
 			for lo := 0; lo < len(records) && len(crashed) < wantCrashed; lo += 200 {
 				hi := min(lo+200, len(records))
-				reports, err := s.Push(records[lo:hi])
+				reports, err := s.PushFrame(flow.NewFrame(records[lo:hi]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,7 +224,7 @@ func TestSessionStoreResumeMatchesUninterrupted(t *testing.T) {
 			var resumed []*llmprism.Report
 			for lo := 0; lo < len(records); lo += 200 {
 				hi := min(lo+200, len(records))
-				reports, err := rs.Push(records[lo:hi])
+				reports, err := rs.PushFrame(flow.NewFrame(records[lo:hi]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -340,7 +340,7 @@ func TestManagerCloseMixedHealthyAndDeadSessions(t *testing.T) {
 		var pushErr error
 		for lo := 0; lo < len(records); lo += 400 {
 			hi := min(lo+400, len(records))
-			if pushErr = cs.Push(records[lo:hi]); pushErr != nil {
+			if pushErr = cs.PushFrame(flow.NewFrame(records[lo:hi])); pushErr != nil {
 				break
 			}
 		}
@@ -349,7 +349,7 @@ func TestManagerCloseMixedHealthyAndDeadSessions(t *testing.T) {
 				t.Fatal("dead cluster's pushes all succeeded; checkpoint failure did not surface")
 			}
 			// The session is dead: every later push returns the same error.
-			if err := cs.Push(records[:1]); err == nil {
+			if err := cs.PushFrame(flow.NewFrame(records[:1])); err == nil {
 				t.Fatal("dead session accepted another push")
 			}
 		} else if pushErr != nil {

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,61 +77,138 @@ func pushFrameRecords(seed int64, n int, span time.Duration) []flow.Record {
 	return records
 }
 
+// pushRecords and ingest are a per-record router, the test-only reference
+// TestPushFrameMatchesPush compares PushFrame against: anchor at the
+// batch's earliest record, route each record to every window covering its
+// start with its own late check and backward grid extension, then close
+// what the watermark passed. PushFrame must agree with it for any batch order:
+// within one push, late and extension decisions read only haveK, nextK and
+// started, and those change only by the pre-emission backward extension —
+// an order-free minimum.
+func (e *Engine[R]) pushRecords(ctx context.Context, records []flow.Record) error {
+	if len(records) == 0 {
+		return nil
+	}
+	if !e.anchored {
+		min := records[0].Start
+		for _, r := range records[1:] {
+			if r.Start.Before(min) {
+				min = r.Start
+			}
+		}
+		e.anchor = min.UnixNano()
+		e.maxEvent = e.anchor
+		e.anchored = true
+	}
+	for i := range records {
+		e.ingest(&records[i])
+	}
+	// Close windows only after the whole batch landed, so records within
+	// one push never race their own batch's watermark.
+	return e.closeDue(ctx)
+}
+
+// ingest routes one record to every open window covering its start time.
+// The grid extends below the anchor (negative k) while nothing has been
+// emitted yet, so within-lateness stragglers older than the first push's
+// minimum still land in their own correctly-bounded windows.
+func (e *Engine[R]) ingest(r *flow.Record) {
+	t := r.Start.UnixNano()
+	if t > e.maxEvent {
+		e.maxEvent = t
+	}
+	d := t - e.anchor
+	hop, width := int64(e.cfg.Hop), int64(e.cfg.Width)
+	kHi := FloorDiv(d, hop)
+	kLo := FloorDiv(d-width, hop) + 1
+	for k := kLo; k <= kHi; k++ {
+		if e.haveK && k < e.nextK {
+			if e.started {
+				e.late++
+				continue
+			}
+			e.nextK = k // emission not begun: the grid extends backwards
+		}
+		if !e.haveK {
+			e.nextK = k
+			e.haveK = true
+		}
+		w := e.open[k]
+		if w == nil {
+			w = &openWindow{b: flow.NewFrameBuilder()}
+			e.open[k] = w
+		}
+		w.b.AppendRecord(*r)
+		w.rows++
+		e.pending++
+	}
+}
+
 // TestPushFrameMatchesPush is the engine-level equivalence gate: feeding
-// frames through PushFrame must emit exactly the windows, rows, late counts
-// and byte-identical frames the per-record Push reference produces — for
-// tumbling and overlapping grids, several pipeline depths, and arrival
-// batchings that include late rows.
+// record batches as frames through PushFrame must emit exactly the windows,
+// rows and byte-identical frames the per-record reference router produces,
+// with equal Pending, Late and Skipped after every push — for tumbling and
+// overlapping grids, several pipeline depths, arrival batchings that
+// include late rows, and inputs in start order, in generation order, and
+// shuffled whole (so the first batches carry pre-anchor stragglers).
 func TestPushFrameMatchesPush(t *testing.T) {
 	records := pushFrameRecords(1, 2000, time.Minute)
+	byStart := append([]flow.Record(nil), records...)
+	flow.SortByStart(byStart)
+	names := []string{"generated", "by start"}
+	inputs := [][]flow.Record{records, byStart}
+	for seed := int64(1); seed <= 3; seed++ {
+		perm := append([]flow.Record(nil), records...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		names = append(names, fmt.Sprintf("shuffle %d", seed))
+		inputs = append(inputs, perm)
+	}
 	configs := []Config{
 		{Width: 10 * time.Second},
 		{Width: 10 * time.Second, Lateness: 2 * time.Second},
 		{Width: 12 * time.Second, Hop: 4 * time.Second, Lateness: time.Second},
 		{Width: 10 * time.Second, Lateness: 2 * time.Second, MaxInFlight: 4},
 	}
-	for ci, cfg := range configs {
-		for _, batch := range []int{1, 7, 200, len(records)} {
-			ref := newCaptureEngine(cfg)
-			bulk := newCaptureEngine(cfg)
-			var want, got []frameResult
-			for lo := 0; lo < len(records); lo += batch {
-				hi := lo + batch
-				if hi > len(records) {
-					hi = len(records)
+	for ii, input := range inputs {
+		name := names[ii]
+		for ci, cfg := range configs {
+			for _, batch := range []int{1, 7, 200, len(input)} {
+				ref := newCaptureEngine(cfg)
+				bulk := newCaptureEngine(cfg)
+				var want, got []frameResult
+				for lo := 0; lo < len(input); lo += batch {
+					chunk := input[lo:min(lo+batch, len(input))]
+					if err := ref.pushRecords(context.Background(), chunk); err != nil {
+						t.Fatal(err)
+					}
+					want = capture(t, want, ref.Ready())
+					if err := bulk.PushFrame(context.Background(), flow.NewFrame(chunk)); err != nil {
+						t.Fatal(err)
+					}
+					got = capture(t, got, bulk.Ready())
+					if ref.Pending() != bulk.Pending() || ref.Late() != bulk.Late() || ref.Skipped() != bulk.Skipped() {
+						t.Fatalf("%s, config %d, batch %d, push at %d: pending/late/skipped %d/%d/%d (records) vs %d/%d/%d (frame)",
+							name, ci, batch, lo, ref.Pending(), ref.Late(), ref.Skipped(), bulk.Pending(), bulk.Late(), bulk.Skipped())
+					}
 				}
-				chunk := records[lo:hi]
-				if err := ref.Push(context.Background(), chunk); err != nil {
-					t.Fatal(err)
+				want = append(want, captureAll(t, ref)...)
+				got = append(got, captureAll(t, bulk)...)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s, config %d, batch %d: PushFrame windows diverge from the record router (%d vs %d windows)",
+						name, ci, batch, len(want), len(got))
 				}
-				want = capture(t, want, ref.Ready())
-				if err := bulk.PushFrame(context.Background(), flow.NewFrame(chunk)); err != nil {
-					t.Fatal(err)
-				}
-				got = capture(t, got, bulk.Ready())
-			}
-			want = append(want, captureAll(t, ref)...)
-			got = append(got, captureAll(t, bulk)...)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("config %d batch %d: PushFrame windows diverge from Push (%d vs %d windows)",
-					ci, batch, len(want), len(got))
-			}
-			if ref.Late() != bulk.Late() {
-				t.Fatalf("config %d batch %d: late %d (push) vs %d (frame)", ci, batch, ref.Late(), bulk.Late())
-			}
-			if ref.Skipped() != bulk.Skipped() {
-				t.Fatalf("config %d batch %d: skipped diverge", ci, batch)
 			}
 		}
 	}
 }
 
 // TestPushFrameAnchorsLikePush: the first frame anchors the grid at its
-// earliest row, exactly as the first Push batch does.
+// earliest row, exactly as the record router anchors at its first batch's
+// earliest record.
 func TestPushFrameAnchorsLikePush(t *testing.T) {
 	records := []flow.Record{rec(2, 9*time.Second), rec(1, 3*time.Second), rec(3, 15*time.Second)}
 	ref := newCaptureEngine(Config{Width: 10 * time.Second})
-	if err := ref.Push(context.Background(), records); err != nil {
+	if err := ref.pushRecords(context.Background(), records); err != nil {
 		t.Fatal(err)
 	}
 	bulk := newCaptureEngine(Config{Width: 10 * time.Second})
@@ -138,7 +216,7 @@ func TestPushFrameAnchorsLikePush(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ref.Anchor().Equal(bulk.Anchor()) {
-		t.Fatalf("anchor %v (push) vs %v (frame)", ref.Anchor(), bulk.Anchor())
+		t.Fatalf("anchor %v (records) vs %v (frame)", ref.Anchor(), bulk.Anchor())
 	}
 	if want, got := captureAll(t, ref), captureAll(t, bulk); !reflect.DeepEqual(want, got) {
 		t.Fatal("windows diverge after identical anchoring")
@@ -150,7 +228,7 @@ func TestPushFrameAnchorsLikePush(t *testing.T) {
 // reopened.
 func TestPushFrameLateFrame(t *testing.T) {
 	e := newCaptureEngine(Config{Width: 10 * time.Second})
-	if err := e.Push(context.Background(), []flow.Record{rec(1, time.Second), rec(2, 25*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(1, time.Second), rec(2, 25*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	e.Ready()

@@ -4,11 +4,13 @@
 // The batch monitor it replaces buffered every raw record, re-sorted the
 // whole buffer on each feed, and rebuilt each window's columnar frame from
 // scratch — per-feed cost grew with the buffered history. The engine
-// instead routes each record, as it arrives, into the flow.FrameBuilder of
-// every open window it belongs to (out-of-order arrivals included), so
-// ingest is append-plus-intern per record and the one O(n log n) sort a
-// window ever pays happens once, inside FrameBuilder.Build, when the
-// window closes.
+// instead takes each batch as a columnar frame (PushFrame, its only ingest:
+// wire frames and archived windows as decoded, record batches through
+// flow.NewFrame) and routes its rows into the flow.FrameBuilder of every
+// open window they belong to (out-of-order arrivals included) — one
+// path-table remap per touched window plus wholesale column appends, never
+// a Record per row. The O(n log n) sort a window pays for its own frame
+// happens once, inside FrameBuilder.Build, when the window closes.
 //
 // # Windowing and watermarks
 //
@@ -30,7 +32,7 @@
 // # Pipelined analysis
 //
 // Closed windows are handed to the analyze callback on their own
-// goroutines, at most MaxInFlight at a time (Push blocks beyond that,
+// goroutines, at most MaxInFlight at a time (PushFrame blocks beyond that,
 // providing backpressure), so window k+1 ingests while window k analyzes.
 // Results are released strictly in window order regardless of completion
 // order. Determinism discipline: a frame built from a record multiset is
@@ -42,7 +44,7 @@
 // Every analysis goroutine, after posting its result, raises the Completed
 // signal: a coalescing capacity-1 channel, sent to without blocking, so a
 // caller that wants to release a window when its analysis finishes — not at
-// its next Push — can park a goroutine on it and call Ready when it fires.
+// its next push — can park a goroutine on it and call Ready when it fires.
 // The send is the only thing the engine does outside its caller's
 // serialization: Ready still runs on (or is locked with) the feeding
 // goroutine. A signal means "some window finished", not "Ready is
@@ -270,9 +272,6 @@ func (e *Engine[R]) Pending() int { return e.pending }
 // run exceeded MaxEmptyRun.
 func (e *Engine[R]) Skipped() uint64 { return e.skipped }
 
-// InFlight returns the number of windows dispatched but not yet collected.
-func (e *Engine[R]) InFlight() int { return len(e.inflight) }
-
 // Watermark returns the current event-time watermark (zero before the
 // first record).
 func (e *Engine[R]) Watermark() time.Time {
@@ -282,48 +281,23 @@ func (e *Engine[R]) Watermark() time.Time {
 	return time.Unix(0, e.maxEvent-int64(e.cfg.Lateness)).UTC()
 }
 
-// Push ingests one batch of records (any order) and dispatches every
-// window the advanced watermark closes. It blocks only when more than
+// PushFrame ingests one batch of rows (any order) and dispatches every
+// window the advanced watermark closes — the engine's only ingest: the
+// daemon's wire frames, archive replay and record batches (as
+// flow.NewFrame) all arrive here. A nil or empty frame is a no-op. Rows
+// route to their windows with one path-table remap per touched window
+// (FrameBuilder.InternTable + AppendFrameRows), never as a Record each;
+// frames being canonical under Build, every emitted frame depends only on
+// the row multiset a window received. On the first push the grid anchors at
+// the frame's earliest start. PushFrame blocks only when more than
 // MaxInFlight windows would be analyzing at once; ctx bounds that wait and
 // the dispatched analyses. Completed results are collected with Ready (or
 // Flush), not returned here.
-func (e *Engine[R]) Push(ctx context.Context, records []flow.Record) error {
-	if len(records) == 0 {
-		return nil
-	}
-	if !e.anchored {
-		min := records[0].Start
-		for _, r := range records[1:] {
-			if r.Start.Before(min) {
-				min = r.Start
-			}
-		}
-		e.anchor = min.UnixNano()
-		e.maxEvent = e.anchor
-		e.anchored = true
-	}
-	for i := range records {
-		e.ingest(&records[i])
-	}
-	// Close windows only after the whole batch landed, so records within
-	// one push never race their own batch's watermark.
-	return e.closeDue(ctx)
-}
-
-// PushFrame ingests one already-columnar frame — the bulk counterpart of
-// Push, and the seam the daemon's wire ingest and archive replay feed. Rows
-// route to their windows with one path-table remap per touched window
-// (FrameBuilder.InternTable + AppendFrameRows) instead of materializing and
-// re-interning a Record per row. Semantics are identical to
-// Push(f.RecordsByStart()): the grid anchors at the frame's earliest start,
-// the same windows close, the same record-to-window assignments count late
-// — and, frames being canonical under Build, every emitted frame is
-// byte-identical to the per-record path's.
 func (e *Engine[R]) PushFrame(ctx context.Context, f *flow.Frame) error {
-	n := f.Len()
-	if n == 0 {
+	if f == nil || f.Len() == 0 {
 		return nil
 	}
+	n := f.Len()
 	if !e.anchored {
 		e.anchor = f.MinStartNanos()
 		e.maxEvent = e.anchor
@@ -369,10 +343,16 @@ func (e *Engine[R]) PushFrame(ctx context.Context, f *flow.Frame) error {
 	return e.closeDue(ctx)
 }
 
-// routeRows lands count rows of f (all rows when rows is nil) in window k,
-// mirroring ingest's per-record late accounting and pre-emission grid
-// extension. Each call interns f's whole path table into the window's
-// builder once; Build drops whatever the window's rows never reference.
+// routeRows lands count rows of f (all rows when rows is nil) in window k —
+// the one place a row is placed on the grid, counted late or counted
+// pending. The grid extends below the anchor (negative k) while nothing has
+// been emitted yet, so within-lateness stragglers older than the first
+// push's minimum still land in their own correctly-bounded windows; once
+// emission has begun, rows for an index below nextK are late. Within one
+// push started does not change and nextK only takes that backward minimum,
+// so the outcome is independent of the order rows and buckets arrive in.
+// Each call interns f's whole path table into the window's builder once;
+// Build drops whatever the window's rows never reference.
 func (e *Engine[R]) routeRows(f *flow.Frame, k int64, rows []int32, count int) {
 	if e.haveK && k < e.nextK {
 		if e.started {
@@ -397,14 +377,18 @@ func (e *Engine[R]) routeRows(f *flow.Frame, k int64, rows []int32, count int) {
 	e.pending += count
 }
 
-// closeDue dispatches every window the current watermark closes — the
-// shared tail of Push and PushFrame.
+// closeDue dispatches every window the current watermark closes. It runs
+// once per push, after the whole batch landed (so haveK holds), and rows
+// within one push never race their own batch's watermark.
 func (e *Engine[R]) closeDue(ctx context.Context) error {
-	if !e.haveK {
-		return nil
-	}
 	wm := e.maxEvent - int64(e.cfg.Lateness)
-	kMax := FloorDiv(wm-e.anchor-int64(e.cfg.Width), int64(e.cfg.Hop))
+	return e.dispatchThrough(ctx, FloorDiv(wm-e.anchor-int64(e.cfg.Width), int64(e.cfg.Hop)))
+}
+
+// dispatchThrough dispatches grid slots nextK..kMax in order, jumping runs
+// of empty slots longer than MaxEmptyRun — the loop closeDue and Flush
+// share.
+func (e *Engine[R]) dispatchThrough(ctx context.Context, kMax int64) error {
 	for e.nextK <= kMax {
 		e.skipEmptyRun(kMax)
 		if e.nextK > kMax {
@@ -439,42 +423,6 @@ func (e *Engine[R]) skipEmptyRun(kMax int64) {
 
 func (e *Engine[R]) windowStart(k int64) int64 { return e.anchor + k*int64(e.cfg.Hop) }
 func (e *Engine[R]) windowEnd(k int64) int64   { return e.windowStart(k) + int64(e.cfg.Width) }
-
-// ingest routes one record to every open window covering its start time.
-// The grid extends below the anchor (negative k) while nothing has been
-// emitted yet, so within-lateness stragglers older than the first push's
-// minimum still land in their own correctly-bounded windows.
-func (e *Engine[R]) ingest(r *flow.Record) {
-	t := r.Start.UnixNano()
-	if t > e.maxEvent {
-		e.maxEvent = t
-	}
-	d := t - e.anchor
-	hop, width := int64(e.cfg.Hop), int64(e.cfg.Width)
-	kHi := FloorDiv(d, hop)
-	kLo := FloorDiv(d-width, hop) + 1
-	for k := kLo; k <= kHi; k++ {
-		if e.haveK && k < e.nextK {
-			if e.started {
-				e.late++
-				continue
-			}
-			e.nextK = k // emission not begun: the grid extends backwards
-		}
-		if !e.haveK {
-			e.nextK = k
-			e.haveK = true
-		}
-		w := e.open[k]
-		if w == nil {
-			w = &openWindow{b: flow.NewFrameBuilder()}
-			e.open[k] = w
-		}
-		w.b.AppendRecord(*r)
-		w.rows++
-		e.pending++
-	}
-}
 
 // dispatch closes window k (possibly empty) and hands it to an analysis
 // goroutine, blocking while MaxInFlight analyses are already running.
@@ -560,16 +508,7 @@ func (e *Engine[R]) Flush(ctx context.Context) ([]Result[R], error) {
 				maxK = k
 			}
 		}
-		for e.nextK <= maxK {
-			e.skipEmptyRun(maxK)
-			if e.nextK > maxK {
-				break
-			}
-			if err := e.dispatch(ctx, e.nextK); err != nil {
-				dispatchErr = err
-				break
-			}
-		}
+		dispatchErr = e.dispatchThrough(ctx, maxK)
 	}
 	out := make([]Result[R], 0, len(e.inflight))
 	for _, ch := range e.inflight {

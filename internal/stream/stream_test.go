@@ -34,6 +34,11 @@ func summarize(w Window, f *flow.Frame) summary {
 	return s
 }
 
+// push feeds records to e the way every caller does: as one frame.
+func push[R any](ctx context.Context, e *Engine[R], records ...flow.Record) error {
+	return e.PushFrame(ctx, flow.NewFrame(records))
+}
+
 func newSummaryEngine(cfg Config) *Engine[summary] {
 	return New(cfg, func(_ context.Context, w Window, f *flow.Frame) (summary, error) {
 		return summarize(w, f), nil
@@ -59,16 +64,16 @@ func drainAll(t *testing.T, e *Engine[summary]) []summary {
 func TestTumblingWindows(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second})
 	// Records in windows 0 and 1; a record at 25s closes both.
-	err := e.Push(context.Background(), []flow.Record{
+	err := push(context.Background(), e,
 		rec(1, 1*time.Second), rec(2, 9*time.Second), rec(3, 12*time.Second),
-	})
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Ready(); len(got) != 0 {
 		t.Fatalf("windows closed prematurely: %d", len(got))
 	}
-	if err := e.Push(context.Background(), []flow.Record{rec(4, 25*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(4, 25*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	got := drainAll(t, e)
@@ -86,7 +91,7 @@ func TestTumblingWindows(t *testing.T) {
 func TestEmptyWindowsEmitted(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second})
 	// A gap spanning windows 1 and 2: both must still be emitted.
-	err := e.Push(context.Background(), []flow.Record{rec(1, 0), rec(2, 35*time.Second)})
+	err := push(context.Background(), e, rec(1, 0), rec(2, 35*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +113,15 @@ func TestLatenessHoldsWindowsOpen(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second, Lateness: 5 * time.Second})
 	// 12s does not close window 0 (watermark 7s); the out-of-order record
 	// at 8s must still land in window 0.
-	if err := e.Push(context.Background(), []flow.Record{rec(1, 2*time.Second), rec(2, 12*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(1, 2*time.Second), rec(2, 12*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Push(context.Background(), []flow.Record{rec(3, 8*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(3, 8*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	// 15s pushes the watermark to 10s; window 0 ([2s,12s), grid anchored
 	// at the first record) stays open until the flush.
-	if err := e.Push(context.Background(), []flow.Record{rec(4, 15*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(4, 15*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	got := drainAll(t, e)
@@ -134,11 +139,11 @@ func TestLatenessHoldsWindowsOpen(t *testing.T) {
 
 func TestLateRecordsDroppedAndCounted(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second})
-	if err := e.Push(context.Background(), []flow.Record{rec(1, 0), rec(2, 11*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(1, 0), rec(2, 11*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	// Window 0 closed at watermark 11s; this record is late.
-	if err := e.Push(context.Background(), []flow.Record{rec(3, 5*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(3, 5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Late() != 1 {
@@ -156,10 +161,10 @@ func TestLateRecordsDroppedAndCounted(t *testing.T) {
 // correctly-bounded window.
 func TestPreAnchorStragglerKept(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second, Lateness: 6 * time.Second})
-	if err := e.Push(context.Background(), []flow.Record{rec(1, 10*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(1, 10*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Push(context.Background(), []flow.Record{rec(2, 5*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(2, 5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Late() != 0 {
@@ -180,10 +185,10 @@ func TestPreAnchorStragglerKept(t *testing.T) {
 func TestPreAnchorRecordLateAfterEmission(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second})
 	// 25s closes the anchor window [10s, 20s).
-	if err := e.Push(context.Background(), []flow.Record{rec(1, 10*time.Second), rec(2, 25*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(1, 10*time.Second), rec(2, 25*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Push(context.Background(), []flow.Record{rec(3, 5*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(3, 5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Late() != 1 {
@@ -196,12 +201,12 @@ func TestHoppedWindows(t *testing.T) {
 	// including the leading partial phase window that starts before the
 	// anchor (grid index -1).
 	e := newSummaryEngine(Config{Width: 10 * time.Second, Hop: 5 * time.Second})
-	err := e.Push(context.Background(), []flow.Record{
+	err := push(context.Background(), e,
 		rec(1, 1*time.Second),  // windows -1 and 0
 		rec(2, 7*time.Second),  // windows 0 and 1
 		rec(3, 12*time.Second), // windows 1 and 2
 		rec(4, 40*time.Second),
-	})
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +249,7 @@ func TestPipelinedOrderingDeterministic(t *testing.T) {
 		var id uint64
 		for at := time.Duration(0); at < 200*time.Second; at += time.Second {
 			id++
-			if err := e.Push(context.Background(), []flow.Record{rec(id, at)}); err != nil {
+			if err := push(context.Background(), e, rec(id, at)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -303,7 +308,7 @@ func TestPermutationInvariance(t *testing.T) {
 			if hi > len(perm) {
 				hi = len(perm)
 			}
-			if err := e.Push(context.Background(), perm[lo:hi]); err != nil {
+			if err := push(context.Background(), e, perm[lo:hi]...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -327,7 +332,7 @@ func TestAnalyzeErrorSurfaced(t *testing.T) {
 		}
 		return f.Len(), nil
 	})
-	err := e.Push(context.Background(), []flow.Record{rec(1, 0), rec(2, 12*time.Second), rec(3, 25*time.Second)})
+	err := push(context.Background(), e, rec(1, 0), rec(2, 12*time.Second), rec(3, 25*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,14 +359,14 @@ func TestPushCanceledContext(t *testing.T) {
 		})
 	ctx, cancel := context.WithCancel(context.Background())
 	// Window 0 dispatches and parks; window 1 needs the only slot.
-	if err := e.Push(ctx, []flow.Record{rec(1, 0), rec(2, 12*time.Second)}); err != nil {
+	if err := push(ctx, e, rec(1, 0), rec(2, 12*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	err := e.Push(ctx, []flow.Record{rec(3, 25*time.Second)})
+	err := push(ctx, e, rec(3, 25*time.Second))
 	if err == nil {
 		t.Error("blocked dispatch ignored cancellation")
 	}
@@ -373,7 +378,7 @@ func TestWatermarkAndPending(t *testing.T) {
 	if !e.Watermark().IsZero() {
 		t.Error("watermark before any record should be zero")
 	}
-	if err := e.Push(context.Background(), []flow.Record{rec(1, 8*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(1, 8*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := e.Watermark(), epoch.Add(5*time.Second); !got.Equal(want) {
@@ -404,10 +409,10 @@ func TestFloorDiv(t *testing.T) {
 // slot across the gap.
 func TestHugeGapSkipsEmptyRun(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second})
-	err := e.Push(context.Background(), []flow.Record{
+	err := push(context.Background(), e,
 		rec(1, 0),
 		rec(2, 10*365*24*time.Hour), // ~10 years ahead
-	})
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +432,7 @@ func TestHugeGapSkipsEmptyRun(t *testing.T) {
 // their per-slot empty windows so emission stays wall-clock aligned.
 func TestShortGapStillEmitsEmpties(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second, MaxEmptyRun: 8})
-	err := e.Push(context.Background(), []flow.Record{rec(1, 0), rec(2, 55*time.Second)})
+	err := push(context.Background(), e, rec(1, 0), rec(2, 55*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +464,7 @@ func TestResumeContinuesGrid(t *testing.T) {
 	run := func(e *Engine[summary], batches [][]flow.Record) []summary {
 		var out []summary
 		for _, b := range batches {
-			if err := e.Push(context.Background(), b); err != nil {
+			if err := push(context.Background(), e, b...); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range e.Ready() {
@@ -485,7 +490,7 @@ func TestResumeContinuesGrid(t *testing.T) {
 		var rest [][]flow.Record
 	feed:
 		for bi, b := range batches {
-			if err := e.Push(context.Background(), b); err != nil {
+			if err := push(context.Background(), e, b...); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range e.Ready() {
@@ -548,11 +553,11 @@ func TestCompletedSignalOutOfOrder(t *testing.T) {
 			<-gates[w.Seq]
 			return summarize(w, f), nil
 		})
-	if err := e.Push(context.Background(), []flow.Record{rec(1, 0), rec(2, 12*time.Second), rec(3, 25*time.Second)}); err != nil {
+	if err := push(context.Background(), e, rec(1, 0), rec(2, 12*time.Second), rec(3, 25*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if e.InFlight() != 2 {
-		t.Fatalf("in flight = %d, want 2", e.InFlight())
+	if len(e.inflight) != 2 {
+		t.Fatalf("in flight = %d, want 2", len(e.inflight))
 	}
 	select {
 	case <-e.Completed():
@@ -588,7 +593,7 @@ func TestCompletedSignalNeverBlocksAnalysis(t *testing.T) {
 	e := newSummaryEngine(Config{Width: 10 * time.Second, MaxInFlight: 2})
 	const windows = 100
 	for i := 0; i < windows; i++ {
-		if err := e.Push(ctx, []flow.Record{rec(uint64(i+1), time.Duration(i)*10*time.Second)}); err != nil {
+		if err := push(ctx, e, rec(uint64(i+1), time.Duration(i)*10*time.Second)); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}

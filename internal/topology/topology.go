@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
 
 	"github.com/llmprism/llmprism/internal/flow"
 )
@@ -166,9 +165,6 @@ func (t *Topology) Nodes() int { return t.spec.Nodes }
 // Endpoints returns the total number of NIC endpoints.
 func (t *Topology) Endpoints() int { return t.nAddrs }
 
-// Leaves returns the number of leaf switches.
-func (t *Topology) Leaves() int { return t.leaves }
-
 // Spines returns the number of spine switches.
 func (t *Topology) Spines() int { return t.spec.Spines }
 
@@ -197,9 +193,6 @@ func (t *Topology) GPUOf(a flow.Addr) int {
 	return int(a) % t.spec.GPUsPerNode
 }
 
-// Valid reports whether a is an endpoint of this fabric.
-func (t *Topology) Valid(a flow.Addr) bool { return int(a) < t.nAddrs }
-
 // LeafOf returns the leaf switch of a server.
 func (t *Topology) LeafOf(n NodeID) flow.SwitchID {
 	return flow.SwitchID(int(n) / t.spec.NodesPerLeaf)
@@ -217,9 +210,6 @@ func (t *Topology) SpineSwitch(s int) flow.SwitchID {
 func (t *Topology) IsSpine(sw flow.SwitchID) bool {
 	return int(sw) >= t.leaves && int(sw) < t.leaves+t.spec.Spines
 }
-
-// SwitchCount returns the total number of switches (leaves + spines).
-func (t *Topology) SwitchCount() int { return t.leaves + t.spec.Spines }
 
 // SwitchName renders a human-readable switch name ("leaf-3", "spine-1").
 func (t *Topology) SwitchName(sw flow.SwitchID) string {
@@ -324,22 +314,6 @@ func (t *Topology) ecmpSpine(src, dst flow.Addr, label uint32) int {
 	put32(8, label)
 	_, _ = h.Write(buf[:])
 	return int(h.Sum32() % uint32(t.spec.Spines))
-}
-
-// ServerSet returns the sorted, deduplicated server list of a set of
-// endpoint addresses — the quantity Algorithm 1 compares with Jaccard
-// similarity when merging cross-machine clusters.
-func (t *Topology) ServerSet(addrs []flow.Addr) []NodeID {
-	seen := make(map[NodeID]struct{}, len(addrs))
-	for _, a := range addrs {
-		seen[t.NodeOf(a)] = struct{}{}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // WriteJSON persists the topology spec.

@@ -36,8 +36,8 @@ func TestDefaults(t *testing.T) {
 	if topo.Endpoints() != 32 {
 		t.Errorf("Endpoints = %d, want 32", topo.Endpoints())
 	}
-	if topo.Leaves() != 1 {
-		t.Errorf("Leaves = %d, want 1", topo.Leaves())
+	if topo.leaves != 1 {
+		t.Errorf("leaves = %d, want 1", topo.leaves)
 	}
 }
 
@@ -47,7 +47,7 @@ func TestAddrMappingRoundTrip(t *testing.T) {
 		node := NodeID(int(rawNode) % 360)
 		gpu := int(rawGPU) % 8
 		a := topo.AddrOf(node, gpu)
-		return topo.NodeOf(a) == node && topo.GPUOf(a) == gpu && topo.Valid(a)
+		return topo.NodeOf(a) == node && topo.GPUOf(a) == gpu && int(a) < topo.Endpoints()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -56,8 +56,8 @@ func TestAddrMappingRoundTrip(t *testing.T) {
 
 func TestLeafAssignment(t *testing.T) {
 	topo := testTopo(t, Spec{Nodes: 48, NodesPerLeaf: 16})
-	if topo.Leaves() != 3 {
-		t.Fatalf("Leaves = %d, want 3", topo.Leaves())
+	if topo.leaves != 3 {
+		t.Fatalf("leaves = %d, want 3", topo.leaves)
 	}
 	if topo.LeafOf(0) != 0 || topo.LeafOf(15) != 0 || topo.LeafOf(16) != 1 || topo.LeafOf(47) != 2 {
 		t.Error("LeafOf boundaries wrong")
@@ -75,8 +75,8 @@ func TestSwitchNaming(t *testing.T) {
 	if topo.IsSpine(topo.LeafSwitch(0)) || !topo.IsSpine(topo.SpineSwitch(0)) {
 		t.Error("IsSpine misclassifies")
 	}
-	if topo.SwitchCount() != 7 {
-		t.Errorf("SwitchCount = %d, want 7", topo.SwitchCount())
+	if n := topo.leaves + topo.Spines(); n != 7 {
+		t.Errorf("switches = %d, want 7", n)
 	}
 }
 
@@ -225,23 +225,6 @@ func TestLinkTableLayout(t *testing.T) {
 	if counts[LinkNICUp] != 256 || counts[LinkNICDown] != 256 ||
 		counts[LinkLeafToSpine] != 8 || counts[LinkSpineToLeaf] != 8 {
 		t.Errorf("link kind counts = %v", counts)
-	}
-}
-
-func TestServerSet(t *testing.T) {
-	topo := testTopo(t, Spec{Nodes: 8})
-	addrs := []flow.Addr{
-		topo.AddrOf(3, 0), topo.AddrOf(3, 5), topo.AddrOf(1, 2), topo.AddrOf(7, 7),
-	}
-	got := topo.ServerSet(addrs)
-	want := []NodeID{1, 3, 7}
-	if len(got) != len(want) {
-		t.Fatalf("ServerSet = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ServerSet = %v, want %v", got, want)
-		}
 	}
 }
 

@@ -65,18 +65,6 @@ type Platform struct {
 	Jobs  []Job
 }
 
-// JobOf returns the ground-truth job owning addr, or nil.
-func (p *Platform) JobOf(addr flow.Addr) *Job {
-	for i := range p.Jobs {
-		for _, a := range p.Jobs[i].Addrs {
-			if a == addr {
-				return &p.Jobs[i]
-			}
-		}
-	}
-	return nil
-}
-
 // RecognitionScore compares predicted job clusters against the true jobs.
 type RecognitionScore struct {
 	// TrueJobs is the number of ground-truth jobs.

@@ -27,19 +27,6 @@ func twoJobs() []Job {
 	}
 }
 
-func TestJobOf(t *testing.T) {
-	p := Platform{Jobs: twoJobs()}
-	if j := p.JobOf(3); j == nil || j.ID != 1 {
-		t.Error("JobOf(3) should find job 1")
-	}
-	if j := p.JobOf(11); j == nil || j.ID != 2 {
-		t.Error("JobOf(11) should find job 2")
-	}
-	if p.JobOf(99) != nil {
-		t.Error("JobOf(99) should be nil")
-	}
-}
-
 func TestScoreRecognitionPerfect(t *testing.T) {
 	predicted := [][]flow.Addr{{4, 3, 2, 1}, {11, 10}}
 	score := ScoreRecognition(predicted, twoJobs())

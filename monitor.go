@@ -151,8 +151,8 @@ func WithChronicSuppression(cfg diagnose.IncidentConfig) MonitorOption {
 // window — its columnar frame, window bounds and the event-time grid
 // anchor — into a binary trace archive written to w. The monitor stamps
 // its own window geometry into the archive header, so the `llmprism
-// replay` path (Monitor.Stream over each archived window's records, grid
-// pre-anchored via WithAnchor) reproduces the recorded reports bit for
+// replay` path (MonitorStream.PushFrame of each archived window's frame,
+// grid pre-anchored via WithAnchor) reproduces the recorded reports bit for
 // bit. MonitorStream.Close finalizes the archive's manifest; the caller
 // still owns (and closes) w itself. It is WithArchiveSink over an
 // archive.Writer on w.
@@ -521,9 +521,9 @@ func dropChronic(alerts []diagnose.Alert, job int, chronic map[diagnose.Incident
 	return kept
 }
 
-// Stream opens a pipelined streaming session over the monitor: records
-// append straight into per-window columnar builders, closed windows
-// analyze asynchronously (up to WithPipelineDepth at once) while newer
+// Stream opens a pipelined streaming session over the monitor: each pushed
+// batch, as a frame, routes its rows into per-window columnar builders,
+// closed windows analyze asynchronously (up to WithPipelineDepth at once) while newer
 // records keep ingesting, and reports are released strictly in window
 // order. ctx bounds every analysis started by the session. A monitor
 // supports one Stream session; a second call is refused.
@@ -589,27 +589,20 @@ type MonitorStream struct {
 // finished; Push never blocks waiting for analysis except to hold the
 // pipeline-depth bound. Which call returns a given report — this Push, a
 // later one, a Collect in between, or Close — depends on when its analysis
-// finishes; the sequence of reports over all calls does not.
+// finishes; the sequence of reports over all calls does not. Push is
+// PushFrame(NewFlowFrame(records)): the batch is built into one frame (one
+// sort) and enters through the same seam as everything else.
 func (s *MonitorStream) Push(records []FlowRecord) ([]*Report, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.closed {
-		return nil, fmt.Errorf("llmprism: push on a closed monitor stream")
-	}
-	if err := s.eng.Push(s.ctx, records); err != nil {
-		s.err = err
-		return nil, err
-	}
-	return s.Collect()
+	return s.PushFrame(flow.NewFrame(records))
 }
 
-// PushFrame ingests one already-columnar frame — the bulk counterpart of
-// Push, used by archive replay and the daemon's LPF1 wire ingest so a
-// decoded window never materializes per-record structs. It is
-// semantically Push(f.RecordsByStart()) — same windows, same late counts,
-// bit-identical reports and archived frames — at a fraction of the
-// allocations.
+// PushFrame ingests one already-columnar frame, with Push's contract — the
+// stream's one way in: archive replay and the daemon's LPF1 wire ingest
+// hand over decoded frames as they are, so a window never materializes
+// per-record structs, and Push wraps its batch in a frame first. Every
+// batching of the same records, as records or frames, yields the same
+// windows, the same late counts and bit-identical reports and archived
+// frames. A nil or empty frame ingests nothing and only collects.
 func (s *MonitorStream) PushFrame(f *FlowFrame) ([]*Report, error) {
 	if s.err != nil {
 		return nil, s.err

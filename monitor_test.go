@@ -127,6 +127,9 @@ func TestMonitorEmptyFeed(t *testing.T) {
 	if reports, err := s.Push(nil); err != nil || reports != nil {
 		t.Error("empty push should be a no-op")
 	}
+	if reports, err := s.PushFrame(nil); err != nil || reports != nil {
+		t.Error("nil frame push should be a no-op")
+	}
 	if reports, err := s.Close(); err != nil || reports != nil {
 		t.Error("closing a session that saw no records should report nothing")
 	}
