@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,8 @@ import (
 	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/flow"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/timeline.golden")
 
 // writeTrace simulates a tiny two-job platform and writes the flows + topo
 // files the CLI consumes.
@@ -129,6 +132,43 @@ func TestRunErrors(t *testing.T) {
 		"timeline", "-flows", flows, "-topo", topo, "-job", "99",
 	}, &out, &out); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range job index: err = %v", err)
+	}
+}
+
+// TestTimelineGolden pins the timeline subcommand's stdout: both of
+// writeTrace's jobs, 16 ranks, at two widths, against
+// testdata/timeline.golden. go test ./cmd/llmprism -run TestTimelineGolden
+// -update rewrites it; only a change that means to move a swimlane may.
+func TestTimelineGolden(t *testing.T) {
+	flows, topo := writeTrace(t)
+	var got strings.Builder
+	for _, job := range []string{"0", "1"} {
+		for _, width := range []string{"60", "120"} {
+			fmt.Fprintf(&got, "== job %s width %s\n", job, width)
+			if err := run(context.Background(), []string{
+				"timeline", "-flows", flows, "-topo", topo,
+				"-job", job, "-ranks", "16", "-width", width,
+			}, &got, &got); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	path := filepath.Join("testdata", "timeline.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("timeline output moved:\n--- got\n%s--- want\n%s", got.String(), want)
 	}
 }
 
