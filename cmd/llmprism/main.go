@@ -555,6 +555,6 @@ func printTimeline(stdout io.Writer, report *llmprism.Report, jobIdx, nRanks, wi
 	if span <= 0 {
 		return fmt.Errorf("job %d has empty reconstructed steps", jobIdx)
 	}
-	fmt.Fprint(stdout, viz.TimelineSwimlanes(job.Timelines, ranks, from, from.Add(span), width))
+	fmt.Fprint(stdout, viz.TimelineSwimlanes(job.Records, job.Types, job.Timelines, ranks, from, from.Add(span), width))
 	return nil
 }

@@ -155,9 +155,6 @@ func TestTimelineGolden(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "timeline.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}

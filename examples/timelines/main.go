@@ -58,7 +58,7 @@ func main() {
 	from := ref.Steps[len(ref.Steps)/2].Start
 	fmt.Printf("reconstructed %d training steps per rank, mean step %v\n\n",
 		len(ref.Steps), mean.Round(time.Millisecond))
-	fmt.Println(llmprism.RenderTimelines(job.Timelines, ranks, from, from.Add(2*mean+mean/2), 110))
+	fmt.Println(llmprism.RenderTimelines(job, ranks, from, from.Add(2*mean+mean/2), 110))
 
 	// Per-step detail for one rank.
 	fmt.Printf("steps of rank %v:\n", ranks[0])

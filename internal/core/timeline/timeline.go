@@ -5,47 +5,21 @@
 // traffic, whatever compute/communication overlap optimizations the tenant
 // uses. The reconstructor therefore divides each rank's DP flows into steps
 // with the same BOCD splitter used for classification; the end of a step's
-// DP segment marks the end of the step. PP and DP flows are then laid out
-// chronologically per rank, with the gaps between communication events
-// approximating compute.
+// DP segment marks the end of the step, and the gaps between a step's
+// communication events approximate compute. A Timeline keeps the steps and
+// a count of the PP and DP flows that start in each, not the flows
+// themselves: the job's records already hold those, and a renderer that
+// wants them (viz.TimelineSwimlanes) reads them from there.
 package timeline
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/llmprism/llmprism/internal/bocd"
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/flow"
 )
-
-// EventKind classifies a timeline event.
-type EventKind uint8
-
-// Event kinds.
-const (
-	EventPP EventKind = iota + 1
-	EventDP
-)
-
-func (k EventKind) String() string {
-	if k == EventPP {
-		return "PP"
-	}
-	return "DP"
-}
-
-// Event is one communication event on a rank's timeline.
-type Event struct {
-	Kind  EventKind
-	Start time.Time
-	End   time.Time
-	Peer  flow.Addr
-	Bytes int64
-}
-
-// Duration returns the event length.
-func (e Event) Duration() time.Duration { return e.End.Sub(e.Start) }
 
 // Step is one reconstructed training step on a rank.
 type Step struct {
@@ -60,7 +34,8 @@ type Step struct {
 	End time.Time
 	// DPStart and DPEnd delimit the step's DP collective segment.
 	DPStart, DPEnd time.Time
-	// Events counts the rank's communication events inside the step.
+	// Events counts the rank's communication events (PP and DP flows it
+	// sends or receives) that start in [Start, End).
 	Events int
 }
 
@@ -70,11 +45,10 @@ func (s Step) Duration() time.Duration { return s.End.Sub(s.Start) }
 // DPDuration returns the length of the DP segment.
 func (s Step) DPDuration() time.Duration { return s.DPEnd.Sub(s.DPStart) }
 
-// Timeline is the reconstructed schedule of one GPU rank.
+// Timeline is the reconstructed schedule of one GPU rank. Its size depends
+// on the number of steps, not on the number of flows.
 type Timeline struct {
 	Rank flow.Addr
-	// Events lists every communication event chronologically.
-	Events []Event
 	// Steps lists reconstructed steps. The window's leading partial step
 	// (before the first complete DP boundary) is included as step 0 when
 	// it contains DP traffic.
@@ -99,7 +73,8 @@ func (c Config) withDefaults() Config {
 
 // Reconstruct builds timelines for every rank of one job. records must be
 // the job's flows sorted by start time; types is the pair classification
-// from package parallel.
+// from package parallel. Every rank that sends or receives a flow gets a
+// timeline, with no steps when it has fewer than MinDPFlows DP flows.
 func Reconstruct(records []flow.Record, types map[flow.Pair]parallel.Type, cfg Config) map[flow.Addr]*Timeline {
 	cfg = cfg.withDefaults()
 	perRank := flow.ByEndpoint(records)
@@ -110,139 +85,151 @@ func Reconstruct(records []flow.Record, types map[flow.Pair]parallel.Type, cfg C
 	return out
 }
 
-// ReconstructView is Reconstruct over one job's frame view. Instead of
-// bucketing copied records per endpoint, it streams the view's rows (in
-// start order) once, appending each row's event to its source and
-// destination ranks' exactly-sized event buffers. Results are bit-identical
-// to Reconstruct over the equivalent record slice.
+// ReconstructView is Reconstruct over one job's frame view, bit-identical
+// to it on the equivalent record slice. It sizes every rank's buffers from
+// the view's pair spans, then streams the view's rows once, in start order,
+// filling each endpoint's flow starts and DP start/end times; the starts
+// are therefore already ascending. Nothing proportional to the rows outlives
+// the call.
 func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config) map[flow.Addr]*Timeline {
 	cfg = cfg.withDefaults()
 	f := v.Frame()
-	rows := v.Rows()
 
-	// Exact per-rank event counts, so every events slice allocates once.
-	counts := make(map[flow.Addr]int)
-	for _, r := range rows {
-		src, dst := f.Src(int(r)), f.Dst(int(r))
-		counts[src]++
-		if dst != src {
-			counts[dst]++
-		}
-	}
+	// One build per rank, indexed in first-seen order.
 	type rankBuild struct {
-		tl       *Timeline
+		rank     flow.Addr
+		n, dp    int
+		starts   []int64
 		dpStarts []time.Time
-		dpEnds   []time.Time
+		dpEnds   []int64
 	}
-	builds := make(map[flow.Addr]*rankBuild, len(counts))
-	for rank, n := range counts {
-		builds[rank] = &rankBuild{tl: &Timeline{Rank: rank, Events: make([]Event, 0, n)}}
+	var builds []rankBuild
+	rankOf := make(map[flow.Addr]int32)
+	index := func(a flow.Addr) int32 {
+		i, ok := rankOf[a]
+		if !ok {
+			i = int32(len(builds))
+			rankOf[a] = i
+			builds = append(builds, rankBuild{rank: a})
+		}
+		return i
+	}
+	// Resolve each view pair's endpoints and type once. A view holds whole
+	// pair spans, so the span lengths size every rank's buffers exactly.
+	type pairInfo struct {
+		a, b int32 // equal for a self-pair
+		dp   bool
+	}
+	pairs := make([]pairInfo, v.NumPairs())
+	var total, totalDP int
+	for i := range pairs {
+		p := v.PairAt(i)
+		lo, hi := v.PairSpan(i)
+		pi := pairInfo{a: index(p.A), b: index(p.B), dp: types[p] == parallel.TypeDP}
+		pairs[i] = pi
+		for _, r := range [2]int32{pi.a, pi.b} {
+			builds[r].n += hi - lo
+			total += hi - lo
+			if pi.dp {
+				builds[r].dp += hi - lo
+				totalDP += hi - lo
+			}
+			if pi.b == pi.a {
+				break
+			}
+		}
 	}
 
-	add := func(b *rankBuild, rank flow.Addr, p flow.Pair, kind EventKind, start, end time.Time, bytes int64) {
-		if kind == EventDP {
-			b.dpStarts = append(b.dpStarts, start)
-			b.dpEnds = append(b.dpEnds, end)
-		}
-		b.tl.Events = append(b.tl.Events, Event{
-			Kind:  kind,
-			Start: start,
-			End:   end,
-			Peer:  p.Other(rank),
-			Bytes: bytes,
-		})
+	// Carve every rank's exactly-sized buffers out of one backing array each.
+	starts := make([]int64, total)
+	dpStarts := make([]time.Time, totalDP)
+	dpEnds := make([]int64, totalDP)
+	for i := range builds {
+		b := &builds[i]
+		b.starts, starts = starts[:0:b.n], starts[b.n:]
+		b.dpStarts, dpStarts = dpStarts[:0:b.dp], dpStarts[b.dp:]
+		b.dpEnds, dpEnds = dpEnds[:0:b.dp], dpEnds[b.dp:]
 	}
-	for _, ri := range rows {
+
+	rowPairs := v.RowPairs()
+	for i, ri := range v.Rows() {
 		r := int(ri)
-		p := f.PairOf(r)
-		kind := EventPP
-		if types[p] == parallel.TypeDP {
-			kind = EventDP
-		}
-		start, end, bytes := f.Start(r), f.End(r), f.Bytes(r)
-		src, dst := f.Src(r), f.Dst(r)
-		add(builds[src], src, p, kind, start, end, bytes)
-		if dst != src {
-			add(builds[dst], dst, p, kind, start, end, bytes)
+		pi := pairs[rowPairs[i]]
+		start := f.StartNanos(r)
+		for _, k := range [2]int32{pi.a, pi.b} {
+			b := &builds[k]
+			b.starts = append(b.starts, start)
+			if pi.dp {
+				b.dpStarts = append(b.dpStarts, f.Start(r))
+				b.dpEnds = append(b.dpEnds, start+int64(f.Duration(r)))
+			}
+			if pi.b == pi.a {
+				break
+			}
 		}
 	}
 
+	tls := make([]Timeline, len(builds))
 	out := make(map[flow.Addr]*Timeline, len(builds))
-	for rank, b := range builds {
-		reconstructSteps(b.tl, b.dpStarts, b.dpEnds, cfg)
-		out[rank] = b.tl
+	for i := range builds {
+		b := &builds[i]
+		tls[i] = Timeline{Rank: b.rank, Steps: reconstructSteps(b.starts, b.dpStarts, b.dpEnds, cfg)}
+		out[b.rank] = &tls[i]
 	}
 	return out
 }
 
 func reconstructRank(rank flow.Addr, recs []flow.Record, types map[flow.Pair]parallel.Type, cfg Config) *Timeline {
-	tl := &Timeline{Rank: rank}
-	var dpStarts, dpEnds []time.Time
-	for _, r := range recs {
-		kind := EventPP
+	starts := make([]int64, len(recs))
+	var dpStarts []time.Time
+	var dpEnds []int64
+	for i, r := range recs {
+		starts[i] = r.Start.UnixNano()
 		if types[r.Pair()] == parallel.TypeDP {
-			kind = EventDP
 			dpStarts = append(dpStarts, r.Start)
-			dpEnds = append(dpEnds, r.End())
+			dpEnds = append(dpEnds, r.End().UnixNano())
 		}
-		tl.Events = append(tl.Events, Event{
-			Kind:  kind,
-			Start: r.Start,
-			End:   r.End(),
-			Peer:  r.Pair().Other(rank),
-			Bytes: r.Bytes,
-		})
 	}
-	reconstructSteps(tl, dpStarts, dpEnds, cfg)
-	return tl
+	return &Timeline{Rank: rank, Steps: reconstructSteps(starts, dpStarts, dpEnds, cfg)}
 }
 
-// reconstructSteps is the shared step-division core: events are the rank's
-// communication events in flow order, dpStarts/dpEnds the start and end
-// times of its DP flows in that same order. It sorts the events
-// chronologically and appends the reconstructed steps to tl.
-func reconstructSteps(tl *Timeline, dpStarts, dpEnds []time.Time, cfg Config) {
-	sort.Slice(tl.Events, func(i, j int) bool { return tl.Events[i].Start.Before(tl.Events[j].Start) })
-
+// reconstructSteps is the shared step-division core. starts holds the Unix
+// nanosecond start of every one of the rank's flows, ascending; dpStarts
+// and dpEnds hold the start time and Unix nanosecond end of its DP flows,
+// in flow order. It returns the reconstructed steps, nil below MinDPFlows.
+// Step times are UTC, as flow.Frame materializes its timestamps.
+func reconstructSteps(starts []int64, dpStarts []time.Time, dpEnds []int64, cfg Config) []Step {
 	if len(dpStarts) < cfg.MinDPFlows {
-		return
+		return nil
 	}
 	segments := bocd.SplitTimes(dpStarts, cfg.Split)
-
-	var prevEnd time.Time
-	if len(tl.Events) > 0 {
-		prevEnd = tl.Events[0].Start
-	}
+	steps := make([]Step, 0, len(segments))
+	prevEnd := starts[0] // the DP flows are among starts, so it is not empty
 	for i, seg := range segments {
-		dpStart := dpStarts[seg.Lo]
 		dpEnd := dpEnds[seg.Lo]
-		for k := seg.Lo; k < seg.Hi; k++ {
-			if e := dpEnds[k]; e.After(dpEnd) {
-				dpEnd = e
-			}
+		for _, e := range dpEnds[seg.Lo+1 : seg.Hi] {
+			dpEnd = max(dpEnd, e)
 		}
-		step := Step{
+		end := time.Unix(0, dpEnd).UTC()
+		steps = append(steps, Step{
 			Index:   i,
-			Start:   prevEnd,
-			End:     dpEnd,
-			DPStart: dpStart,
-			DPEnd:   dpEnd,
-		}
-		step.Events = countEventsIn(tl.Events, step.Start, step.End)
-		tl.Steps = append(tl.Steps, step)
+			Start:   time.Unix(0, prevEnd).UTC(),
+			End:     end,
+			DPStart: dpStarts[seg.Lo],
+			DPEnd:   end,
+			Events:  countIn(starts, prevEnd, dpEnd),
+		})
 		prevEnd = dpEnd
 	}
+	return steps
 }
 
-// countEventsIn returns how many events start in [from, to). events must be
-// sorted by Start; a reversed interval counts zero.
-func countEventsIn(events []Event, from, to time.Time) int {
-	lo := sort.Search(len(events), func(i int) bool { return !events[i].Start.Before(from) })
-	hi := sort.Search(len(events), func(i int) bool { return !events[i].Start.Before(to) })
-	if hi < lo {
-		return 0
-	}
-	return hi - lo
+// countIn returns how many of the ascending starts lie in [from, to); a
+// reversed interval counts zero.
+func countIn(starts []int64, from, to int64) int {
+	lo, _ := slices.BinarySearch(starts, from)
+	hi, _ := slices.BinarySearch(starts, to)
+	return max(hi-lo, 0)
 }
 
 // StepEnds returns the reconstructed step end offsets of one timeline

@@ -2,7 +2,7 @@ package timeline
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,35 +99,6 @@ func TestReconstructStepEndAccuracy(t *testing.T) {
 	}
 }
 
-func TestReconstructEventKinds(t *testing.T) {
-	records, types := jobTrace(4, time.Second, 100*time.Millisecond)
-	tls := Reconstruct(records, types, Config{})
-	tl := tls[1]
-	var pp, dp int
-	for _, e := range tl.Events {
-		switch e.Kind {
-		case EventPP:
-			pp++
-			if e.Peer != 0 {
-				t.Errorf("PP event peer = %v, want 0", e.Peer)
-			}
-		case EventDP:
-			dp++
-			if e.Peer != 2 {
-				t.Errorf("DP event peer = %v, want 2", e.Peer)
-			}
-		}
-	}
-	if pp != 16 || dp != 24 {
-		t.Errorf("events PP/DP = %d/%d, want 16/24", pp, dp)
-	}
-	for i := 1; i < len(tl.Events); i++ {
-		if tl.Events[i].Start.Before(tl.Events[i-1].Start) {
-			t.Fatal("events not chronological")
-		}
-	}
-}
-
 func TestRankWithoutDPHasNoSteps(t *testing.T) {
 	records, types := jobTrace(4, time.Second, 100*time.Millisecond)
 	tls := Reconstruct(records, types, Config{})
@@ -137,9 +108,6 @@ func TestRankWithoutDPHasNoSteps(t *testing.T) {
 	}
 	if len(tl.Steps) != 0 {
 		t.Errorf("rank without DP flows got %d steps", len(tl.Steps))
-	}
-	if len(tl.Events) == 0 {
-		t.Error("rank 0 should have PP events")
 	}
 }
 
@@ -188,12 +156,6 @@ func TestMeanStepDuration(t *testing.T) {
 	}
 }
 
-func TestEventKindString(t *testing.T) {
-	if EventPP.String() != "PP" || EventDP.String() != "DP" {
-		t.Error("EventKind.String labels wrong")
-	}
-}
-
 func BenchmarkReconstruct(b *testing.B) {
 	records, types := jobTrace(30, time.Second, 100*time.Millisecond)
 	b.ResetTimer()
@@ -202,36 +164,91 @@ func BenchmarkReconstruct(b *testing.B) {
 	}
 }
 
-// TestCountEventsInMatchesLinearScan checks the binary-search count against
-// the scan it replaced, on sorted events with tied Start times and on
-// intervals that are empty, reversed, outside the events or cut through a
-// run of ties.
-func TestCountEventsInMatchesLinearScan(t *testing.T) {
-	linear := func(events []Event, from, to time.Time) int {
+// TestCountInMatchesLinearScan checks the binary-search count against a
+// linear scan, on ascending starts with ties and on intervals that are
+// empty, reversed, outside the starts or cut through a run of ties.
+func TestCountInMatchesLinearScan(t *testing.T) {
+	linear := func(starts []int64, from, to int64) int {
 		n := 0
-		for _, e := range events {
-			if !e.Start.Before(from) && e.Start.Before(to) {
+		for _, s := range starts {
+			if s >= from && s < to {
 				n++
 			}
 		}
 		return n
 	}
-	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		events := make([]Event, rng.Intn(40))
-		for i := range events {
-			// Ten distinct instants at most, so most Starts tie.
-			events[i].Start = epoch.Add(time.Duration(rng.Intn(10)) * time.Millisecond)
+		starts := make([]int64, rng.Intn(40))
+		for i := range starts {
+			// Ten distinct instants at most, so most starts tie.
+			starts[i] = int64(rng.Intn(10))
 		}
-		sort.Slice(events, func(i, j int) bool { return events[i].Start.Before(events[j].Start) })
+		slices.Sort(starts)
 		for trial := 0; trial < 50; trial++ {
-			from := epoch.Add(time.Duration(rng.Intn(14)-2) * time.Millisecond)
-			to := epoch.Add(time.Duration(rng.Intn(14)-2) * time.Millisecond)
-			if got, want := countEventsIn(events, from, to), linear(events, from, to); got != want {
-				t.Fatalf("seed %d: %d events, [%v, %v): got %d, linear scan %d",
-					seed, len(events), from.Sub(epoch), to.Sub(epoch), got, want)
+			from, to := int64(rng.Intn(14)-2), int64(rng.Intn(14)-2)
+			if got, want := countIn(starts, from, to), linear(starts, from, to); got != want {
+				t.Fatalf("seed %d: %d starts, [%d, %d): got %d, linear scan %d",
+					seed, len(starts), from, to, got, want)
 			}
 		}
 	}
+}
+
+// TestStepEventsMatchLinearCount checks, on an eight-rank trace with tied
+// starts, that every step's Events equals a linear count of the rank's
+// record starts in [Start, End), on both the view and the record path.
+func TestStepEventsMatchLinearCount(t *testing.T) {
+	const ranks = 8
+	rng := rand.New(rand.NewSource(3))
+	var records []flow.Record
+	types := make(map[flow.Pair]parallel.Type)
+	add := func(src, dst flow.Addr, start time.Time, d time.Duration, kind parallel.Type) {
+		records = append(records, flow.Record{
+			ID: uint64(len(records) + 1), Start: start, Duration: d,
+			Src: src, Dst: dst, Bytes: 1 << 20,
+		})
+		types[flow.MakePair(src, dst)] = kind
+	}
+	for s := 0; s < 10; s++ {
+		step := epoch.Add(time.Duration(s) * time.Second)
+		for r := flow.Addr(0); r < ranks; r++ {
+			// PP traffic on a fixed 10 ms grid, so starts tie across ranks.
+			for i := 0; i < 3; i++ {
+				at := step.Add(time.Duration(10*(1+rng.Intn(60))) * time.Millisecond)
+				add(r, (r+ranks/2)%ranks, at, 5*time.Millisecond, parallel.TypePP)
+			}
+			// A DP ring burst closes every step.
+			for i := 0; i < 4; i++ {
+				at := step.Add(900*time.Millisecond + time.Duration(10*i+int(r))*time.Millisecond)
+				add(r, (r+1)%ranks, at, 8*time.Millisecond, parallel.TypeDP)
+			}
+		}
+	}
+	flow.SortByStart(records)
+
+	check := func(path string, tls map[flow.Addr]*Timeline) {
+		t.Helper()
+		if len(tls) != ranks {
+			t.Fatalf("%s: %d timelines, want %d", path, len(tls), ranks)
+		}
+		for rank, tl := range tls {
+			if len(tl.Steps) < 5 {
+				t.Fatalf("%s: rank %v has %d steps", path, rank, len(tl.Steps))
+			}
+			for _, st := range tl.Steps {
+				want := 0
+				for _, r := range records {
+					if (r.Src == rank || r.Dst == rank) && !r.Start.Before(st.Start) && r.Start.Before(st.End) {
+						want++
+					}
+				}
+				if st.Events != want || want == 0 {
+					t.Errorf("%s: rank %v step %d: Events %d, linear count %d", path, rank, st.Index, st.Events, want)
+				}
+			}
+		}
+	}
+	check("view", ReconstructView(flow.NewFrame(records).All(), types, Config{}))
+	check("records", Reconstruct(records, types, Config{}))
 }

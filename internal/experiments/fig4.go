@@ -106,7 +106,7 @@ func fig4WithMode(ctx context.Context, opts Options, netCfg netsim.Config) (*Fig
 			show = show[:8]
 		}
 		from := res.Truth.Epoch.Add(horizon / 2)
-		render = viz.TimelineSwimlanes(tls, show, from, from.Add(2*meanStep+meanStep/2), 110)
+		render = viz.TimelineSwimlanes(views[0].Records(), cls.Types, tls, show, from, from.Add(2*meanStep+meanStep/2), 110)
 	}
 
 	return &Fig4Result{

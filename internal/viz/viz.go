@@ -12,6 +12,7 @@ import (
 
 	"github.com/llmprism/llmprism/internal/core/diagnose"
 	"github.com/llmprism/llmprism/internal/core/jobrec"
+	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/core/timeline"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/topology"
@@ -71,8 +72,11 @@ func JobClusterGrid(topo *topology.Topology, jobs []jobrec.Cluster) string {
 // TimelineSwimlanes renders one lane per rank over [from, to): 'F'/'B'
 // would require op knowledge the black-box view lacks, so communication is
 // drawn as 'p' (PP) and 'D' (DP), idle/compute as '·', and step boundaries
-// as '|'. Width is the number of character cells for the time axis.
-func TimelineSwimlanes(tls map[flow.Addr]*timeline.Timeline, ranks []flow.Addr, from, to time.Time, width int) string {
+// as '|'. Width is the number of character cells for the time axis. Each
+// rank with a timeline in tls gets a lane painted from the records it sends
+// or receives, DP when types says so. The records may come in any order:
+// DP paint always covers PP, PP never covers DP, and step ends go on last.
+func TimelineSwimlanes(records []flow.Record, types map[flow.Pair]parallel.Type, tls map[flow.Addr]*timeline.Timeline, ranks []flow.Addr, from, to time.Time, width int) string {
 	if width <= 0 {
 		width = 100
 	}
@@ -80,7 +84,8 @@ func TimelineSwimlanes(tls map[flow.Addr]*timeline.Timeline, ranks []flow.Addr, 
 	if span <= 0 {
 		return ""
 	}
-	cell := span / time.Duration(width)
+	// A span shorter than width nanoseconds still gets 1 ns cells.
+	cell := max(span/time.Duration(width), time.Nanosecond)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "window %s .. %s  ('p'=PP 'D'=DP '·'=compute/idle '|'=step end)\n",
 		from.Format("15:04:05.000"), to.Format("15:04:05.000"))
@@ -89,10 +94,7 @@ func TimelineSwimlanes(tls map[flow.Addr]*timeline.Timeline, ranks []flow.Addr, 
 		if !ok {
 			continue
 		}
-		lane := make([]byte, width)
-		for i := range lane {
-			lane[i] = '.'
-		}
+		lane := []byte(strings.Repeat(".", width))
 		paint := func(start, end time.Time, ch byte) {
 			if end.Before(from) || !start.Before(to) {
 				return
@@ -113,12 +115,15 @@ func TimelineSwimlanes(tls map[flow.Addr]*timeline.Timeline, ranks []flow.Addr, 
 				lane[i] = ch
 			}
 		}
-		for _, e := range tl.Events {
+		for _, r := range records {
+			if r.Src != rank && r.Dst != rank {
+				continue
+			}
 			ch := byte('p')
-			if e.Kind == timeline.EventDP {
+			if types[r.Pair()] == parallel.TypeDP {
 				ch = 'D'
 			}
-			paint(e.Start, e.End, ch)
+			paint(r.Start, r.End(), ch)
 		}
 		for _, s := range tl.Steps {
 			if !s.End.Before(from) && s.End.Before(to) {

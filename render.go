@@ -23,9 +23,11 @@ func RenderJobGrid(topo *Topology, jobs []JobCluster) string {
 	return viz.JobClusterGrid(topo, jobs)
 }
 
-// RenderTimelines draws Fig. 4-style per-rank swimlanes over [from, to).
-func RenderTimelines(tls map[Addr]*Timeline, ranks []Addr, from, to time.Time, width int) string {
-	return viz.TimelineSwimlanes(tls, ranks, from, to, width)
+// RenderTimelines draws Fig. 4-style per-rank swimlanes of one job over
+// [from, to): the job's records, typed by its pair classification, with
+// its reconstructed step ends. Ranks without a timeline are skipped.
+func RenderTimelines(job JobReport, ranks []Addr, from, to time.Time, width int) string {
+	return viz.TimelineSwimlanes(job.Records, job.Types, job.Timelines, ranks, from, to, width)
 }
 
 // RenderSwitchSeries draws the Fig. 5-style per-switch DP bandwidth table.

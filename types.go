@@ -56,8 +56,6 @@ type (
 	Timeline = timeline.Timeline
 	// TimelineStep is one reconstructed training step.
 	TimelineStep = timeline.Step
-	// TimelineEvent is one communication event on a timeline.
-	TimelineEvent = timeline.Event
 	// Alert is a diagnosis finding (phase 4 output).
 	Alert = diagnose.Alert
 	// AlertKind classifies alerts.
