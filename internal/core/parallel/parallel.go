@@ -76,50 +76,12 @@ type Classification struct {
 	StepsPerPair map[flow.Pair]int
 }
 
-// Identify classifies every communicating pair within one job's records.
-// Records must be sorted by start time.
-func Identify(records []flow.Record, cfg Config) Classification {
-	cfg = cfg.withDefaults()
-	byPair := flow.GroupByPair(records)
-	out := Classification{
-		Types:        make(map[flow.Pair]Type, len(byPair)),
-		StepsPerPair: make(map[flow.Pair]int, len(byPair)),
-	}
-
-	// Deterministic pair order.
-	pairs := make([]flow.Pair, 0, len(byPair))
-	for p := range byPair {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
-
-	for _, p := range pairs {
-		recs := byPair[p]
-		if len(recs) < cfg.MinFlows {
-			continue
-		}
-		t, steps := classifyPair(recs, cfg)
-		out.Types[p] = t
-		out.StepsPerPair[p] = steps
-	}
-
-	if !cfg.DisableRefinement {
-		refine(&out)
-	}
-	out.DPGroups = dpComponents(out.Types)
-	return out
-}
-
 // IdentifyView classifies every communicating pair of one job's frame view.
 // It walks the view's pair spans — each already contiguous and sorted by
 // start — so no per-pair grouping maps or record copies are built; the
 // start-time and size columns stream through two reused scratch buffers.
-// The result is bit-identical to Identify over the equivalent record slice.
+// It is the only identification entry point; oracle_test.go keeps the
+// record-slice Identify it is tested against.
 func IdentifyView(v flow.View, cfg Config) Classification {
 	cfg = cfg.withDefaults()
 	f := v.Frame()
@@ -151,18 +113,6 @@ func IdentifyView(v flow.View, cfg Config) Classification {
 	}
 	out.DPGroups = dpComponents(out.Types)
 	return out
-}
-
-// classifyPair divides one pair's flows into steps and applies the
-// distinct-size mode rule.
-func classifyPair(recs []flow.Record, cfg Config) (Type, int) {
-	times := make([]time.Time, len(recs))
-	sizes := make([]int64, len(recs))
-	for i, r := range recs {
-		times[i] = r.Start
-		sizes[i] = r.Bytes
-	}
-	return classifySpan(times, sizes, cfg)
 }
 
 // classifySpan is the shared classification core over one pair's start

@@ -139,9 +139,9 @@ func BenchmarkIdentify(b *testing.B) {
 		}
 		records = stepFlows(records, a, c, 10, time.Second, sizes)
 	}
-	records = sorted(records)
+	v := flow.NewFrame(records).All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Identify(records, Config{})
+		IdentifyView(v, Config{})
 	}
 }

@@ -71,26 +71,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Reconstruct builds timelines for every rank of one job. records must be
-// the job's flows sorted by start time; types is the pair classification
-// from package parallel. Every rank that sends or receives a flow gets a
-// timeline, with no steps when it has fewer than MinDPFlows DP flows.
-func Reconstruct(records []flow.Record, types map[flow.Pair]parallel.Type, cfg Config) map[flow.Addr]*Timeline {
-	cfg = cfg.withDefaults()
-	perRank := flow.ByEndpoint(records)
-	out := make(map[flow.Addr]*Timeline, len(perRank))
-	for rank, recs := range perRank {
-		out[rank] = reconstructRank(rank, recs, types, cfg)
-	}
-	return out
-}
-
-// ReconstructView is Reconstruct over one job's frame view, bit-identical
-// to it on the equivalent record slice. It sizes every rank's buffers from
-// the view's pair spans, then streams the view's rows once, in start order,
-// filling each endpoint's flow starts and DP start/end times; the starts
-// are therefore already ascending. Nothing proportional to the rows outlives
-// the call.
+// ReconstructView builds timelines for every rank of one job's frame view;
+// types is the pair classification from package parallel. Every rank that
+// sends or receives a flow gets a timeline, with no steps when it has fewer
+// than MinDPFlows DP flows. It sizes every rank's buffers from the view's
+// pair spans, then streams the view's rows once, in start order, filling
+// each endpoint's flow starts and DP start/end times; the starts are
+// therefore already ascending. Nothing proportional to the rows outlives
+// the call. It is the only reconstruction entry point; oracle_test.go
+// keeps the record-slice Reconstruct it is tested against.
 func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config) map[flow.Addr]*Timeline {
 	cfg = cfg.withDefaults()
 	f := v.Frame()
@@ -177,20 +166,6 @@ func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config)
 		out[b.rank] = &tls[i]
 	}
 	return out
-}
-
-func reconstructRank(rank flow.Addr, recs []flow.Record, types map[flow.Pair]parallel.Type, cfg Config) *Timeline {
-	starts := make([]int64, len(recs))
-	var dpStarts []time.Time
-	var dpEnds []int64
-	for i, r := range recs {
-		starts[i] = r.Start.UnixNano()
-		if types[r.Pair()] == parallel.TypeDP {
-			dpStarts = append(dpStarts, r.Start)
-			dpEnds = append(dpEnds, r.End().UnixNano())
-		}
-	}
-	return &Timeline{Rank: rank, Steps: reconstructSteps(starts, dpStarts, dpEnds, cfg)}
 }
 
 // reconstructSteps is the shared step-division core. starts holds the Unix

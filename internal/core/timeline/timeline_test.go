@@ -158,9 +158,10 @@ func TestMeanStepDuration(t *testing.T) {
 
 func BenchmarkReconstruct(b *testing.B) {
 	records, types := jobTrace(30, time.Second, 100*time.Millisecond)
+	v := flow.NewFrame(records).All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Reconstruct(records, types, Config{})
+		ReconstructView(v, types, Config{})
 	}
 }
 

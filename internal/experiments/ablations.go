@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -105,28 +104,18 @@ func AblationStepSplitter(ctx context.Context, opts Options) (*SplitterResult, e
 		return nil, fmt.Errorf("experiments: A2: no true steps")
 	}
 
-	byPair := flow.GroupByPair(res.Records)
-	// Fold pairs in sorted order so the float error sums are reproducible
-	// run to run (map iteration order is not).
-	pairs := make([]flow.Pair, 0, len(byPair))
-	for pair := range byPair {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	// Walk the frame's pair spans: pairs in ascending (A, B) order, which
+	// fixes the float error sums run to run, and each span in start order.
+	f := res.Frame
 	out := &SplitterResult{}
-	for _, pair := range pairs {
-		recs := byPair[pair]
-		if tj.Pairs[pair] != truth.PairDP || len(recs) < 8 {
+	for i, n := 0, f.NumPairs(); i < n; i++ {
+		lo, hi := f.PairSpan(i)
+		if tj.Pairs[f.PairAt(i)] != truth.PairDP || hi-lo < 8 {
 			continue
 		}
-		times := make([]time.Time, len(recs))
-		for i, r := range recs {
-			times[i] = r.Start
+		times := make([]time.Time, 0, hi-lo)
+		for r := lo; r < hi; r++ {
+			times = append(times, f.Start(r))
 		}
 		nBOCD := len(bocd.SplitTimes(times, bocd.SplitConfig{}))
 		nNaive := len(bocd.NaiveSplitTimes(times, 5))

@@ -159,43 +159,3 @@ func Window(records []Record, from, to time.Time) []Record {
 	})
 	return records[lo:hi]
 }
-
-// GroupByPair buckets records by their canonical endpoint pair, preserving
-// input order inside each bucket.
-func GroupByPair(records []Record) map[Pair][]Record {
-	groups := make(map[Pair][]Record)
-	for _, r := range records {
-		p := r.Pair()
-		groups[p] = append(groups[p], r)
-	}
-	return groups
-}
-
-// Endpoints returns the distinct endpoint addresses appearing in records,
-// sorted ascending.
-func Endpoints(records []Record) []Addr {
-	seen := make(map[Addr]struct{}, len(records)*2)
-	for _, r := range records {
-		seen[r.Src] = struct{}{}
-		seen[r.Dst] = struct{}{}
-	}
-	out := make([]Addr, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ByEndpoint buckets records by endpoint: each record appears in the bucket
-// of both its source and destination. Input order is preserved per bucket.
-func ByEndpoint(records []Record) map[Addr][]Record {
-	buckets := make(map[Addr][]Record)
-	for _, r := range records {
-		buckets[r.Src] = append(buckets[r.Src], r)
-		if r.Dst != r.Src {
-			buckets[r.Dst] = append(buckets[r.Dst], r)
-		}
-	}
-	return buckets
-}

@@ -118,22 +118,7 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestGroupByPair(t *testing.T) {
-	records := []Record{
-		rec(1, 0, 0, 1, 2, 10),
-		rec(2, 0, 0, 2, 1, 20), // reverse direction, same pair
-		rec(3, 0, 0, 1, 3, 30),
-	}
-	groups := GroupByPair(records)
-	if len(groups) != 2 {
-		t.Fatalf("len(groups) = %d, want 2", len(groups))
-	}
-	if got := len(groups[MakePair(1, 2)]); got != 2 {
-		t.Errorf("pair(1,2) has %d records, want 2", got)
-	}
-}
-
-func TestEndpointsAndByEndpoint(t *testing.T) {
+func TestEndpoints(t *testing.T) {
 	records := []Record{
 		rec(1, 0, 0, 5, 2, 10),
 		rec(2, 0, 0, 2, 9, 20),
@@ -141,10 +126,6 @@ func TestEndpointsAndByEndpoint(t *testing.T) {
 	eps := Endpoints(records)
 	if !reflect.DeepEqual(eps, []Addr{2, 5, 9}) {
 		t.Errorf("Endpoints = %v, want [2 5 9]", eps)
-	}
-	buckets := ByEndpoint(records)
-	if len(buckets[2]) != 2 || len(buckets[5]) != 1 || len(buckets[9]) != 1 {
-		t.Errorf("ByEndpoint bucket sizes wrong: %v", buckets)
 	}
 }
 
@@ -373,13 +354,5 @@ func BenchmarkCSVWrite(b *testing.B) {
 		if err := WriteCSV(&buf, records); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkGroupByPair(b *testing.B) {
-	records := randomRecords(5, 50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GroupByPair(records)
 	}
 }

@@ -300,8 +300,8 @@ func (f *Frame) RecordsByStart() []Record {
 	return out
 }
 
-// Endpoints returns the distinct endpoint addresses, ascending. Unlike the
-// record-slice Endpoints helper this walks the pair index, not the rows.
+// Endpoints returns the distinct endpoint addresses, ascending. It walks the
+// pair index, not the rows.
 func (f *Frame) Endpoints() []Addr {
 	var out []Addr
 	seen := make(map[Addr]struct{}, 2*len(f.pairs))

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -230,4 +231,21 @@ func TestEmptyFrame(t *testing.T) {
 	if zero.Len() != 0 || zero.NumPairs() != 0 {
 		t.Error("zero View not empty")
 	}
+}
+
+// Endpoints returns the distinct endpoint addresses appearing in records,
+// sorted ascending: the record-slice oracle for Frame.Endpoints and
+// View.Endpoints.
+func Endpoints(records []Record) []Addr {
+	seen := make(map[Addr]struct{}, len(records)*2)
+	for _, r := range records {
+		seen[r.Src] = struct{}{}
+		seen[r.Dst] = struct{}{}
+	}
+	out := make([]Addr, 0, len(seen))
+	for a := range seen {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

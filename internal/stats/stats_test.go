@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,13 +43,13 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
+func TestMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min,Max = %v,%v want -1,7", Min(xs), Max(xs))
+	if Max(xs) != 7 {
+		t.Errorf("Max = %v want 7", Max(xs))
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("Min/Max of empty should be 0")
+	if Max(nil) != 0 {
+		t.Error("Max of empty should be 0")
 	}
 }
 
@@ -169,7 +170,7 @@ func TestPercentileMonotone(t *testing.T) {
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 5 {
 			v := Percentile(xs, p)
-			if v < prev-1e-9 || v < Min(xs)-1e-9 || v > Max(xs)+1e-9 {
+			if v < prev-1e-9 || v < slices.Min(xs)-1e-9 || v > Max(xs)+1e-9 {
 				return false
 			}
 			prev = v

@@ -215,11 +215,12 @@ func BandwidthSeries(series map[flow.SwitchID][]diagnose.SwitchPoint, name func(
 	return sb.String()
 }
 
-// AlertList renders alerts one per line, sorted by time.
+// AlertList renders alerts one per line, sorted by time; alerts that share
+// a time keep their input order.
 func AlertList(alerts []diagnose.Alert) string {
 	sorted := make([]diagnose.Alert, len(alerts))
 	copy(sorted, alerts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Time.Before(sorted[j].Time) })
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time.Before(sorted[j].Time) })
 	var sb strings.Builder
 	for _, a := range sorted {
 		fmt.Fprintf(&sb, "[%s] %-17s %s\n", a.Time.Format("15:04:05.000"), a.Kind, a.Detail)

@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -192,5 +193,33 @@ func TestAlertList(t *testing.T) {
 	}
 	if got := AlertList(nil); !strings.Contains(got, "no alerts") {
 		t.Errorf("empty alert list message wrong: %q", got)
+	}
+}
+
+// TestAlertListKeepsReportOrderOfTies: alerts sharing a time keep the order
+// the report gave them. Above twelve alerts an unstable sort scrambles such
+// ties, so the input is one job alert and sixteen switch alerts, four per
+// bucket, in the report's ascending switch order.
+func TestAlertListKeepsReportOrderOfTies(t *testing.T) {
+	alerts := []diagnose.Alert{{
+		Kind: diagnose.AlertCrossStep, Time: epoch.Add(7 * time.Second), Detail: "job",
+	}}
+	for i := 0; i < 16; i++ {
+		alerts = append(alerts, diagnose.Alert{
+			Kind:   diagnose.AlertSwitchBandwidth,
+			Switch: flow.SwitchID(i),
+			Time:   epoch.Add(time.Duration(i/4) * 5 * time.Second),
+			Detail: fmt.Sprintf("sw-%d", i),
+		})
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSuffix(AlertList(alerts), "\n"), "\n") {
+		fields := strings.Fields(line)
+		got = append(got, fields[len(fields)-1])
+	}
+	want := []string{"sw-0", "sw-1", "sw-2", "sw-3", "sw-4", "sw-5", "sw-6", "sw-7", "job",
+		"sw-8", "sw-9", "sw-10", "sw-11", "sw-12", "sw-13", "sw-14", "sw-15"}
+	if !slices.Equal(got, want) {
+		t.Errorf("alert order = %v, want %v", got, want)
 	}
 }

@@ -29,7 +29,7 @@
 // are loaded once into struct-of-arrays columns with switch paths interned
 // into a shared table, sorted by (endpoint pair, start, id). Analyze and
 // AnalyzeContext build the frame from a record slice as thin adapters;
-// AnalyzeFrame accepts an already-built frame (NewFlowFrame, or the
+// AnalyzeFrame accepts an already-built frame (an archive replay's, or the
 // collector's own builder).
 //
 // After job recognition — a DSU pass over the frame's pair index — each
@@ -39,9 +39,9 @@
 // merging the per-job results back in deterministic smallest-endpoint
 // order; the switch-level series is assembled from per-job partial
 // aggregations merged in that same order. The report is therefore
-// bit-identical for any worker count — and for the frame-free record-slice
-// pipeline — including the sequential WithWorkers(1) form. The
-// cmd/llmprism and cmd/repro CLIs expose the knob as -workers.
+// bit-identical for any worker count, including the sequential
+// WithWorkers(1) form. The cmd/llmprism and cmd/repro CLIs expose the knob
+// as -workers.
 //
 // # Streaming monitor
 //
@@ -105,12 +105,6 @@ type Config struct {
 // Option customizes an Analyzer.
 type Option func(*Config)
 
-// WithoutRefinement disables the DP transitive-closure refinement — the
-// "LLMPrism w/o refinement" baseline of the paper's Table I.
-func WithoutRefinement() Option {
-	return func(c *Config) { c.Parallel.DisableRefinement = true }
-}
-
 // WithSigmaK sets the k of the k-sigma anomaly rule (default 3).
 func WithSigmaK(k float64) Option {
 	return func(c *Config) { c.Diagnosis.K = k }
@@ -119,12 +113,6 @@ func WithSigmaK(k float64) Option {
 // WithSwitchBucket sets the switch-level aggregation bucket width.
 func WithSwitchBucket(d time.Duration) Option {
 	return func(c *Config) { c.Diagnosis.Bucket = d }
-}
-
-// WithMaxConcurrentDPFlows enables the per-switch concurrent DP flow limit
-// check.
-func WithMaxConcurrentDPFlows(n int) Option {
-	return func(c *Config) { c.Diagnosis.MaxConcurrentDPFlows = n }
 }
 
 // WithLossTolerantDiagnosis hardens the per-step detectors against
@@ -319,8 +307,7 @@ type jobAnalysis struct {
 // order, so no separate sorted copy is made) and analyzed from there. The
 // frame build runs at the analyzer's worker count — byte-identical to the
 // serial build for every count — so the sort is not a serial prefix on the
-// multi-worker critical path. The report is bit-identical to analyzing the
-// records directly with the classic record-slice pipeline.
+// multi-worker critical path.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, records []flow.Record, mapper jobrec.ServerMapper) (*Report, error) {
 	return a.AnalyzeFrameContext(ctx, flow.NewFrameParallel(records, a.cfg.Workers), mapper)
 }
@@ -384,7 +371,7 @@ func (a *Analyzer) AnalyzeFrameContext(ctx context.Context, f *flow.Frame, mappe
 		return nil, err
 	}
 
-	// Merge in cluster order — Recognize sorts clusters by smallest
+	// Merge in cluster order — RecognizeFrame sorts clusters by smallest
 	// endpoint, which both orders Report.Jobs and fixes the float
 	// summation order of the switch series.
 	report := &Report{}

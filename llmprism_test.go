@@ -13,24 +13,16 @@ import (
 func TestOptionsApply(t *testing.T) {
 	var cfg Config
 	for _, opt := range []Option{
-		WithoutRefinement(),
 		WithSigmaK(4),
 		WithSwitchBucket(30 * time.Second),
-		WithMaxConcurrentDPFlows(100),
 	} {
 		opt(&cfg)
-	}
-	if !cfg.Parallel.DisableRefinement {
-		t.Error("WithoutRefinement not applied")
 	}
 	if cfg.Diagnosis.K != 4 {
 		t.Error("WithSigmaK not applied")
 	}
 	if cfg.Diagnosis.Bucket != 30*time.Second {
 		t.Error("WithSwitchBucket not applied")
-	}
-	if cfg.Diagnosis.MaxConcurrentDPFlows != 100 {
-		t.Error("WithMaxConcurrentDPFlows not applied")
 	}
 	full := Config{Parallel: parallel.Config{MinFlows: 7}}
 	var cfg2 Config

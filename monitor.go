@@ -590,8 +590,8 @@ type MonitorStream struct {
 // pipeline-depth bound. Which call returns a given report — this Push, a
 // later one, a Collect in between, or Close — depends on when its analysis
 // finishes; the sequence of reports over all calls does not. Push is
-// PushFrame(NewFlowFrame(records)): the batch is built into one frame (one
-// sort) and enters through the same seam as everything else.
+// PushFrame over the batch built into one frame (one sort), so it enters
+// through the same seam as everything else.
 func (s *MonitorStream) Push(records []FlowRecord) ([]*Report, error) {
 	return s.PushFrame(flow.NewFrame(records))
 }

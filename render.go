@@ -5,6 +5,7 @@ import (
 
 	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/timeline"
+	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/truth"
 	"github.com/llmprism/llmprism/internal/viz"
 )
@@ -36,13 +37,14 @@ func RenderSwitchSeries(series map[SwitchID][]SwitchPoint, name func(SwitchID) s
 	return viz.BandwidthSeries(series, name)
 }
 
-// RenderAlerts lists alerts one per line, sorted by time.
+// RenderAlerts lists alerts one per line, sorted by time; alerts that share
+// a time keep their input order.
 func RenderAlerts(alerts []Alert) string { return viz.AlertList(alerts) }
 
 // CrossMachineClusters exposes phase 1 of job recognition on its own: the
 // pre-topology-merge clusters (the paper's Fig. 3 middle panel).
 func CrossMachineClusters(records []FlowRecord) [][]Addr {
-	return jobrec.CrossMachineClusters(records)
+	return jobrec.CrossMachineClustersFrame(flow.NewFrame(records))
 }
 
 // Ground-truth scoring re-exports, for evaluating an analysis against a

@@ -27,8 +27,8 @@ type (
 	// FlowRecord is one collected network flow (ERSPAN-style).
 	FlowRecord = flow.Record
 	// FlowFrame is the immutable columnar form of one flow window, with
-	// interned switch paths and per-pair/per-job index views. Build with
-	// NewFlowFrame and analyze with Analyzer.AnalyzeFrame.
+	// interned switch paths and per-pair/per-job index views. Analyze one
+	// with Analyzer.AnalyzeFrame.
 	FlowFrame = flow.Frame
 	// FlowView is a zero-copy subset of a FlowFrame (one job's rows).
 	FlowView = flow.View
@@ -161,10 +161,6 @@ func Simulate(s Scenario) (*SimResult, error) { return platform.Run(s) }
 func PlanJobs(spec TopologySpec, plans []JobPlan, seed int64) ([]JobConfig, error) {
 	return platform.PlanJobs(spec, plans, seed)
 }
-
-// NewFlowFrame builds the columnar frame of one flow window. The input is
-// not modified and need not be sorted.
-func NewFlowFrame(records []FlowRecord) *FlowFrame { return flow.NewFrame(records) }
 
 // OpenTraceArchive opens a binary trace archive recorded by a Monitor
 // Stream session with WithArchive. r must cover the whole archive (size
