@@ -368,7 +368,8 @@ func BenchmarkLoadTraceCSV(b *testing.B) {
 }
 
 // BenchmarkLoadTraceBinary decodes the same trace from the binary frame
-// layout: a validated column copy plus index rebuild, no parsing, no sort.
+// layout: a validated column copy plus index rebuild, no parsing; the start
+// index is the one linear radix sort.
 func BenchmarkLoadTraceBinary(b *testing.B) {
 	records, _ := benchTrace(b)
 	frame := flow.NewFrame(records)

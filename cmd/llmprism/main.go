@@ -400,7 +400,9 @@ func parseQuery(from, to, pair, sw string) (archive.Query, error) {
 }
 
 // runScan lists every flow in the recorded trace matching the query, one
-// line per flow in global event-time order, then a summary. Segment files
+// line per flow, then a summary. Windows are listed in event-time order and
+// the flows of one window in pair order (by start within a pair), as
+// session.Scan visits them. Segment files
 // the store manifest can prove irrelevant are never opened.
 func runScan(stdout, stderr io.Writer, archivePath string, q archive.Query, salvage bool) error {
 	if archivePath == "" {

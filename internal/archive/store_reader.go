@@ -271,7 +271,7 @@ func (st *Store) ReplaySelected(q Query, fn func(Segment, *flow.Frame) error) er
 
 // Scan visits individual matching rows: manifest pruning, then window
 // time-bounds, then the exact per-row predicate. fn receives the window's
-// segment, its frame, and the row index.
+// segment, its frame, and the row index, rows in frame order.
 func (st *Store) Scan(q Query, fn func(Segment, *flow.Frame, int) error) error {
 	return st.replay(st.Select(q), q.OverlapsWindow, func(s Segment, f *flow.Frame) error {
 		for i := 0; i < f.Len(); i++ {

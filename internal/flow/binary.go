@@ -6,7 +6,9 @@ package flow
 // serializes the frame's columns directly — ids, starts, durs, addrs,
 // bytes, row→path ids — with the interned PathTable written once per frame
 // instead of once per row, so decoding is a validated column copy and an
-// index rebuild with no parsing and no sort.
+// index rebuild with no parsing. The rows arrive in canonical order, so the
+// pair index is one scan; the start index is the one part that reorders,
+// and it is a radix sort, linear in the rows (see startIndex).
 //
 // Layout (all integers little-endian):
 //
@@ -86,18 +88,8 @@ func (f *Frame) WriteTo(w io.Writer) (int64, error) {
 	}
 	// Refuse to persist values the decoder (and every text codec) rejects:
 	// a frame that encodes but can never decode is an archive time bomb.
-	for i := 0; i < n; i++ {
-		if f.durs[i] < 0 {
-			return 0, fmt.Errorf("flow: frame row %d: negative duration %dns", i, f.durs[i])
-		}
-		if f.nbytes[i] < 0 {
-			return 0, fmt.Errorf("flow: frame row %d: negative bytes %d", i, f.nbytes[i])
-		}
-	}
-	for i, s := range f.table.switches {
-		if s < 0 {
-			return 0, fmt.Errorf("flow: frame path table entry %d: negative switch id %d", i, s)
-		}
+	if err := f.checkValues(); err != nil {
+		return 0, err
 	}
 	hdr := make([]byte, frameHeaderSize)
 	copy(hdr, frameMagic[:])
@@ -111,48 +103,47 @@ func (f *Frame) WriteTo(w io.Writer) (int64, error) {
 	// Columns stream through one bounded scratch buffer: element
 	// conversion happens inside the chunk loop, so no full-length
 	// temporary slice is ever materialized.
-	buf := make([]byte, 0, readChunk)
-	var err error
-	writeCols := func() error {
-		if buf, err = writeCol(cw, buf, f.ids); err != nil {
-			return err
-		}
-		if buf, err = writeCol(cw, buf, f.starts); err != nil {
-			return err
-		}
-		if buf, err = writeCol(cw, buf, f.durs); err != nil {
-			return err
-		}
-		if buf, err = writeCol(cw, buf, f.srcs); err != nil {
-			return err
-		}
-		if buf, err = writeCol(cw, buf, f.dsts); err != nil {
-			return err
-		}
-		if buf, err = writeCol(cw, buf, f.nbytes); err != nil {
-			return err
-		}
-		if buf, err = writeCol(cw, buf, f.paths); err != nil {
-			return err
-		}
-		if paths > 0 {
-			if buf, err = writeCol(cw, buf, f.table.offs); err != nil {
-				return err
-			}
-			if buf, err = writeCol(cw, buf, f.table.switches); err != nil {
-				return err
-			}
-		}
-		return nil
+	e := &frameEncoder{w: cw, buf: make([]byte, 0, readChunk)}
+	writeCol(e, f.ids)
+	writeCol(e, f.starts)
+	writeCol(e, f.durs)
+	writeCol(e, f.srcs)
+	writeCol(e, f.dsts)
+	writeCol(e, f.nbytes)
+	writeCol(e, f.paths)
+	if paths > 0 {
+		writeCol(e, f.table.offs)
+		writeCol(e, f.table.switches)
 	}
-	if err := writeCols(); err != nil {
-		return cw.n, fmt.Errorf("flow: write frame column: %w", err)
+	if e.err != nil {
+		return cw.n, fmt.Errorf("flow: write frame column: %w", e.err)
 	}
 	sum := binary.LittleEndian.AppendUint32(nil, crc.Sum32())
 	if _, err := w.Write(sum); err != nil {
 		return cw.n, fmt.Errorf("flow: write frame checksum: %w", err)
 	}
 	return cw.n + 4, nil
+}
+
+// checkValues is the domain validation the text codecs apply, shared by
+// both directions of the binary codec: negative durations, byte counts and
+// switch ids poison Gbps and watermark math downstream, so the decoder
+// rejects them, and the encoder refuses to write what it would reject.
+func (f *Frame) checkValues() error {
+	for i := range f.durs {
+		if f.durs[i] < 0 {
+			return fmt.Errorf("flow: frame row %d: negative duration %dns", i, f.durs[i])
+		}
+		if f.nbytes[i] < 0 {
+			return fmt.Errorf("flow: frame row %d: negative bytes %d", i, f.nbytes[i])
+		}
+	}
+	for i, s := range f.table.switches {
+		if s < 0 {
+			return fmt.Errorf("flow: frame path table entry %d: negative switch id %d", i, s)
+		}
+	}
+	return nil
 }
 
 type countingWriter struct {
@@ -172,15 +163,22 @@ type column interface {
 	~int32 | ~uint32 | ~int64 | ~uint64
 }
 
-// writeCol streams one fixed-width column through the shared scratch
-// buffer, readChunk bytes at a time, converting elements in place. It
-// returns the (possibly re-capacitied) buffer for reuse.
-func writeCol[T column](w io.Writer, buf []byte, vs []T) ([]byte, error) {
+// frameEncoder writes fixed-width columns through one shared scratch
+// buffer; the first write error sticks and turns later writes into no-ops.
+type frameEncoder struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// writeCol streams one fixed-width column through the encoder's scratch
+// buffer, readChunk bytes at a time, converting elements in place.
+func writeCol[T column](e *frameEncoder, vs []T) {
 	var zero T
 	size := binary.Size(zero)
-	for lo := 0; lo < len(vs); {
+	for lo := 0; lo < len(vs) && e.err == nil; {
 		hi := min(lo+readChunk/size, len(vs))
-		buf = buf[:0]
+		buf := e.buf[:0]
 		if size == 4 {
 			for _, v := range vs[lo:hi] {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
@@ -190,12 +188,9 @@ func writeCol[T column](w io.Writer, buf []byte, vs []T) ([]byte, error) {
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 			}
 		}
-		if _, err := w.Write(buf); err != nil {
-			return buf, err
-		}
-		lo = hi
+		_, e.err = e.w.Write(buf)
+		e.buf, lo = buf, hi
 	}
-	return buf, nil
 }
 
 // ReadFrame decodes one frame written by Frame.WriteTo. The decoder is
@@ -259,21 +254,8 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		return nil, fmt.Errorf("flow: frame checksum mismatch: file %08x, computed %08x", got, want)
 	}
 
-	// The same domain validation the text codecs apply: negative durations,
-	// byte counts and switch ids poison Gbps and watermark math downstream,
-	// so the binary trust boundary rejects them too.
-	for i := 0; i < rows; i++ {
-		if f.durs[i] < 0 {
-			return nil, fmt.Errorf("flow: frame row %d: negative duration %dns", i, f.durs[i])
-		}
-		if f.nbytes[i] < 0 {
-			return nil, fmt.Errorf("flow: frame row %d: negative bytes %d", i, f.nbytes[i])
-		}
-	}
-	for i, s := range f.table.switches {
-		if s < 0 {
-			return nil, fmt.Errorf("flow: frame path table entry %d: negative switch id %d", i, s)
-		}
+	if err := f.checkValues(); err != nil {
+		return nil, err
 	}
 
 	// Path table: offsets must start at 0, increase strictly (no empty

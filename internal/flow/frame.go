@@ -157,12 +157,6 @@ func (b *FrameBuilder) Path(id PathID) []SwitchID { return b.table.Path(id) }
 // bytes on multiple cores.
 func (b *FrameBuilder) Build() *Frame { return b.BuildParallel(1) }
 
-// buildIndexes derives the pair index and the start-ordered permutation from
-// already-canonically-sorted columns. Build and ReadFrame share it, so a
-// decoded frame's indexes are bit-identical to the builder's for the same
-// columns.
-func (f *Frame) buildIndexes() { f.buildIndexesParallel(1) }
-
 // Frame is the immutable struct-of-arrays form of one analysis window:
 // every Record field lives in its own column, switch paths are interned
 // once into a shared PathTable, and rows are sorted by (endpoint pair,
@@ -302,17 +296,20 @@ func (f *Frame) RecordsByStart() []Record {
 
 // Endpoints returns the distinct endpoint addresses, ascending. It walks the
 // pair index, not the rows.
-func (f *Frame) Endpoints() []Addr {
+func (f *Frame) Endpoints() []Addr { return endpoints(len(f.pairs), f.PairAt) }
+
+// endpoints returns the distinct endpoints of pair(0) .. pair(n-1),
+// ascending.
+func endpoints(n int, pair func(int) Pair) []Addr {
 	var out []Addr
-	seen := make(map[Addr]struct{}, 2*len(f.pairs))
-	for _, p := range f.pairs {
-		if _, ok := seen[p.A]; !ok {
-			seen[p.A] = struct{}{}
-			out = append(out, p.A)
-		}
-		if _, ok := seen[p.B]; !ok {
-			seen[p.B] = struct{}{}
-			out = append(out, p.B)
+	seen := make(map[Addr]struct{}, 2*n)
+	for i := 0; i < n; i++ {
+		p := pair(i)
+		for _, a := range [2]Addr{p.A, p.B} {
+			if _, ok := seen[a]; !ok {
+				seen[a] = struct{}{}
+				out = append(out, a)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -436,20 +433,4 @@ func (v View) Records() []Record {
 }
 
 // Endpoints returns the distinct endpoints of the view's pairs, ascending.
-func (v View) Endpoints() []Addr {
-	seen := make(map[Addr]struct{}, 2*len(v.pairIdx))
-	var out []Addr
-	for _, gp := range v.pairIdx {
-		p := v.f.pairs[gp]
-		if _, ok := seen[p.A]; !ok {
-			seen[p.A] = struct{}{}
-			out = append(out, p.A)
-		}
-		if _, ok := seen[p.B]; !ok {
-			seen[p.B] = struct{}{}
-			out = append(out, p.B)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (v View) Endpoints() []Addr { return endpoints(len(v.pairIdx), v.PairAt) }

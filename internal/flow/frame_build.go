@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -12,14 +13,16 @@ import (
 // the reference path.
 const parallelBuildMinRows = 4096
 
-// BuildParallel is Build with the permutation sort, the column permutation
-// and the start-index sort spread over workers goroutines (workers <= 0
-// means GOMAXPROCS). The output is byte-identical to Build's for every
-// worker count: rows are partitioned by canonical-pair hash, shards are
-// sorted concurrently with a total comparator ((pair, start, id), original
-// row index breaking exact ties), and the k-way merge of sorted shards
+// BuildParallel is Build with the permutation sort and the column
+// permutation spread over workers goroutines (workers <= 0 means
+// GOMAXPROCS). The output is byte-identical to Build's for every worker
+// count: rows are partitioned by canonical-pair hash, shards are sorted
+// concurrently with a total comparator ((pair, start, id), original row
+// index breaking exact ties), and the k-way merge of sorted shards
 // therefore reproduces the unique globally sorted permutation no matter how
-// many shards there were.
+// many shards there were. The indexes are then derived by buildIndexes on
+// one goroutine, as ReadFrame derives them: the start index is a linear
+// radix sort, which beats a comparison sort spread over two cores.
 func (b *FrameBuilder) BuildParallel(workers int) *Frame {
 	n := len(b.ids)
 	if workers <= 0 {
@@ -96,7 +99,7 @@ func (b *FrameBuilder) BuildParallel(workers int) *Frame {
 			}
 		}
 	})
-	f.buildIndexesParallel(workers)
+	f.buildIndexes()
 	return f
 }
 
@@ -242,12 +245,12 @@ func parallelRanges(workers, n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// buildIndexesParallel is buildIndexes with the (start, id) permutation
-// sort spread over workers goroutines: contiguous chunks sorted
-// concurrently under a total comparator (row index breaks exact-duplicate
-// ties), then merged in fixed chunk order — the same unique permutation the
-// serial sort produces. The pair index stays a serial O(n) scan.
-func (f *Frame) buildIndexesParallel(workers int) {
+// buildIndexes derives the pair index and the start index from already
+// canonically sorted columns. Build, BuildParallel and ReadFrame all reach
+// the indexes through it, so a decoded frame's indexes are bit-identical to
+// the builder's for the same columns. Both indexes are linear in the rows:
+// the pair index is one scan, the start index a radix sort (startIndex).
+func (f *Frame) buildIndexes() {
 	n := len(f.ids)
 	f.rowPair = make([]int32, n)
 	for i := 0; i < n; i++ {
@@ -259,41 +262,107 @@ func (f *Frame) buildIndexesParallel(workers int) {
 		f.rowPair[i] = int32(len(f.pairs) - 1)
 	}
 	f.pairOff = append(f.pairOff, int32(n))
+	f.byStart = startIndex(f.starts, f.ids)
+}
 
-	f.byStart = make([]int32, n)
-	for i := range f.byStart {
-		f.byStart[i] = int32(i)
+// radixBits is the widest digit one radix pass sorts on: 2^11 counters
+// stay cache-resident while a pass scatters.
+const radixBits = 11
+
+// smallSort is the key count up to which radixSort.sort moves keys by
+// insertion: below it, clearing and summing the counters costs more than
+// the moves do. Insertion over all-equal keys is one linear pass.
+const smallSort = 64
+
+// startIndex returns the rows in (start, id, row) order, the unique
+// permutation under that total order, in time linear in the rows. Each
+// row's key is its start offset from the earliest start, with its id
+// offset from the smallest id in the bits below, and one stable radix sort
+// of those keys, laid out in row order, is the whole index: equal starts,
+// common because a collective's chunks start together, are ordered by id
+// in the same passes. Collector ids are sequential, so a window's id
+// offsets need about as many bits as its row count does (18 for 180 k
+// rows), and with the 36 bits of start of a 60 s window the key fits in 64
+// bits. When it does not, the rows are radix sorted by id first and then,
+// stably, by start offset alone. Offsets are taken in uint64, so a span of
+// starts past 2^63 still sorts right.
+func startIndex(starts []int64, ids []uint64) []int32 {
+	n := len(starts)
+	if n == 0 {
+		return []int32{}
 	}
-	less := func(i, j int32) bool {
-		if f.starts[i] != f.starts[j] {
-			return f.starts[i] < f.starts[j]
-		}
-		if f.ids[i] != f.ids[j] {
-			return f.ids[i] < f.ids[j]
-		}
-		return i < j
+	s0, s1, i0, i1 := starts[0], starts[0], ids[0], ids[0]
+	for i, s := range starts {
+		s0, s1, i0, i1 = min(s0, s), max(s1, s), min(i0, ids[i]), max(i1, ids[i])
 	}
-	if workers <= 1 || n < parallelBuildMinRows {
-		sort.Slice(f.byStart, func(x, y int) bool { return less(f.byStart[x], f.byStart[y]) })
+	startBits, idBits := bits.Len64(uint64(s1)-uint64(s0)), bits.Len64(i1-i0)
+	keys := make([]uint64, 2*n)
+	r := radixSort{keys: keys[:n], tmpKeys: keys[n:], rows: make([]int32, n), tmpRows: make([]int32, n)}
+	width := startBits + idBits
+	if width > 64 {
+		for i, id := range ids {
+			r.keys[i], r.rows[i] = id-i0, int32(i)
+		}
+		r.sort(idBits)
+		for i, row := range r.rows {
+			r.keys[i] = uint64(starts[row]) - uint64(s0)
+		}
+		width = startBits
+	} else {
+		for i, s := range starts {
+			r.keys[i], r.rows[i] = (uint64(s)-uint64(s0))<<idBits|(ids[i]-i0), int32(i)
+		}
+	}
+	r.sort(width)
+	return r.rows
+}
+
+// radixSort sorts rows by keys, a parallel slice, scattering into the tmp
+// slices and swapping them with keys and rows after each pass, so keys and
+// rows hold the result when sort returns.
+type radixSort struct {
+	keys, tmpKeys []uint64
+	rows, tmpRows []int32
+}
+
+// sort stably sorts keys below 2^width and their rows by key. A digit is at
+// most radixBits wide, and no wider than the key count's bit length, so a
+// small frame does not clear counters it cannot fill; the width is split
+// evenly over as few passes as that allows. Few keys, or keys that are all
+// equal, are sorted by insertion instead.
+func (r *radixSort) sort(width int) {
+	keys, rows, tk, tr := r.keys, r.rows, r.tmpKeys, r.tmpRows
+	if len(keys) <= smallSort || width == 0 {
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+				rows[j], rows[j-1] = rows[j-1], rows[j]
+			}
+		}
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	bounds := make([]int32, 0, workers+1)
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	digit := min(radixBits, bits.Len(uint(len(keys))))
+	passes := (width + digit - 1) / digit
+	w := uint((width + passes - 1) / passes)
+	mask := uint64(1)<<w - 1
+	counts := make([]int32, passes<<w)
+	for _, k := range keys {
+		for p := 0; p < passes; p, k = p+1, k>>w {
+			counts[p<<w+int(k&mask)]++
 		}
-		bounds = append(bounds, int32(lo))
-		span := f.byStart[lo:hi]
-		wg.Add(1)
-		go func(span []int32) {
-			defer wg.Done()
-			sort.Slice(span, func(x, y int) bool { return less(span[x], span[y]) })
-		}(span)
 	}
-	bounds = append(bounds, int32(n))
-	wg.Wait()
-	f.byStart = mergeSortedSpans(f.byStart, bounds, less)
+	for p := 0; p < passes; p++ {
+		shift, c := uint(p)*w, counts[p<<w:(p+1)<<w]
+		sum := int32(0)
+		for d, m := range c {
+			c[d], sum = sum, sum+m
+		}
+		for i, k := range keys {
+			d := k >> shift & mask
+			tk[c[d]], tr[c[d]] = k, rows[i]
+			c[d]++
+		}
+		keys, tk, rows, tr = tk, keys, tr, rows
+	}
+	r.keys, r.tmpKeys, r.rows, r.tmpRows = keys, tk, rows, tr
 }

@@ -1,7 +1,12 @@
 package flow
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -248,4 +253,126 @@ func Endpoints(records []Record) []Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// startIndexOracle is the comparator sort the start index is defined by:
+// rows in (start, id) order, row index breaking exact ties.
+func startIndexOracle(starts []int64, ids []uint64) []int32 {
+	out := make([]int32, len(starts))
+	for i := range out {
+		out[i] = int32(i)
+	}
+	sort.Slice(out, func(x, y int) bool {
+		i, j := out[x], out[y]
+		if starts[i] != starts[j] {
+			return starts[i] < starts[j]
+		}
+		if ids[i] != ids[j] {
+			return ids[i] < ids[j]
+		}
+		return i < j
+	})
+	return out
+}
+
+// TestStartIndexMatchesComparatorSort pins the linear start index to the
+// comparator sort on the inputs where a radix sort goes wrong: starts tied
+// across pairs under distinct and under equal ids, rows that all share one
+// (start, id), a few outliers far from one crowded start, spans of no
+// bits, one digit and past 2^63 (where start - min overflows int64 but not
+// uint64), ids too wide to share a key with the start, and frames of 0, 1
+// and 2 rows and around BuildParallel's 4096-row threshold. The index must
+// match on the raw columns, after Build, after BuildParallel(4) and after
+// an LPF1 round trip.
+func TestStartIndexMatchesComparatorSort(t *testing.T) {
+	const base = int64(1_767_268_800_000_000_000) // 2026-01-01T12:00:00Z
+	rng := rand.New(rand.NewSource(41))
+	type input struct {
+		name   string
+		starts []int64
+		ids    []uint64
+	}
+	gen := func(name string, n int, start func(i int) int64, id func(i int) uint64) input {
+		in := input{name: name, starts: make([]int64, n), ids: make([]uint64, n)}
+		for i := range in.starts {
+			in.starts[i], in.ids[i] = start(i), id(i)
+		}
+		return in
+	}
+	perm := func(n int) func(int) uint64 {
+		p := rng.Perm(n)
+		return func(i int) uint64 { return uint64(p[i]) + 1 }
+	}
+	var inputs []input
+	for _, n := range []int{0, 1, 2, 64, 65, 4095, 4096, 4097} {
+		groups := int64(max(n/40, 1))
+		inputs = append(inputs, gen(fmt.Sprintf("ties/n=%d", n), n,
+			func(int) int64 { return base + rng.Int63n(groups)*1000 }, perm(n)))
+	}
+	for _, n := range []int{60, 3000} {
+		inputs = append(inputs, gen(fmt.Sprintf("equal-ids/n=%d", n), n,
+			func(int) int64 { return base + rng.Int63n(int64(n/60+1))*int64(time.Millisecond) },
+			func(int) uint64 { return uint64(rng.Intn(4)) }))
+	}
+	inputs = append(inputs, gen("one-key", 100, func(int) int64 { return base }, func(int) uint64 { return 7 }))
+	// Most rows share one start and a few lie far later: most keys agree
+	// on every digit, yet each digit orders some of them.
+	inputs = append(inputs, gen("outliers", 3000, func(i int) int64 {
+		if i%10 == 0 {
+			return base + rng.Int63n(1<<40)
+		}
+		return base
+	}, perm(3000)))
+	for _, span := range []int64{0, 1, 1<<radixBits - 1, 1 << radixBits, 1 << 40} {
+		inputs = append(inputs, gen(fmt.Sprintf("span=%d", span), 500, func(i int) int64 {
+			switch i {
+			case 0:
+				return base
+			case 1:
+				return base + span
+			}
+			return base + rng.Int63n(span+1)
+		}, perm(500)))
+	}
+	inputs = append(inputs, gen("span>2^63", 500, func(i int) int64 {
+		if i%2 == 0 {
+			return math.MinInt64 + rng.Int63n(3)
+		}
+		return math.MaxInt64 - rng.Int63n(3)
+	}, perm(500)))
+	inputs = append(inputs, gen("wide-ids", 500,
+		func(int) int64 { return base + rng.Int63n(int64(time.Minute)) },
+		func(int) uint64 { return rng.Uint64() }))
+
+	for _, in := range inputs {
+		want := startIndexOracle(in.starts, in.ids)
+		if got := startIndex(in.starts, in.ids); !slices.Equal(got, want) {
+			t.Fatalf("%s: startIndex diverges from the comparator sort on raw columns", in.name)
+		}
+		b := NewFrameBuilder()
+		for i, s := range in.starts {
+			// Many pairs, so equal starts tie across pairs.
+			b.Append(in.ids[i], time.Unix(0, s), time.Millisecond, Addr(i%13), Addr(20+i%5), 1, NoPath)
+		}
+		built := b.Build()
+		var buf bytes.Buffer
+		if _, err := built.WriteTo(&buf); err != nil {
+			t.Fatalf("%s: WriteTo: %v", in.name, err)
+		}
+		decoded, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadFrame: %v", in.name, err)
+		}
+		if !slices.Equal(slices.Sorted(slices.Values(built.starts)), slices.Sorted(slices.Values(in.starts))) {
+			t.Fatalf("%s: starts did not survive Append", in.name)
+		}
+		for _, c := range []struct {
+			how string
+			f   *Frame
+		}{{"Build", built}, {"BuildParallel(4)", b.BuildParallel(4)}, {"ReadFrame", decoded}} {
+			if !slices.Equal(c.f.byStart, startIndexOracle(c.f.starts, c.f.ids)) {
+				t.Errorf("%s: start index after %s diverges from the comparator sort", in.name, c.how)
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // FuzzParseAddr drives the strict manual parser with arbitrary input: it
@@ -162,6 +163,16 @@ func FuzzReadFrame(f *testing.F) {
 			f.Add(mut)
 		}
 	}
+	// Rows tied on start across pairs, ids descending against pair order.
+	var ties []Record
+	for i := 0; i < 12; i++ {
+		ties = append(ties, rec(uint64(12-i), time.Duration(i%3)*time.Millisecond, time.Millisecond, Addr(i%4), Addr(10+i%3), 1))
+	}
+	var buf bytes.Buffer
+	if _, err := NewFrame(ties).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Add([]byte("LPF1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -181,6 +192,25 @@ func FuzzReadFrame(f *testing.F) {
 			lo, hi := fr.PairSpan(i)
 			if lo < 0 || hi > fr.Len() || lo > hi {
 				t.Fatalf("pair %d span [%d,%d) out of range", i, lo, hi)
+			}
+		}
+		// ...its start index is a permutation of the rows ascending in
+		// (start, id, row)...
+		if len(fr.byStart) != fr.Len() {
+			t.Fatalf("start index has %d rows, frame %d", len(fr.byStart), fr.Len())
+		}
+		seen := make([]bool, fr.Len())
+		for k, r := range fr.byStart {
+			if r < 0 || int(r) >= fr.Len() || seen[r] {
+				t.Fatalf("start index entry %d (row %d) is not a permutation of the rows", k, r)
+			}
+			seen[r] = true
+			if k == 0 {
+				continue
+			}
+			p := fr.byStart[k-1]
+			if s, q := fr.starts[p], fr.starts[r]; s > q || s == q && (fr.ids[p] > fr.ids[r] || fr.ids[p] == fr.ids[r] && p > r) {
+				t.Fatalf("start index entries %d..%d (rows %d, %d) out of (start, id, row) order", k-1, k, p, r)
 			}
 		}
 		// ...and re-encode byte-identically, consuming exactly the bytes

@@ -114,8 +114,10 @@ func (r *Replay) RunSelected(q archive.Query, emit func([]*llmprism.Report)) err
 
 // Scan is a session-free query over a recorded trace: it opens path like
 // OpenReplay, prunes segments through the store manifest, and visits every
-// record matching q in global event-time order. fn receives each matching
-// row's window bounds and its frame row. The store's recovery note (nil
+// record matching q. Windows come in event-time order; the rows of one
+// window come in its frame's canonical (pair, start, id) order, so start
+// times are not monotone inside a window. fn receives each matching row's
+// window bounds and its frame row. The store's recovery note (nil
 // when clean) is returned alongside any error.
 func Scan(path string, salvage bool, q archive.Query, fn func(start, end time.Time, f *flow.Frame, i int) error) (*archive.StoreRecovery, error) {
 	st, recovery, err := openTrace(path, salvage)
