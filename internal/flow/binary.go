@@ -103,20 +103,42 @@ func (f *Frame) WriteTo(w io.Writer) (int64, error) {
 	// Columns stream through one bounded scratch buffer: element
 	// conversion happens inside the chunk loop, so no full-length
 	// temporary slice is ever materialized.
-	e := &frameEncoder{w: cw, buf: make([]byte, 0, readChunk)}
-	writeCol(e, f.ids)
-	writeCol(e, f.starts)
-	writeCol(e, f.durs)
-	writeCol(e, f.srcs)
-	writeCol(e, f.dsts)
-	writeCol(e, f.nbytes)
-	writeCol(e, f.paths)
-	if paths > 0 {
-		writeCol(e, f.table.offs)
-		writeCol(e, f.table.switches)
+	buf := make([]byte, 0, readChunk)
+	var err error
+	writeCols := func() error {
+		if buf, err = writeCol(cw, buf, f.ids); err != nil {
+			return err
+		}
+		if buf, err = writeCol(cw, buf, f.starts); err != nil {
+			return err
+		}
+		if buf, err = writeCol(cw, buf, f.durs); err != nil {
+			return err
+		}
+		if buf, err = writeCol(cw, buf, f.srcs); err != nil {
+			return err
+		}
+		if buf, err = writeCol(cw, buf, f.dsts); err != nil {
+			return err
+		}
+		if buf, err = writeCol(cw, buf, f.nbytes); err != nil {
+			return err
+		}
+		if buf, err = writeCol(cw, buf, f.paths); err != nil {
+			return err
+		}
+		if paths > 0 {
+			if buf, err = writeCol(cw, buf, f.table.offs); err != nil {
+				return err
+			}
+			if buf, err = writeCol(cw, buf, f.table.switches); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if e.err != nil {
-		return cw.n, fmt.Errorf("flow: write frame column: %w", e.err)
+	if err := writeCols(); err != nil {
+		return cw.n, fmt.Errorf("flow: write frame column: %w", err)
 	}
 	sum := binary.LittleEndian.AppendUint32(nil, crc.Sum32())
 	if _, err := w.Write(sum); err != nil {
@@ -163,22 +185,15 @@ type column interface {
 	~int32 | ~uint32 | ~int64 | ~uint64
 }
 
-// frameEncoder writes fixed-width columns through one shared scratch
-// buffer; the first write error sticks and turns later writes into no-ops.
-type frameEncoder struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-// writeCol streams one fixed-width column through the encoder's scratch
-// buffer, readChunk bytes at a time, converting elements in place.
-func writeCol[T column](e *frameEncoder, vs []T) {
+// writeCol streams one fixed-width column through the shared scratch
+// buffer, readChunk bytes at a time, converting elements in place. It
+// returns the (possibly re-capacitied) buffer for reuse.
+func writeCol[T column](w io.Writer, buf []byte, vs []T) ([]byte, error) {
 	var zero T
 	size := binary.Size(zero)
-	for lo := 0; lo < len(vs) && e.err == nil; {
+	for lo := 0; lo < len(vs); {
 		hi := min(lo+readChunk/size, len(vs))
-		buf := e.buf[:0]
+		buf = buf[:0]
 		if size == 4 {
 			for _, v := range vs[lo:hi] {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
@@ -188,9 +203,12 @@ func writeCol[T column](e *frameEncoder, vs []T) {
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 			}
 		}
-		_, e.err = e.w.Write(buf)
-		e.buf, lo = buf, hi
+		if _, err := w.Write(buf); err != nil {
+			return buf, err
+		}
+		lo = hi
 	}
+	return buf, nil
 }
 
 // ReadFrame decodes one frame written by Frame.WriteTo. The decoder is

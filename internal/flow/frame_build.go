@@ -269,11 +269,6 @@ func (f *Frame) buildIndexes() {
 // stay cache-resident while a pass scatters.
 const radixBits = 11
 
-// smallSort is the key count up to which radixSort.sort moves keys by
-// insertion: below it, clearing and summing the counters costs more than
-// the moves do. Insertion over all-equal keys is one linear pass.
-const smallSort = 64
-
 // startIndex returns the rows in (start, id, row) order, the unique
 // permutation under that total order, in time linear in the rows. Each
 // row's key is its start offset from the earliest start, with its id
@@ -328,19 +323,13 @@ type radixSort struct {
 // sort stably sorts keys below 2^width and their rows by key. A digit is at
 // most radixBits wide, and no wider than the key count's bit length, so a
 // small frame does not clear counters it cannot fill; the width is split
-// evenly over as few passes as that allows. Few keys, or keys that are all
-// equal, are sorted by insertion instead.
+// evenly over as few passes as that allows. Width 0 means every key is
+// equal, so the rows are already in order.
 func (r *radixSort) sort(width int) {
-	keys, rows, tk, tr := r.keys, r.rows, r.tmpKeys, r.tmpRows
-	if len(keys) <= smallSort || width == 0 {
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-				rows[j], rows[j-1] = rows[j-1], rows[j]
-			}
-		}
+	if width == 0 {
 		return
 	}
+	keys, rows, tk, tr := r.keys, r.rows, r.tmpKeys, r.tmpRows
 	digit := min(radixBits, bits.Len(uint(len(keys))))
 	passes := (width + digit - 1) / digit
 	w := uint((width + passes - 1) / passes)
