@@ -114,7 +114,7 @@ func TestLocalizationDeterministicAcrossWorkers(t *testing.T) {
 		report, err := New(
 			WithWorkers(workers),
 			WithSwitchBucket(5*time.Second),
-			WithLocalization(LocalizationConfig{}),
+			WithLocalization(),
 		).Analyze(records, topo)
 		if err != nil {
 			t.Fatal(err)

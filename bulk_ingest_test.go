@@ -24,7 +24,7 @@ func bulkReplay(t *testing.T, data []byte, topo *topology.Topology, depth int, r
 	mopts := []MonitorOption{
 		WithLateness(meta.Lateness),
 		WithPipelineDepth(depth),
-		WithChronicSuppression(IncidentConfig{}),
+		WithChronicSuppression(),
 	}
 	if !ar.Anchor().IsZero() {
 		mopts = append(mopts, WithAnchor(ar.Anchor()))
@@ -72,9 +72,9 @@ func TestPushFrameReplayEquivalence(t *testing.T) {
 
 	record := func(recs []FlowRecord) ([]*Report, []byte) {
 		var buf bytes.Buffer
-		m, err := NewMonitor(New(WithWorkers(4), WithLocalization(LocalizationConfig{})), topo, window,
+		m, err := NewMonitor(New(WithWorkers(4), WithLocalization()), topo, window,
 			WithLateness(lateness), WithPipelineDepth(3), WithArchive(&buf),
-			WithChronicSuppression(IncidentConfig{}))
+			WithChronicSuppression())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,9 +96,9 @@ func TestPushFrameReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refArchive bytes.Buffer
-	refMon, err := NewMonitor(New(WithWorkers(4), WithLocalization(LocalizationConfig{})), topo, ar.Meta().Width,
+	refMon, err := NewMonitor(New(WithWorkers(4), WithLocalization()), topo, ar.Meta().Width,
 		WithLateness(ar.Meta().Lateness), WithPipelineDepth(3), WithAnchor(ar.Anchor()),
-		WithArchive(&refArchive), WithChronicSuppression(IncidentConfig{}))
+		WithArchive(&refArchive), WithChronicSuppression())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,10 @@ func TestPushFrameReplayEquivalence(t *testing.T) {
 	for _, depth := range []int{1, 3} {
 		for _, shards := range []int{0, 1, 4} {
 			var bulkArchive bytes.Buffer
+			// Shards has no option; set it on the analyzer's config.
+			withShards := func(c *Config) { c.Localization.Shards = shards }
 			got := bulkReplay(t, data, topo, depth, &bulkArchive,
-				WithWorkers(4), WithLocalization(LocalizationConfig{Shards: shards}))
+				WithWorkers(4), WithLocalization(), withShards)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("depth=%d shards=%d: PushFrame replay reports diverge from per-record replay", depth, shards)
 			}
@@ -191,7 +193,7 @@ func TestPushFrameReplayEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(live, permLive) {
 		t.Fatal("permuted live session diverges (pre-existing invariant)")
 	}
-	if got := bulkReplay(t, permData, topo, 3, nil, WithWorkers(4), WithLocalization(LocalizationConfig{})); !reflect.DeepEqual(permLive, got) {
+	if got := bulkReplay(t, permData, topo, 3, nil, WithWorkers(4), WithLocalization()); !reflect.DeepEqual(permLive, got) {
 		t.Fatal("PushFrame replay of permuted-session archive diverges")
 	}
 }

@@ -151,6 +151,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
+	if cmd == "timeline" && *ranks < 1 {
+		return fmt.Errorf("usage: llmprism timeline: -ranks must be at least 1, got %d", *ranks)
+	}
 
 	// One shared option set for every subcommand: the session config is
 	// assembled once from the flags, and each path derives its analyzer

@@ -133,6 +133,15 @@ func TestRunErrors(t *testing.T) {
 	}, &out, &out); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range job index: err = %v", err)
 	}
+	// -ranks below 1 is a usage error, rejected before any flow is read
+	// (the flow file here does not exist).
+	for _, n := range []string{"0", "-1"} {
+		if err := run(context.Background(), []string{
+			"timeline", "-flows", filepath.Join(t.TempDir(), "missing.csv"), "-topo", topo, "-ranks", n,
+		}, &out, &out); err == nil || !strings.Contains(err.Error(), "-ranks") {
+			t.Errorf("-ranks %s: err = %v", n, err)
+		}
+	}
 }
 
 // TestTimelineGolden pins the timeline subcommand's stdout: both of

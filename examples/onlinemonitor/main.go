@@ -81,12 +81,12 @@ func main() {
 	// stream in.
 	var trace bytes.Buffer
 	monitor, err := llmprism.NewMonitor(
-		llmprism.New(llmprism.WithLocalization(llmprism.LocalizationConfig{})),
+		llmprism.New(llmprism.WithLocalization()),
 		res.Topo, 40*time.Second,
 		llmprism.WithLateness(5*time.Second),
 		llmprism.WithPipelineDepth(2),
 		llmprism.WithArchive(&trace),
-		llmprism.WithChronicSuppression(llmprism.IncidentConfig{}),
+		llmprism.WithChronicSuppression(),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -185,12 +185,12 @@ func main() {
 	// and suppression included), or the replayed reports could not be
 	// bit-identical.
 	replayMon, err := llmprism.NewMonitor(
-		llmprism.New(llmprism.WithLocalization(llmprism.LocalizationConfig{})),
+		llmprism.New(llmprism.WithLocalization()),
 		res.Topo, ar.Meta().Width,
 		llmprism.WithLateness(ar.Meta().Lateness),
 		llmprism.WithPipelineDepth(2),
 		llmprism.WithAnchor(ar.Anchor()),
-		llmprism.WithChronicSuppression(llmprism.IncidentConfig{}),
+		llmprism.WithChronicSuppression(),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -226,11 +226,11 @@ func main() {
 	const resumeWindow = 15 * time.Second
 	newSession := func() (*llmprism.MonitorStream, error) {
 		m, err := llmprism.NewMonitor(
-			llmprism.New(llmprism.WithLocalization(llmprism.LocalizationConfig{})),
+			llmprism.New(llmprism.WithLocalization()),
 			res.Topo, resumeWindow,
 			llmprism.WithLateness(5*time.Second),
 			llmprism.WithPipelineDepth(2),
-			llmprism.WithChronicSuppression(llmprism.IncidentConfig{}),
+			llmprism.WithChronicSuppression(),
 		)
 		if err != nil {
 			return nil, err
@@ -276,10 +276,10 @@ func main() {
 		}
 	}
 	resumed, err := llmprism.ResumeMonitor(
-		llmprism.New(llmprism.WithLocalization(llmprism.LocalizationConfig{})),
+		llmprism.New(llmprism.WithLocalization()),
 		res.Topo, &checkpoint,
 		llmprism.WithPipelineDepth(2),
-		llmprism.WithChronicSuppression(llmprism.IncidentConfig{}),
+		llmprism.WithChronicSuppression(),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -79,13 +79,13 @@ type Alert struct {
 	Detail string
 }
 
+// minSamples is the minimum population for a k-sigma decision.
+const minSamples = 6
+
 // Config tunes the detectors.
 type Config struct {
 	// K is the k-sigma multiplier. Default 3.
 	K float64
-	// MinSamples is the minimum population for a k-sigma decision.
-	// Default 6.
-	MinSamples int
 	// MaxConcurrentDPFlows alerts switches carrying more distinct DP
 	// flows than this within a bucket. Zero disables the check.
 	MaxConcurrentDPFlows int
@@ -107,7 +107,7 @@ type Config struct {
 	// different collective-segment durations (the trailing rail absorbs
 	// the collective's serialization tail every step), and pooling them
 	// makes the slow rail's groups fire in every window of a fault-free
-	// trace. Rails below MinSamples groups are skipped, not pooled — a
+	// trace. Rails below minSamples groups are skipped, not pooled — a
 	// two-group rail has no peer baseline to judge against. Nil (the
 	// default) compares all of a job's groups in a single population.
 	GroupRail func(flow.Addr) int
@@ -130,9 +130,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.K <= 0 {
 		c.K = 3
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 6
 	}
 	if c.Bucket <= 0 {
 		c.Bucket = time.Minute
@@ -182,14 +179,14 @@ func CrossStep(timelines map[flow.Addr]*timeline.Timeline, cfg Config) []Alert {
 	ranks := sortedRanks(timelines)
 	for _, rank := range ranks {
 		tl := timelines[rank]
-		if len(tl.Steps) < cfg.MinSamples+1 {
+		if len(tl.Steps) < minSamples+1 {
 			continue
 		}
 		var w stats.Welford
 		var rankAlerts []Alert
 		for _, s := range tl.Steps[1:] {
 			dur := s.Duration().Seconds()
-			if w.N() >= cfg.MinSamples {
+			if w.N() >= minSamples {
 				mean := w.Mean()
 				sd := w.StdDev()
 				if floor := 0.01 * mean; sd < floor {
@@ -227,7 +224,7 @@ func CrossStep(timelines map[flow.Addr]*timeline.Timeline, cfg Config) []Alert {
 // are never judged against fast ones.
 func CrossGroup(timelines map[flow.Addr]*timeline.Timeline, groups [][]flow.Addr, cfg Config) []Alert {
 	cfg = cfg.withDefaults()
-	if len(groups) < cfg.MinSamples {
+	if len(groups) < minSamples {
 		return nil
 	}
 	railOf := func(anchor flow.Addr) int { return 0 }
@@ -284,7 +281,7 @@ func CrossGroup(timelines map[flow.Addr]*timeline.Timeline, groups [][]flow.Addr
 		sort.Ints(rails)
 		for _, rail := range rails {
 			pop := byRail[rail]
-			if len(pop.durs) < cfg.MinSamples {
+			if len(pop.durs) < minSamples {
 				continue
 			}
 			for i := range pop.durs {
@@ -551,7 +548,7 @@ func SwitchDiagnose(series map[flow.SwitchID][]SwitchPoint, cfg Config) []Alert 
 		sort.Ints(tiers)
 		for _, tier := range tiers {
 			peers := byTier[tier]
-			if len(peers) < cfg.MinSamples {
+			if len(peers) < minSamples {
 				continue
 			}
 			bws := make([]float64, len(peers))

@@ -71,12 +71,20 @@ func TestCrossStepQuietOnUniformSteps(t *testing.T) {
 	}
 }
 
+// TestCrossStepRespectsMinSamples: a slow step is judged only once
+// minSamples (6) steps, after the skipped first one, form its baseline.
 func TestCrossStepRespectsMinSamples(t *testing.T) {
-	durs := uniformDurs(4, time.Second)
-	durs[2] = 5 * time.Second
-	tls := map[flow.Addr]*timeline.Timeline{1: makeTimeline(1, durs, nil)}
-	if alerts := CrossStep(tls, Config{MinSamples: 10}); len(alerts) != 0 {
-		t.Error("too few samples should suppress alerts")
+	for _, c := range []struct{ steps, slow, alerts int }{
+		{4, 2, 0}, // too few steps to judge at all
+		{7, 6, 0}, // 5 baseline steps before the slow one
+		{8, 7, 1}, // 6
+	} {
+		durs := uniformDurs(c.steps, time.Second)
+		durs[c.slow] = 5 * time.Second
+		tls := map[flow.Addr]*timeline.Timeline{1: makeTimeline(1, durs, nil)}
+		if got := len(CrossStep(tls, Config{})); got != c.alerts {
+			t.Errorf("%d steps, step %d slow: %d alerts, want %d", c.steps, c.slow, got, c.alerts)
+		}
 	}
 }
 
@@ -177,7 +185,27 @@ func TestCrossGroupNeedsEnoughGroups(t *testing.T) {
 	}
 	groups := [][]flow.Addr{{1}, {2}}
 	if alerts := CrossGroup(tls, groups, Config{}); len(alerts) != 0 {
-		t.Error("two groups are below MinSamples; no alerts expected")
+		t.Error("two groups are below minSamples; no alerts expected")
+	}
+
+	// A slow group is judged once its peer population holds minSamples
+	// (6) groups, and not below that.
+	for _, n := range []int{5, 6} {
+		tls := make(map[flow.Addr]*timeline.Timeline)
+		var groups [][]flow.Addr
+		for g := 0; g < n; g++ {
+			rank := flow.Addr(g + 1)
+			dp := uniformDurs(10, 50*time.Millisecond)
+			if g == 0 {
+				dp = uniformDurs(10, 200*time.Millisecond)
+			}
+			tls[rank] = makeTimeline(rank, uniformDurs(10, time.Second), dp)
+			groups = append(groups, []flow.Addr{rank})
+		}
+		alerts := CrossGroup(tls, groups, Config{})
+		if flagged := len(alerts) > 0; flagged != (n == 6) {
+			t.Errorf("%d groups: %d alerts, want the slow group flagged only at 6 groups", n, len(alerts))
+		}
 	}
 }
 
@@ -300,7 +328,7 @@ func TestSwitchDiagnoseNeedsPopulation(t *testing.T) {
 	records := []flow.Record{dpRecord(1, 0, 10, 1), dpRecord(2, 0, 150, 2)}
 	series := SwitchSeries(records, dpTypes(), Config{})
 	if alerts := SwitchDiagnose(series, Config{}); len(alerts) != 0 {
-		t.Error("two switches are below MinSamples; no alerts expected")
+		t.Error("two switches are below minSamples; no alerts expected")
 	}
 }
 

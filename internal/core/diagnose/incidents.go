@@ -56,12 +56,12 @@ type Incident struct {
 	StillFiring bool
 	// Chronic marks a baseline property rather than an event: the anomaly
 	// has fired in every window since monitoring effectively began (it
-	// opened within IncidentConfig.BaselineWindows of the first alert the
-	// tracker ever saw) and has persisted for at least
-	// IncidentConfig.ChronicAfter windows. A structurally slow DP group —
-	// the trailing-rail collective segment — is chronic; a fault injected
-	// mid-run is not, because its incident opens after the baseline
-	// learning period. Chronic is sticky for the incident's lifetime.
+	// opened within baselineWindows (2) of the first alert the tracker
+	// ever saw) and has persisted for at least chronicAfter (3) windows.
+	// A structurally slow DP group — the trailing-rail collective segment
+	// — is chronic; a fault injected mid-run is not, because its incident
+	// opens after the baseline learning period. Chronic is sticky for the
+	// incident's lifetime.
 	Chronic bool
 	// Detail carries the latest alert's human-readable explanation.
 	Detail string
@@ -74,34 +74,28 @@ type JobAlert struct {
 	Alert Alert
 }
 
-// IncidentConfig tunes the tracker's chronic-baseline classification.
-type IncidentConfig struct {
-	// ChronicAfter is how many consecutive windows a baseline-eligible
-	// incident must fire before it is classified chronic. Default 3.
-	ChronicAfter int
-	// BaselineWindows is the length of the baseline learning period, in
+// The chronic-baseline classification's operating point.
+const (
+	// chronicAfter is how many consecutive windows a baseline-eligible
+	// incident must fire before it is classified chronic.
+	chronicAfter = 3
+	// baselineWindows is the length of the baseline learning period, in
 	// windows, starting at the first observation that carried any alert:
 	// only incidents opening inside it can become chronic (anything
-	// appearing later is an event, however long it persists). Default 2.
-	BaselineWindows int
-}
+	// appearing later is an event, however long it persists).
+	baselineWindows = 2
+)
 
-func (c IncidentConfig) withDefaults() IncidentConfig {
-	if c.ChronicAfter <= 0 {
-		c.ChronicAfter = 3
-	}
-	if c.BaselineWindows <= 0 {
-		c.BaselineWindows = 2
-	}
-	return c
-}
+// IncidentConfig has no fields: chronic classification runs at one
+// operating point (chronicAfter, baselineWindows). It stays because bench/
+// names it.
+type IncidentConfig struct{}
 
 // IncidentTracker folds each window's alerts into ongoing incidents. It is
 // not safe for concurrent use; the monitor drives it from the in-order
 // report emission path, so its output is deterministic regardless of how
 // many windows are analyzed in parallel.
 type IncidentTracker struct {
-	cfg  IncidentConfig
 	open map[IncidentKey]*Incident
 	// openedSeq remembers the observation at which each open incident
 	// opened, the input to the chronic-baseline test.
@@ -114,11 +108,9 @@ type IncidentTracker struct {
 	firstAlertSeq int
 }
 
-// NewIncidentTracker returns an empty tracker. The zero cfg applies the
-// documented chronic-classification defaults.
-func NewIncidentTracker(cfg IncidentConfig) *IncidentTracker {
+// NewIncidentTracker returns an empty tracker.
+func NewIncidentTracker(IncidentConfig) *IncidentTracker {
 	return &IncidentTracker{
-		cfg:           cfg.withDefaults(),
 		open:          make(map[IncidentKey]*Incident),
 		openedSeq:     make(map[IncidentKey]int),
 		firstAlertSeq: -1,
@@ -135,7 +127,7 @@ func NewIncidentTracker(cfg IncidentConfig) *IncidentTracker {
 // Each call is one window. An open incident has, by construction, fired in
 // every window since it opened (a missed window deletes it), so the
 // chronic test reduces to: opened inside the baseline learning period and
-// still alive after ChronicAfter windows.
+// still alive after chronicAfter windows.
 func (t *IncidentTracker) Observe(alerts []JobAlert) []Incident {
 	seq := t.seq
 	t.seq++
@@ -170,8 +162,8 @@ func (t *IncidentTracker) Observe(alerts []JobAlert) []Incident {
 	var resolved []Incident
 	for key, inc := range t.open {
 		if fired[key] {
-			if !inc.Chronic && inc.Windows >= t.cfg.ChronicAfter &&
-				t.openedSeq[key] < t.firstAlertSeq+t.cfg.BaselineWindows {
+			if !inc.Chronic && inc.Windows >= chronicAfter &&
+				t.openedSeq[key] < t.firstAlertSeq+baselineWindows {
 				inc.Chronic = true
 			}
 			out = append(out, *inc)

@@ -3,6 +3,8 @@ package diagnose
 import (
 	"testing"
 	"time"
+
+	"github.com/llmprism/llmprism/internal/flow"
 )
 
 func TestIncidentContinuity(t *testing.T) {
@@ -54,7 +56,7 @@ func TestIncidentContinuity(t *testing.T) {
 // of the deployment — chronic — while one appearing after the baseline
 // period is an event, however long it persists.
 func TestIncidentChronicClassification(t *testing.T) {
-	tr := NewIncidentTracker(IncidentConfig{ChronicAfter: 3, BaselineWindows: 2})
+	tr := NewIncidentTracker(IncidentConfig{}) // chronicAfter 3, baselineWindows 2
 	t0 := time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)
 	chronicAlert := func(w int) JobAlert {
 		return JobAlert{Job: 1, Alert: Alert{
@@ -64,6 +66,13 @@ func TestIncidentChronicClassification(t *testing.T) {
 	eventAlert := func(w int) JobAlert {
 		return JobAlert{Job: 1, Alert: Alert{
 			Kind: AlertCrossStep, Rank: 3, Time: t0.Add(time.Duration(w) * time.Minute),
+		}}
+	}
+	// Switch 1 opens in window 1, the last of the baseline period; switch
+	// 2 opens in window 2, the first after it.
+	switchAlert := func(sw flow.SwitchID, w int) JobAlert {
+		return JobAlert{Alert: Alert{
+			Kind: AlertSwitchBandwidth, Switch: sw, Time: t0.Add(time.Duration(w) * time.Minute),
 		}}
 	}
 
@@ -87,17 +96,32 @@ func TestIncidentChronicClassification(t *testing.T) {
 		if w >= 4 { // the event fault appears after the baseline period
 			alerts = append(alerts, eventAlert(w))
 		}
+		if w >= 1 {
+			alerts = append(alerts, switchAlert(1, w))
+		}
+		if w >= 2 {
+			alerts = append(alerts, switchAlert(2, w))
+		}
 		incs = tr.Observe(alerts)
 		cg := find(incs, AlertCrossGroup)
 		if cg == nil {
 			t.Fatalf("window %d: cross-group incident missing", w)
 		}
-		if wantChronic := w >= 2; cg.Chronic != wantChronic { // ChronicAfter=3 windows reached at w=2
+		if wantChronic := w >= 2; cg.Chronic != wantChronic { // chronicAfter=3 windows reached at w=2
 			t.Errorf("window %d: baseline incident Chronic = %v, want %v", w, cg.Chronic, wantChronic)
+		}
+		for _, inc := range incs {
+			if inc.Key.Kind != AlertSwitchBandwidth {
+				continue
+			}
+			// Switch 1 reaches 3 windows at w=3; switch 2 opened too late.
+			if wantChronic := inc.Key.Switch == 1 && w >= 3; inc.Chronic != wantChronic {
+				t.Errorf("window %d: switch %v incident Chronic = %v, want %v", w, inc.Key.Switch, inc.Chronic, wantChronic)
+			}
 		}
 	}
 	// The late-opening incident has fired 2 windows; run it past
-	// ChronicAfter: it must stay non-chronic — it opened after the
+	// chronicAfter: it must stay non-chronic — it opened after the
 	// baseline learning period.
 	for w := 6; w < 10; w++ {
 		incs = tr.Observe([]JobAlert{chronicAlert(w), eventAlert(w)})

@@ -5,8 +5,7 @@ import "sort"
 // TrackerSnapshot is the incident tracker's serializable continuity
 // state: open incidents with the bookkeeping (opening observation, global
 // observation counter, baseline origin) that the chronic classification
-// depends on. Configuration is not part of it — a snapshot restores into
-// a tracker constructed with the session's config.
+// depends on.
 type TrackerSnapshot struct {
 	// Seq is the number of Observe calls made.
 	Seq int
@@ -39,7 +38,7 @@ func (t *IncidentTracker) Snapshot() TrackerSnapshot {
 }
 
 // Restore replaces the tracker's open incidents and counters with the
-// snapshot's, keeping the tracker's own configuration.
+// snapshot's.
 func (t *IncidentTracker) Restore(s TrackerSnapshot) {
 	t.seq = s.Seq
 	t.firstAlertSeq = s.FirstAlertSeq

@@ -13,7 +13,6 @@ import (
 
 	"github.com/llmprism/llmprism/internal/dsu"
 	"github.com/llmprism/llmprism/internal/flow"
-	"github.com/llmprism/llmprism/internal/stats"
 	"github.com/llmprism/llmprism/internal/topology"
 )
 
@@ -31,21 +30,10 @@ type Cluster struct {
 	Servers []topology.NodeID
 }
 
-// Config tunes recognition.
-type Config struct {
-	// MergeJaccard is the server-set similarity at or above which two
-	// cross-machine clusters are merged. The paper uses exactly 1
-	// (identical sets); values below 1 tolerate partially-observed rails.
-	// Default 1.
-	MergeJaccard float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MergeJaccard <= 0 || c.MergeJaccard > 1 {
-		c.MergeJaccard = 1
-	}
-	return c
-}
+// Config has no fields: recognition merges clusters with identical server
+// sets (Jaccard similarity 1), the paper's rule. It stays because
+// llmprism.Config.Recognition carries it, and bench/ builds that config.
+type Config struct{}
 
 // CrossMachineClustersFrame returns the phase-1 clusters: endpoints
 // connected by observed flows, before the topology merge. Cluster and
@@ -76,51 +64,27 @@ func sortedGroups(u *dsu.Sparse[flow.Addr]) [][]flow.Addr {
 // the frame's pair index followed by the topology-based server-set merge,
 // yielding job-level clusters. It is the only recognition entry point;
 // oracle_test.go keeps the record-slice Recognize it is tested against.
-func RecognizeFrame(f *flow.Frame, mapper ServerMapper, cfg Config) []Cluster {
-	return mergeClusters(CrossMachineClustersFrame(f), mapper, cfg)
+func RecognizeFrame(f *flow.Frame, mapper ServerMapper, _ Config) []Cluster {
+	return mergeClusters(CrossMachineClustersFrame(f), mapper)
 }
 
 // mergeClusters runs the topology-based server-set merge over the phase-1
-// clusters.
-func mergeClusters(raw [][]flow.Addr, mapper ServerMapper, cfg Config) []Cluster {
-	cfg = cfg.withDefaults()
-
-	servers := make([][]topology.NodeID, len(raw))
+// clusters: clusters whose server sets are identical are one job.
+func mergeClusters(raw [][]flow.Addr, mapper ServerMapper) []Cluster {
+	byKey := make(map[string]int)
+	var groups [][]int
 	for i, members := range raw {
-		servers[i] = serverSet(members, mapper)
-	}
-
-	// Merge clusters with sufficiently similar server sets. For the
-	// default threshold of 1 this is an exact-set grouping; below 1 it is
-	// a transitive pairwise merge.
-	merge := dsu.New(len(raw))
-	if cfg.MergeJaccard == 1 {
-		byKey := make(map[string]int)
-		for i, set := range servers {
-			key := fingerprint(set)
-			if j, ok := byKey[key]; ok {
-				merge.Union(i, j)
-			} else {
-				byKey[key] = i
-			}
+		key := fingerprint(serverSet(members, mapper))
+		g, ok := byKey[key]
+		if !ok {
+			g = len(groups)
+			byKey[key] = g
+			groups = append(groups, nil)
 		}
-	} else {
-		for i := 0; i < len(raw); i++ {
-			for j := i + 1; j < len(raw); j++ {
-				if stats.Jaccard(servers[i], servers[j]) >= cfg.MergeJaccard {
-					merge.Union(i, j)
-				}
-			}
-		}
+		groups[g] = append(groups[g], i)
 	}
-
-	byRoot := make(map[int][]int)
-	for i := range raw {
-		r := merge.Find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	clusters := make([]Cluster, 0, len(byRoot))
-	for _, members := range byRoot {
+	clusters := make([]Cluster, 0, len(groups))
+	for _, members := range groups {
 		var c Cluster
 		for _, i := range members {
 			c.Endpoints = append(c.Endpoints, raw[i]...)

@@ -91,11 +91,6 @@ func TestRecognizeDoesNotMergeDifferentServerSets(t *testing.T) {
 	if len(jobs) != 2 {
 		t.Fatalf("overlapping-but-different clusters merged: got %d jobs, want 2", len(jobs))
 	}
-	// With a lenient threshold they do merge.
-	jobs = Recognize(records, topo, Config{MergeJaccard: 0.5})
-	if len(jobs) != 1 {
-		t.Fatalf("lenient threshold should merge: got %d jobs, want 1", len(jobs))
-	}
 }
 
 func TestRecognizeIgnoresSelfFlows(t *testing.T) {

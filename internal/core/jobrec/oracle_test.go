@@ -25,8 +25,8 @@ func CrossMachineClusters(records []flow.Record) [][]flow.Addr {
 
 // Recognize runs the full Algorithm 1: cross-machine clustering followed by
 // the topology-based server-set merge, yielding job-level clusters.
-func Recognize(records []flow.Record, mapper ServerMapper, cfg Config) []Cluster {
-	return mergeClusters(CrossMachineClusters(records), mapper, cfg)
+func Recognize(records []flow.Record, mapper ServerMapper, _ Config) []Cluster {
+	return mergeClusters(CrossMachineClusters(records), mapper)
 }
 
 // SplitRecords partitions records by recognized cluster, dropping records

@@ -12,29 +12,23 @@ import (
 // outside the monitor).
 type JobID int
 
-// RegistryConfig tunes cross-window job matching.
-type RegistryConfig struct {
-	// MatchJaccard is the minimum endpoint-set Jaccard similarity for a
+// Cross-window job matching's operating point.
+const (
+	// matchJaccard is the minimum endpoint-set Jaccard similarity for a
 	// window's cluster to inherit a tracked job's identity. Recognition is
 	// per-window and sees only the endpoints that communicated inside the
 	// window, so the observed membership of one job fluctuates; a
-	// similarity threshold below 1 absorbs that. Default 0.5.
-	MatchJaccard float64
-	// ExpireAfter is the number of consecutive windows a tracked job may go
+	// similarity threshold below 1 absorbs that.
+	matchJaccard = 0.5
+	// expireAfter is the number of consecutive windows a tracked job may go
 	// unmatched before it is forgotten (a later reappearance gets a fresh
-	// identity). Default 8.
-	ExpireAfter int
-}
+	// identity).
+	expireAfter = 8
+)
 
-func (c RegistryConfig) withDefaults() RegistryConfig {
-	if c.MatchJaccard <= 0 || c.MatchJaccard > 1 {
-		c.MatchJaccard = 0.5
-	}
-	if c.ExpireAfter <= 0 {
-		c.ExpireAfter = 8
-	}
-	return c
-}
+// RegistryConfig has no fields: matching runs at one operating point
+// (matchJaccard, expireAfter). It stays because bench/ names it.
+type RegistryConfig struct{}
 
 // Registry assigns stable JobIDs to the per-window clusters the recognizer
 // emits, by matching each window's endpoint sets against the jobs tracked
@@ -53,7 +47,6 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 // Registry is not safe for concurrent use; the monitor drives it from the
 // in-order report emission path.
 type Registry struct {
-	cfg  RegistryConfig
 	next JobID
 	jobs []registryJob
 }
@@ -66,8 +59,8 @@ type registryJob struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry(cfg RegistryConfig) *Registry {
-	return &Registry{cfg: cfg.withDefaults()}
+func NewRegistry(RegistryConfig) *Registry {
+	return &Registry{}
 }
 
 // Len returns the number of jobs currently tracked.
@@ -89,7 +82,7 @@ func (r *Registry) FirstSeen(id JobID) time.Time {
 // emission index (strictly increasing across calls) and at its start time;
 // both feed the expiry clock and first-seen bookkeeping. Matched jobs have
 // their endpoint sets refreshed to the window's observation; unmatched
-// clusters open new jobs; tracked jobs unmatched for ExpireAfter windows
+// clusters open new jobs; tracked jobs unmatched for expireAfter windows
 // are dropped.
 func (r *Registry) Assign(seq int, at time.Time, clusters []Cluster) []JobID {
 	ids := make([]JobID, len(clusters))
@@ -104,7 +97,7 @@ func (r *Registry) Assign(seq int, at time.Time, clusters []Cluster) []JobID {
 	var cands []candidate
 	for ci, c := range clusters {
 		for ji := range r.jobs {
-			if sim := sortedJaccard(c.Endpoints, r.jobs[ji].endpoints); sim >= r.cfg.MatchJaccard {
+			if sim := sortedJaccard(c.Endpoints, r.jobs[ji].endpoints); sim >= matchJaccard {
 				cands = append(cands, candidate{sim, ci, ji})
 			}
 		}
@@ -150,7 +143,7 @@ func (r *Registry) Assign(seq int, at time.Time, clusters []Cluster) []JobID {
 	// Expire jobs that have gone unmatched too long.
 	kept := r.jobs[:0]
 	for _, j := range r.jobs {
-		if seq-j.lastSeq < r.cfg.ExpireAfter {
+		if seq-j.lastSeq < expireAfter {
 			kept = append(kept, j)
 		}
 	}

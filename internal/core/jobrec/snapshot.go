@@ -8,8 +8,7 @@ import (
 
 // Snapshot is the registry's serializable continuity state: everything a
 // restarted monitor needs to keep assigning the same JobIDs to the same
-// tenants. Configuration is not part of it — a snapshot restores into a
-// registry constructed with the session's config.
+// tenants.
 type Snapshot struct {
 	// Next is the last JobID handed out.
 	Next JobID
@@ -45,8 +44,7 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Restore replaces the registry's tracked jobs and id counter with the
-// snapshot's, keeping the registry's own configuration. Endpoint slices
-// are copied; the snapshot stays usable.
+// snapshot's. Endpoint slices are copied; the snapshot stays usable.
 func (r *Registry) Restore(s Snapshot) {
 	r.next = s.Next
 	r.jobs = make([]registryJob, len(s.Jobs))

@@ -23,11 +23,11 @@
 //     ep healthy flows covering it. It is 1 exactly when the component
 //     covers every implicated flow and no healthy one.
 //   - Contrast, the bandwidth ratio between the implicated flows that
-//     avoid the component and those that cover it, clamped to
-//     [1/MaxContrast, MaxContrast]. Coverage alone cannot separate the
-//     members of a slow DP group (a group alert implicates them all
-//     symmetrically); the member whose flows are actually slow is the one
-//     behind the degraded NIC or link. Link components additionally
+//     avoid the component and those that cover it, clamped to [1/16, 16]
+//     (maxContrast). Coverage alone cannot separate the members of a slow
+//     DP group (a group alert implicates them all symmetrically); the
+//     member whose flows are actually slow is the one behind the degraded
+//     NIC or link. Link components additionally
 //     contrast against their endpoint switches' implicated flows: a
 //     switch-bandwidth alert implicates exactly the switch's rows, so a
 //     degraded link under a healthy-but-flagged switch is distinguishable
@@ -190,15 +190,19 @@ type Suspect struct {
 	Fused float64
 }
 
+// Localization's operating point.
+const (
+	// maxSuspects bounds the ranked list.
+	maxSuspects = 8
+	// minScore drops components scoring below it.
+	minScore = 0.02
+	// maxContrast clamps the bandwidth-contrast factor (and its
+	// reciprocal); a float constant, so 1/maxContrast is 1/16.
+	maxContrast = 16.0
+)
+
 // Config tunes localization.
 type Config struct {
-	// MaxSuspects bounds the ranked list. Default 8.
-	MaxSuspects int
-	// MinScore drops components scoring below it. Default 0.02.
-	MinScore float64
-	// MaxContrast clamps the bandwidth-contrast factor (and its
-	// reciprocal). Default 16.
-	MaxContrast float64
 	// Filter, when non-nil, gates which alerts count as localization
 	// evidence: an alert for which it returns false implicates no flows.
 	// job is the alert's Job.ID (0 for fabric-level switch alerts). The
@@ -215,19 +219,6 @@ type Config struct {
 	// maxAutoShards); 1 is the serial reference path. Windows smaller than
 	// shardMinRows run serially regardless.
 	Shards int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxSuspects <= 0 {
-		c.MaxSuspects = 8
-	}
-	if c.MinScore <= 0 {
-		c.MinScore = 0.02
-	}
-	if c.MaxContrast <= 1 {
-		c.MaxContrast = 16
-	}
-	return c
 }
 
 // receiveDiscount scales the receive-direction host contrast: receiving a
@@ -275,10 +266,19 @@ type compStat struct {
 // first) with records in (start, id) order — Localize preserves that order
 // in its float accumulation, which is what makes the result bit-identical
 // across worker counts. switchAlerts are the window's fabric-level alerts.
-// It returns nil when no alert implicates any flow.
+// It returns nil when no alert implicates any flow, and at most
+// maxSuspects (8) suspects scoring at least minScore (0.02).
 func Localize(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
-	cfg = cfg.withDefaults()
+	suspects := rank(jobs, switchAlerts, cfg)
+	if len(suspects) > maxSuspects {
+		suspects = suspects[:maxSuspects]
+	}
+	return suspects
+}
 
+// rank is Localize before the maxSuspects truncation: every component
+// scoring at least minScore, ranked.
+func rank(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 	// Deduplicate alerts into implication targets: a rank slow in ten
 	// steps implicates its flows once, not ten times. The evidence filter
 	// runs here, before any implication is recorded, so a filtered alert
@@ -386,14 +386,14 @@ func Localize(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 
 	// contrastOf is the slowness ratio of a reference flow set's mean
 	// bandwidth to the component's covering mean (1 when either side is
-	// empty; MaxContrast when the covering flows are fully stalled).
+	// empty; maxContrast when the covering flows are fully stalled).
 	contrastOf := func(coverSum float64, coverN int, restSum float64, restN int) float64 {
 		if coverN == 0 || restN <= 0 {
 			return 1
 		}
 		cover := coverSum / float64(coverN)
 		if cover <= 0 {
-			return cfg.MaxContrast
+			return maxContrast
 		}
 		return (restSum / float64(restN)) / cover
 	}
@@ -431,14 +431,14 @@ func Localize(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 				contrast = in
 			}
 		}
-		if contrast > cfg.MaxContrast {
-			contrast = cfg.MaxContrast
+		if contrast > maxContrast {
+			contrast = maxContrast
 		}
-		if contrast < 1/cfg.MaxContrast {
-			contrast = 1 / cfg.MaxContrast
+		if contrast < 1/maxContrast {
+			contrast = 1 / maxContrast
 		}
 		score := coverage * contrast
-		if score < cfg.MinScore {
+		if score < minScore {
 			continue
 		}
 		scores[c] = score
@@ -481,9 +481,6 @@ func Localize(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 		}
 		return suspects[i].Component.less(suspects[j].Component)
 	})
-	if len(suspects) > cfg.MaxSuspects {
-		suspects = suspects[:cfg.MaxSuspects]
-	}
 	if len(suspects) == 0 {
 		return nil
 	}

@@ -237,31 +237,108 @@ func TestLocalizeDeterministicRanking(t *testing.T) {
 	}
 }
 
-// TestLocalizeLimits: MaxSuspects truncates and MinScore filters.
-func TestLocalizeLimits(t *testing.T) {
+// fanOut is one job whose alerted rank 1 sends one flow to each of n other
+// hosts over no switch path: n+1 host suspects, all above minScore.
+func fanOut(n int) Job {
+	job := Job{Alerts: []diagnose.Alert{{Kind: diagnose.AlertCrossStep, Rank: 1}}}
+	for i := 0; i < n; i++ {
+		job.Records = append(job.Records, rec(uint64(i+1), 1, flow.Addr(i+2), 100))
+	}
+	return job
+}
+
+// minScoreJob is one job whose DP group {2, 3} is alerted: the group's one
+// DP flow 2→3 is implicated, and each member also carries healthy PP
+// flows, so each member's Ochiai score is 1/sqrt(1+healthy) (equal
+// bandwidths: contrast 1).
+func minScoreJob(healthy int) Job {
 	job := Job{
-		Records: []flow.Record{
-			rec(1, 1, 2, 100, 10, 20, 11),
-			rec(2, 1, 4, 100, 12, 21, 13),
-		},
-		Alerts: []diagnose.Alert{{Kind: diagnose.AlertCrossStep, Rank: 1}},
+		Records:  []flow.Record{rec(1, 2, 3, 100)},
+		Types:    dpTypes(flow.MakePair(2, 3)),
+		DPGroups: [][]flow.Addr{{2, 3}},
+		Alerts:   []diagnose.Alert{{Kind: diagnose.AlertCrossGroup, Group: 0}},
 	}
-	all := Localize([]Job{job}, nil, Config{})
-	if len(all) < 2 {
-		t.Fatalf("suspects = %d, want several", len(all))
+	id := uint64(1)
+	for i := 0; i < healthy; i++ {
+		job.Records = append(job.Records, rec(id+1, 2, 10, 100), rec(id+2, 3, 11, 100))
+		id += 2
 	}
-	if got := Localize([]Job{job}, nil, Config{MaxSuspects: 1}); len(got) != 1 {
-		t.Errorf("MaxSuspects=1 returned %d suspects", len(got))
+	return job
+}
+
+// TestLocalizeLimits: Localize keeps the first maxSuspects (8) of the
+// ranking and drops every component scoring below minScore (0.02).
+func TestLocalizeLimits(t *testing.T) {
+	// 8 candidates all survive; of 9, the last is cut.
+	for _, n := range []int{7, 8} {
+		job := fanOut(n)
+		all := rank([]Job{job}, nil, Config{})
+		if len(all) != n+1 {
+			t.Fatalf("fan-out to %d hosts ranked %d suspects, want %d", n, len(all), n+1)
+		}
+		want := all
+		if len(want) > 8 {
+			want = want[:8]
+		}
+		got := Localize([]Job{job}, nil, Config{})
+		if len(got) != 8 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d candidates: Localize returned %d suspects %+v, want the first %d of the ranking",
+				n+1, len(got), got, len(want))
+		}
 	}
-	if got := Localize([]Job{job}, nil, Config{MinScore: 99}); got != nil {
-		t.Errorf("MinScore=99 returned %+v, want nil", got)
+
+	// 1/sqrt(1+2499) is exactly minScore: both members rank at it. One
+	// more healthy flow each puts them below it, and with them every
+	// suspect.
+	at := Localize([]Job{minScoreJob(2499)}, nil, Config{})
+	if len(at) != 2 || at[0].Component != HostComponent(2) || at[1].Component != HostComponent(3) {
+		t.Fatalf("at minScore: suspects = %+v, want hosts 2 and 3", at)
+	}
+	for _, s := range at {
+		if s.Score != 0.02 {
+			t.Errorf("at minScore: %v scores %v, want exactly 0.02", s.Component, s.Score)
+		}
+	}
+	if got := Localize([]Job{minScoreJob(2500)}, nil, Config{}); got != nil {
+		t.Errorf("below minScore: suspects = %+v, want nil", got)
 	}
 }
 
+// TestLocalizeContrastClamp: rank 1's flow over switch 10 is ratio times
+// slower than its flow over switch 11, so switch 10's contrast is ratio
+// and switch 11's its reciprocal — each clamped to [1/16, 16]
+// (maxContrast).
+func TestLocalizeContrastClamp(t *testing.T) {
+	for _, c := range []struct{ ratio, want float64 }{
+		{8, 8},
+		{16, 16},
+		{32, 16},
+	} {
+		job := Job{
+			Records: []flow.Record{
+				rec(1, 1, 2, 100/c.ratio, 10),
+				rec(2, 1, 3, 100, 11),
+			},
+			Alerts: []diagnose.Alert{{Kind: diagnose.AlertCrossStep, Rank: 1}},
+		}
+		contrast := make(map[Component]float64)
+		for _, s := range Localize([]Job{job}, nil, Config{}) {
+			contrast[s.Component] = s.Contrast
+		}
+		if got := contrast[SwitchComponent(10)]; got != c.want {
+			t.Errorf("ratio %v: slow switch contrast = %v, want %v", c.ratio, got, c.want)
+		}
+		if got := contrast[SwitchComponent(11)]; got != 1/c.want {
+			t.Errorf("ratio %v: fast switch contrast = %v, want %v", c.ratio, got, 1/c.want)
+		}
+	}
+}
+
+// TestTrackerContinuity: a suspect that misses trackerGrace (one) window
+// keeps its run; a second consecutive miss forgets it, and its
+// reappearance starts a fresh run.
 func TestTrackerContinuity(t *testing.T) {
-	// Grace disabled: the historical strict semantics — one missed window
-	// forgets the suspect.
-	tr := NewTracker(TrackerConfig{Grace: -1})
+	tr := NewTracker(TrackerConfig{})
 	at := epoch
 	w0 := []Suspect{{Component: SwitchComponent(7)}, {Component: HostComponent(3)}}
 	tr.Observe(at, w0)
@@ -269,21 +346,27 @@ func TestTrackerContinuity(t *testing.T) {
 		t.Fatalf("window 0 suspect = %+v, want windows 1 first seen %v", w0[0], at)
 	}
 
-	// Switch 7 persists, host 3 disappears.
+	// Switch 7 persists, host 3 misses one window: inside the grace.
 	w1 := []Suspect{{Component: SwitchComponent(7)}}
 	tr.Observe(at.Add(time.Minute), w1)
 	if w1[0].Windows != 2 || !w1[0].FirstSeen.Equal(at) {
 		t.Errorf("window 1 suspect = %+v, want windows 2 first seen %v", w1[0], at)
 	}
+	if tr.Open() != 2 {
+		t.Errorf("open = %d, want 2 (host suspect inside its grace)", tr.Open())
+	}
+
+	// A second consecutive miss is past the grace.
+	tr.Observe(at.Add(2*time.Minute), []Suspect{{Component: SwitchComponent(7)}})
 	if tr.Open() != 1 {
 		t.Errorf("open = %d, want 1 (host suspect forgotten)", tr.Open())
 	}
 
 	// Host 3 reappears: a fresh run.
-	w2 := []Suspect{{Component: HostComponent(3)}}
-	tr.Observe(at.Add(2*time.Minute), w2)
-	if w2[0].Windows != 1 || !w2[0].FirstSeen.Equal(at.Add(2*time.Minute)) {
-		t.Errorf("reappeared suspect = %+v, want a new run", w2[0])
+	w3 := []Suspect{{Component: HostComponent(3)}}
+	tr.Observe(at.Add(3*time.Minute), w3)
+	if w3[0].Windows != 1 || !w3[0].FirstSeen.Equal(at.Add(3*time.Minute)) {
+		t.Errorf("reappeared suspect = %+v, want a new run", w3[0])
 	}
 }
 
@@ -294,8 +377,11 @@ func TestTrackerContinuity(t *testing.T) {
 // never-ending parade of brand-new one-window suspects. With the default
 // one-window grace the run survives the gaps.
 func TestTrackerFlappingFaultKeepsRun(t *testing.T) {
-	// Decay 1 (pure sum) keeps the expected fused values exact.
-	tr := NewTracker(TrackerConfig{Decay: 1})
+	// Products with fusedDecay (0.5) are exact, so the fused values are:
+	// 0.5 in window 0, then 0.25·0.5 + 0.5 and 0.3125·0.5 + 0.5 — each
+	// hit adding its score to the sum decayed across the gap.
+	tr := NewTracker(TrackerConfig{})
+	fused := []float64{0.5, 0, 0.625, 0, 0.65625}
 	at := epoch
 	sw := SwitchComponent(4)
 	for i := 0; i < 6; i++ {
@@ -312,7 +398,7 @@ func TestTrackerFlappingFaultKeepsRun(t *testing.T) {
 			if want := i/2 + 1; s.Windows != want {
 				t.Fatalf("window %d: Windows = %d, want %d", i, s.Windows, want)
 			}
-			if want := 0.5 * float64(i/2+1); s.Fused != want {
+			if want := fused[i]; s.Fused != want {
 				t.Fatalf("window %d: Fused = %v, want %v (score keeps accumulating)", i, s.Fused, want)
 			}
 		}
@@ -338,7 +424,7 @@ func TestTrackerFlappingFaultKeepsRun(t *testing.T) {
 // that keeps scoring overtakes a one-window spike, whose stale evidence
 // fades — and survivors inside their grace window stay listed.
 func TestTrackerFusedRanking(t *testing.T) {
-	tr := NewTracker(TrackerConfig{}) // default Decay 0.5
+	tr := NewTracker(TrackerConfig{}) // fusedDecay 0.5
 	at := epoch
 	steady := SwitchComponent(1) // scores 0.75 every window
 	spike := HostComponent(9)    // scores 1.25 once
@@ -359,11 +445,24 @@ func TestTrackerFusedRanking(t *testing.T) {
 		t.Errorf("steady continuity = windows %d first seen %v", fused[0].Windows, fused[0].FirstSeen)
 	}
 
-	// MaxFused bounds the list.
-	small := NewTracker(TrackerConfig{MaxFused: 1})
-	small.Observe(at, []Suspect{{Component: spike, Score: 1.0}, {Component: steady, Score: 0.4}})
-	if got := small.Fused(); len(got) != 1 || got[0].Component != spike {
-		t.Errorf("MaxFused=1 fused = %+v, want just the spike", got)
+	// maxFused bounds the list: 8 components all stay listed; of 9, the
+	// lowest-scoring one is cut.
+	for _, n := range []int{8, 9} {
+		many := NewTracker(TrackerConfig{})
+		window := make([]Suspect, n)
+		for i := range window {
+			window[i] = Suspect{Component: HostComponent(flow.Addr(i)), Score: float64(n - i)}
+		}
+		many.Observe(at, window)
+		got := many.Fused()
+		if len(got) != 8 {
+			t.Fatalf("%d suspects: fused = %d entries, want 8", n, len(got))
+		}
+		for i, s := range got {
+			if s.Component != HostComponent(flow.Addr(i)) {
+				t.Errorf("%d suspects: fused[%d] = %v, want the %d-th highest score", n, i, s.Component, i+1)
+			}
+		}
 	}
 }
 

@@ -37,17 +37,18 @@ func shardTestJobs(n int) ([]Job, []diagnose.Alert) {
 }
 
 // TestLocalizeShardInvariance is the determinism gate for the sharded
-// accumulators: every shard count must produce the exact suspect list the
+// accumulators: every shard count must produce the exact ranking the
 // serial reference path (Shards: 1) produces — scores bit-identical, not
-// just rankings.
+// just rankings — over the whole ranking before the maxSuspects cut, not
+// just the suspects Localize returns.
 func TestLocalizeShardInvariance(t *testing.T) {
 	jobs, alerts := shardTestJobs(shardMinRows + 500)
-	want := Localize(jobs, alerts, Config{Shards: 1, MaxSuspects: 32})
-	if len(want) == 0 {
-		t.Fatal("reference run produced no suspects")
+	want := rank(jobs, alerts, Config{Shards: 1})
+	if len(want) < 32 {
+		t.Fatalf("reference ranking holds %d suspects, want at least 32", len(want))
 	}
 	for _, shards := range []int{0, 2, 3, 4, 7, 8} {
-		got := Localize(jobs, alerts, Config{Shards: shards, MaxSuspects: 32})
+		got := rank(jobs, alerts, Config{Shards: shards})
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("Shards=%d diverges from serial reference:\nwant %+v\ngot  %+v", shards, want, got)
 		}

@@ -7,8 +7,7 @@ import (
 
 // TrackerSnapshot is the suspect tracker's serializable continuity state:
 // per-component fused sums, miss counters and the last per-window suspect
-// each Fused entry is rebuilt from. Configuration is not part of it — a
-// snapshot restores into a tracker constructed with the session's config.
+// each Fused entry is rebuilt from.
 type TrackerSnapshot struct {
 	// Tracks are the open suspect tracks, ordered by component identity.
 	Tracks []TrackSnapshot
@@ -46,8 +45,7 @@ func (t *Tracker) Snapshot() TrackerSnapshot {
 	return s
 }
 
-// Restore replaces the tracker's open tracks with the snapshot's, keeping
-// the tracker's own configuration.
+// Restore replaces the tracker's open tracks with the snapshot's.
 func (t *Tracker) Restore(s TrackerSnapshot) {
 	t.open = make(map[Component]*track, len(s.Tracks))
 	for _, ts := range s.Tracks {

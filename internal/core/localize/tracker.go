@@ -5,41 +5,26 @@ import (
 	"time"
 )
 
-// TrackerConfig tunes cross-window suspect continuity and fusion.
-type TrackerConfig struct {
-	// Grace is how many consecutive windows a suspect may miss before the
-	// tracker forgets it. The historical behavior — forget on the first
-	// miss — turned every flapping fault into a parade of fresh suspects,
-	// resetting FirstSeen/Windows and the fused score on each
-	// reappearance. Default 1 (one missed window tolerated); negative
-	// disables the grace entirely.
-	Grace int
-	// MaxFused bounds the list Fused returns. Default 8.
-	MaxFused int
-	// Decay is the retention factor applied to a component's fused sum on
-	// every observed window — hit or miss — before the window's score (0
-	// on a miss) is added. It bounds how long stale evidence outranks
-	// fresh: without it, two pre-fault windows of accumulated noise top
-	// the fused list in a real fault's first window. 1 disables decay
-	// (pure running sum); 0 applies the default 0.5.
-	Decay float64
-}
+// The tracker's operating point.
+const (
+	// trackerGrace is how many consecutive windows a suspect may miss
+	// before the tracker forgets it. Forgetting on the first miss turned
+	// every flapping fault into a parade of fresh suspects, resetting
+	// FirstSeen/Windows and the fused score on each reappearance.
+	trackerGrace = 1
+	// maxFused bounds the list Fused returns.
+	maxFused = 8
+	// fusedDecay is the retention factor applied to a component's fused
+	// sum on every observed window — hit or miss — before the window's
+	// score (0 on a miss) is added. It bounds how long stale evidence
+	// outranks fresh: without it, two pre-fault windows of accumulated
+	// noise top the fused list in a real fault's first window.
+	fusedDecay = 0.5
+)
 
-func (c TrackerConfig) withDefaults() TrackerConfig {
-	if c.Grace == 0 {
-		c.Grace = 1
-	}
-	if c.Grace < 0 {
-		c.Grace = 0
-	}
-	if c.MaxFused <= 0 {
-		c.MaxFused = 8
-	}
-	if c.Decay <= 0 || c.Decay > 1 {
-		c.Decay = 0.5
-	}
-	return c
-}
+// TrackerConfig has no fields: the tracker runs at one operating point
+// (trackerGrace, maxFused, fusedDecay). It stays because bench/ names it.
+type TrackerConfig struct{}
 
 // Tracker carries suspect identity across analysis windows, the
 // localization counterpart of diagnose.IncidentTracker: a component that
@@ -55,7 +40,6 @@ func (c TrackerConfig) withDefaults() TrackerConfig {
 // path, so its output is deterministic regardless of how many windows
 // analyze in parallel.
 type Tracker struct {
-	cfg  TrackerConfig
 	open map[Component]*track
 }
 
@@ -69,20 +53,19 @@ type track struct {
 	last Suspect
 }
 
-// NewTracker returns an empty tracker. The zero cfg applies the documented
-// defaults (one window of grace).
-func NewTracker(cfg TrackerConfig) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), open: make(map[Component]*track)}
+// NewTracker returns an empty tracker.
+func NewTracker(TrackerConfig) *Tracker {
+	return &Tracker{open: make(map[Component]*track)}
 }
 
 // Observe folds one window's ranked suspects (at is the window start) into
 // the tracker and stamps each suspect's FirstSeen, Windows and Fused
-// continuity fields in place. Per-component fused sums decay by cfg.Decay
-// and accumulate independently, in window order, so the result is
+// continuity fields in place. Per-component fused sums decay by fusedDecay
+// (0.5) and accumulate independently, in window order, so the result is
 // deterministic for deterministic input. A component absent from this
-// window's list survives up to Grace consecutive misses — its run resumes
-// on reappearance, with the fused score decayed across the gap — and is
-// forgotten beyond that.
+// window's list survives trackerGrace (one) consecutive miss — its run
+// resumes on reappearance, with the fused score decayed across the gap —
+// and is forgotten beyond that.
 func (t *Tracker) Observe(at time.Time, suspects []Suspect) {
 	seen := make(map[Component]bool, len(suspects))
 	for i := range suspects {
@@ -93,7 +76,7 @@ func (t *Tracker) Observe(at time.Time, suspects []Suspect) {
 			t.open[c] = tr
 		}
 		tr.windows++
-		tr.fused = tr.fused*t.cfg.Decay + suspects[i].Score
+		tr.fused = tr.fused*fusedDecay + suspects[i].Score
 		tr.missed = 0
 		suspects[i].FirstSeen = tr.firstSeen
 		suspects[i].Windows = tr.windows
@@ -105,9 +88,9 @@ func (t *Tracker) Observe(at time.Time, suspects []Suspect) {
 		if seen[c] {
 			continue
 		}
-		tr.fused *= t.cfg.Decay
+		tr.fused *= fusedDecay
 		tr.missed++
-		if tr.missed > t.cfg.Grace {
+		if tr.missed > trackerGrace {
 			delete(t.open, c)
 		}
 	}
@@ -116,7 +99,7 @@ func (t *Tracker) Observe(at time.Time, suspects []Suspect) {
 // Fused returns the cross-window fused ranking over every component the
 // tracker currently holds — including ones inside their grace window —
 // ordered by (fused score desc, kind, identity) and bounded by
-// cfg.MaxFused. Each entry is the component's most recent per-window
+// maxFused (8). Each entry is the component's most recent per-window
 // suspect with the continuity fields brought up to date; the slice is
 // freshly allocated.
 func (t *Tracker) Fused() []Suspect {
@@ -135,8 +118,8 @@ func (t *Tracker) Fused() []Suspect {
 		}
 		return out[i].Component.less(out[j].Component)
 	})
-	if len(out) > t.cfg.MaxFused {
-		out = out[:t.cfg.MaxFused]
+	if len(out) > maxFused {
+		out = out[:maxFused]
 	}
 	if len(out) == 0 {
 		return nil

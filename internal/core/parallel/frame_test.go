@@ -56,11 +56,13 @@ func TestIdentifyViewMatchesIdentify(t *testing.T) {
 		all = append(all, recs...)
 	}
 	views := flow.NewFrame(all).SelectMany(groups)
-	for _, cfg := range []Config{{}, {DisableRefinement: true}, {MinFlows: 4}} {
-		want := Identify(sorted(records), cfg)
-		got := IdentifyView(flow.NewFrame(records).All(), cfg)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("cfg %+v: IdentifyView diverges from Identify:\n got %+v\nwant %+v", cfg, got, want)
+	for _, cfg := range []Config{{}, {DisableRefinement: true}} {
+		for _, recs := range [][]flow.Record{records, sparsePairs()} {
+			want := Identify(sorted(recs), cfg)
+			got := IdentifyView(flow.NewFrame(recs).All(), cfg)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("cfg %+v: IdentifyView diverges from Identify:\n got %+v\nwant %+v", cfg, got, want)
+			}
 		}
 		// Every job view of a multi-job frame against Identify on that
 		// job's sorted records alone.

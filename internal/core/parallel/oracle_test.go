@@ -14,7 +14,6 @@ import (
 // Identify classifies every communicating pair within one job's records.
 // Records must be sorted by start time.
 func Identify(records []flow.Record, cfg Config) Classification {
-	cfg = cfg.withDefaults()
 	byPair := groupByPair(records)
 	out := Classification{
 		Types:        make(map[flow.Pair]Type, len(byPair)),
@@ -35,7 +34,7 @@ func Identify(records []flow.Record, cfg Config) Classification {
 
 	for _, p := range pairs {
 		recs := byPair[p]
-		if len(recs) < cfg.MinFlows {
+		if len(recs) < minFlows {
 			continue
 		}
 		t, steps := classifyPair(recs, cfg)

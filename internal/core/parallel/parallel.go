@@ -51,17 +51,11 @@ type Config struct {
 	// DisableRefinement skips the DP transitive-closure pass — the
 	// "LLMPrism w/o refinement" baseline of Table I.
 	DisableRefinement bool
-	// MinFlows is the minimum number of flows a pair needs to be
-	// classified at all. Default 2.
-	MinFlows int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MinFlows <= 0 {
-		c.MinFlows = 2
-	}
-	return c
-}
+// minFlows is the minimum number of flows a pair needs to be classified at
+// all.
+const minFlows = 2
 
 // Classification is the result of identification over one job.
 type Classification struct {
@@ -83,7 +77,6 @@ type Classification struct {
 // It is the only identification entry point; oracle_test.go keeps the
 // record-slice Identify it is tested against.
 func IdentifyView(v flow.View, cfg Config) Classification {
-	cfg = cfg.withDefaults()
 	f := v.Frame()
 	out := Classification{
 		Types:        make(map[flow.Pair]Type, v.NumPairs()),
@@ -93,7 +86,7 @@ func IdentifyView(v flow.View, cfg Config) Classification {
 	var sizes []int64
 	for i, n := 0, v.NumPairs(); i < n; i++ {
 		lo, hi := v.PairSpan(i)
-		if hi-lo < cfg.MinFlows {
+		if hi-lo < minFlows {
 			continue
 		}
 		times = times[:0]

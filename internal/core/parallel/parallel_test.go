@@ -105,13 +105,23 @@ func TestDPGroupsSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestMinFlowsSkipsSparsePairs(t *testing.T) {
-	records := []flow.Record{
+// sparsePairs holds pair (1,2) with one flow, below minFlows (2), and pair
+// (3,4) with two.
+func sparsePairs() []flow.Record {
+	return []flow.Record{
 		{ID: 1, Start: epoch, Src: 1, Dst: 2, Bytes: 100},
+		{ID: 2, Start: epoch, Src: 3, Dst: 4, Bytes: 100},
+		{ID: 3, Start: epoch.Add(time.Second), Src: 3, Dst: 4, Bytes: 100},
 	}
-	cls := Identify(records, Config{})
+}
+
+func TestMinFlowsSkipsSparsePairs(t *testing.T) {
+	cls := Identify(sorted(sparsePairs()), Config{})
 	if _, ok := cls.Types[flow.MakePair(1, 2)]; ok {
-		t.Error("single-flow pair should not be classified")
+		t.Error("pair below minFlows should not be classified")
+	}
+	if _, ok := cls.Types[flow.MakePair(3, 4)]; !ok {
+		t.Error("pair at minFlows should be classified")
 	}
 }
 

@@ -79,10 +79,11 @@ func TestReconstructViewMatchesReconstruct(t *testing.T) {
 }
 
 func TestReconstructViewSparseDP(t *testing.T) {
-	// Below MinDPFlows no steps are reconstructed, matching the record path.
-	records, types := jobTrace(1, time.Second, 100*time.Millisecond)
-	want := Reconstruct(records, types, Config{MinDPFlows: 100})
-	got := ReconstructView(flow.NewFrame(records).All(), types, Config{MinDPFlows: 100})
+	// Below minDPFlows no steps are reconstructed, matching the record
+	// path; at it, both paths reconstruct the same steps.
+	records, types := sparseDP()
+	want := Reconstruct(records, types, Config{})
+	got := ReconstructView(flow.NewFrame(records).All(), types, Config{})
 	if !reflect.DeepEqual(want, got) {
 		t.Error("sparse-DP view reconstruction diverges from record path")
 	}

@@ -14,9 +14,8 @@ import (
 // Reconstruct builds timelines for every rank of one job. records must be
 // the job's flows sorted by start time; types is the pair classification
 // from package parallel. Every rank that sends or receives a flow gets a
-// timeline, with no steps when it has fewer than MinDPFlows DP flows.
+// timeline, with no steps when it has fewer than minDPFlows DP flows.
 func Reconstruct(records []flow.Record, types map[flow.Pair]parallel.Type, cfg Config) map[flow.Addr]*Timeline {
-	cfg = cfg.withDefaults()
 	perRank := byEndpoint(records)
 	out := make(map[flow.Addr]*Timeline, len(perRank))
 	for rank, recs := range perRank {

@@ -59,29 +59,22 @@ type Timeline struct {
 type Config struct {
 	// Split configures the BOCD step division over DP flows.
 	Split bocd.SplitConfig
-	// MinDPFlows is the minimum number of DP flows a rank needs for
-	// step reconstruction. Default 4.
-	MinDPFlows int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MinDPFlows <= 0 {
-		c.MinDPFlows = 4
-	}
-	return c
-}
+// minDPFlows is the minimum number of DP flows a rank needs for step
+// reconstruction.
+const minDPFlows = 4
 
 // ReconstructView builds timelines for every rank of one job's frame view;
 // types is the pair classification from package parallel. Every rank that
 // sends or receives a flow gets a timeline, with no steps when it has fewer
-// than MinDPFlows DP flows. It sizes every rank's buffers from the view's
+// than minDPFlows DP flows. It sizes every rank's buffers from the view's
 // pair spans, then streams the view's rows once, in start order, filling
 // each endpoint's flow starts and DP start/end times; the starts are
 // therefore already ascending. Nothing proportional to the rows outlives
 // the call. It is the only reconstruction entry point; oracle_test.go
 // keeps the record-slice Reconstruct it is tested against.
 func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config) map[flow.Addr]*Timeline {
-	cfg = cfg.withDefaults()
 	f := v.Frame()
 
 	// One build per rank, indexed in first-seen order.
@@ -171,10 +164,10 @@ func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config)
 // reconstructSteps is the shared step-division core. starts holds the Unix
 // nanosecond start of every one of the rank's flows, ascending; dpStarts
 // and dpEnds hold the start time and Unix nanosecond end of its DP flows,
-// in flow order. It returns the reconstructed steps, nil below MinDPFlows.
+// in flow order. It returns the reconstructed steps, nil below minDPFlows.
 // Step times are UTC, as flow.Frame materializes its timestamps.
 func reconstructSteps(starts []int64, dpStarts []time.Time, dpEnds []int64, cfg Config) []Step {
-	if len(dpStarts) < cfg.MinDPFlows {
+	if len(dpStarts) < minDPFlows {
 		return nil
 	}
 	segments := bocd.SplitTimes(dpStarts, cfg.Split)

@@ -111,15 +111,36 @@ func TestRankWithoutDPHasNoSteps(t *testing.T) {
 	}
 }
 
-func TestMinDPFlowsRespected(t *testing.T) {
-	records := []flow.Record{
-		{ID: 1, Start: epoch, Src: 1, Dst: 2, Bytes: 100},
-		{ID: 2, Start: epoch.Add(time.Second), Src: 1, Dst: 2, Bytes: 200},
+// sparseDP gives rank 1 three DP flows (to rank 2), below minDPFlows (4),
+// and rank 3 four (to rank 4).
+func sparseDP() ([]flow.Record, map[flow.Pair]parallel.Type) {
+	var records []flow.Record
+	add := func(src, dst flow.Addr, n int) {
+		for i := 0; i < n; i++ {
+			records = append(records, flow.Record{
+				ID: uint64(len(records) + 1), Start: epoch.Add(time.Duration(i) * time.Second),
+				Duration: time.Millisecond, Src: src, Dst: dst, Bytes: 100,
+			})
+		}
 	}
-	types := map[flow.Pair]parallel.Type{flow.MakePair(1, 2): parallel.TypeDP}
-	tls := Reconstruct(records, types, Config{MinDPFlows: 4})
+	add(1, 2, 3)
+	add(3, 4, 4)
+	flow.SortByStart(records)
+	types := map[flow.Pair]parallel.Type{
+		flow.MakePair(1, 2): parallel.TypeDP,
+		flow.MakePair(3, 4): parallel.TypeDP,
+	}
+	return records, types
+}
+
+func TestMinDPFlowsRespected(t *testing.T) {
+	records, types := sparseDP()
+	tls := Reconstruct(records, types, Config{})
 	if len(tls[1].Steps) != 0 {
-		t.Error("below MinDPFlows should not reconstruct steps")
+		t.Error("below minDPFlows should not reconstruct steps")
+	}
+	if len(tls[3].Steps) == 0 {
+		t.Error("at minDPFlows steps should be reconstructed")
 	}
 }
 

@@ -277,7 +277,8 @@ func localizationCell(ctx context.Context, sc locScenario, load locLoad, idx int
 		return row, err
 	}
 	// 3 nodes per leaf keeps every DP group crossing the spine layer under
-	// test; 8 spines keep the stratified spine tier above MinSamples.
+	// test; 8 spines keep the stratified spine tier above the k-sigma
+	// minimum population of 6.
 	spec := topology.Spec{Nodes: load.nodes, NodesPerLeaf: 3, Spines: 8}
 	topo, err := topology.New(spec)
 	if err != nil {
@@ -309,7 +310,7 @@ func localizationCell(ctx context.Context, sc locScenario, load locLoad, idx int
 	// the simulation epoch so windows line up with the fault schedule.
 	m, err := llmprism.NewMonitor(locAnalyzer(res.Topo, locPooledRails), res.Topo, locWindow,
 		llmprism.WithAnchor(res.Truth.Epoch),
-		llmprism.WithChronicSuppression(llmprism.IncidentConfig{}))
+		llmprism.WithChronicSuppression())
 	if err != nil {
 		return row, fmt.Errorf("experiments: localization %s/%s: %w", sc.name, load.name, err)
 	}
@@ -336,8 +337,9 @@ func localizationCell(ctx context.Context, sc locScenario, load locLoad, idx int
 // rail-stratified cross-group diagnosis — GPU index trailingRail hosts each
 // group's collective serialization tail and is structurally slower than the
 // other rails, so it is its own comparison class (which, at 2 groups per
-// stage pair, stays below MinSamples and is skipped: exactly the population
-// that used to fire chronic false alerts) — and spectrum localization.
+// stage pair, stays below the k-sigma minimum population and is skipped:
+// exactly the population that used to fire chronic false alerts) — and
+// spectrum localization.
 func locAnalyzer(topo *topology.Topology, trailingRail int, extra ...llmprism.Option) *llmprism.Analyzer {
 	opts := []llmprism.Option{
 		llmprism.WithSigmaK(locSigmaK),
@@ -354,7 +356,7 @@ func locAnalyzer(topo *topology.Topology, trailingRail int, extra ...llmprism.Op
 			}
 			return 0
 		}),
-		llmprism.WithLocalization(llmprism.LocalizationConfig{}),
+		llmprism.WithLocalization(),
 	}
 	return llmprism.New(append(opts, extra...)...)
 }

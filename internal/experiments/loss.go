@@ -20,7 +20,7 @@ import (
 // Collector-loss geometry: the sweep reuses the localization matrix's
 // window/fault layout so its cells are comparable to L1's, and places the
 // leaf mirror blackout after the coverage baseline has formed (the guard's
-// MinBaseline healthy windows).
+// 3 healthy windows).
 const (
 	lossBlackoutFrom  = 60 * time.Second
 	lossBlackoutUntil = 120 * time.Second
@@ -176,8 +176,8 @@ func lossCell(ctx context.Context, c lossCellSpec, idx int, opts Options) (LossR
 	// observed record, as a live collector's would.
 	analyzer := locAnalyzer(res.Topo, res.Topo.Spec().GPUsPerNode-1, llmprism.WithLossTolerantDiagnosis(3))
 	m, err := llmprism.NewMonitor(analyzer, res.Topo, locWindow,
-		llmprism.WithChronicSuppression(llmprism.IncidentConfig{}),
-		llmprism.WithCoverageGuard(llmprism.CoverageConfig{}))
+		llmprism.WithChronicSuppression(),
+		llmprism.WithCoverageGuard())
 	if err != nil {
 		return row, fmt.Errorf("experiments: loss %s/%g: %w", c.scenario, c.loss, err)
 	}

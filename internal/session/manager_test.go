@@ -103,7 +103,7 @@ func directStreamReports(t testing.TB, cfg session.Config, records []flow.Record
 		llmprism.WithPipelineDepth(cfg.Depth),
 	}
 	if cfg.Suppress {
-		opts = append(opts, llmprism.WithChronicSuppression(llmprism.IncidentConfig{}))
+		opts = append(opts, llmprism.WithChronicSuppression())
 	}
 	mon, err := llmprism.NewMonitor(cfg.TieredAnalyzer(), cfg.Topo, cfg.Window, opts...)
 	if err != nil {

@@ -26,7 +26,7 @@
 //     strictly, or salvaging what a torn capture left — restores the
 //     recorded window grid and anchor, and replays every archived frame
 //     through a fresh Session, reproducing the recorded reports bit for
-//     bit. OpenScan runs time/pair/switch-bounded queries over a store
+//     bit. Scan runs time/pair/switch-bounded queries over a store
 //     without building a session at all.
 //
 //   - Manager: a multi-tenant session registry keyed by cluster ID.
@@ -149,7 +149,7 @@ func (c Config) AnalyzerOptions() []llmprism.Option {
 		opts = append(opts, llmprism.WithSwitchBucket(c.Bucket))
 	}
 	if c.Localize {
-		opts = append(opts, llmprism.WithLocalization(llmprism.LocalizationConfig{}))
+		opts = append(opts, llmprism.WithLocalization())
 	}
 	return opts
 }
@@ -184,7 +184,7 @@ func (c Config) monitorOptions() []llmprism.MonitorOption {
 		opts = append(opts, llmprism.WithHop(c.Hop))
 	}
 	if c.Suppress {
-		opts = append(opts, llmprism.WithChronicSuppression(llmprism.IncidentConfig{}))
+		opts = append(opts, llmprism.WithChronicSuppression())
 	}
 	if !c.Anchor.IsZero() {
 		opts = append(opts, llmprism.WithAnchor(c.Anchor))

@@ -68,6 +68,27 @@
 // windows so one persistent root cause outranks per-window noise. The
 // cmd/llmprism CLI exposes this as the monitor subcommand (-window, -hop,
 // -lateness, -localize, -suppress-chronic).
+//
+// # Operating point
+//
+// The pipeline runs at the paper's one operating point, so these values
+// are constants rather than options. Recognition merges cross-machine
+// clusters whose server sets are identical (Jaccard similarity 1). A pair
+// needs 2 flows to be classified, a rank 4 DP flows for its steps to be
+// reconstructed, and a k-sigma decision a population of 6. Across
+// windows, a cluster inherits a job's identity at endpoint-set Jaccard
+// similarity 0.5 or more, and a job unmatched for 8 windows is forgotten.
+// WithLocalization ranks at most 8 suspects, each scoring at least 0.02,
+// with the bandwidth contrast clamped to [1/16, 16]. The monitor's fused
+// suspect ranking lists at most 8 components, decays every sum by 0.5 per
+// window and forgets a component after its second consecutive missed
+// window. WithChronicSuppression calls an incident chronic once it has
+// fired 3 consecutive windows, having opened within 2 windows of the first
+// alert. WithCoverageGuard judges a window against the mean row count of
+// the last 8 healthy windows, once 3 have accumulated, and marks it
+// degraded below half of that. The k of the k-sigma rule (WithSigmaK,
+// default 3), the switch bucket and the tier and rail classifiers remain
+// options.
 package llmprism
 
 import (
@@ -95,7 +116,8 @@ type Config struct {
 	// ranked Report.Suspects list. Localization runs once on the merged
 	// report, so it adds no per-worker state.
 	Localize bool
-	// Localization tunes the localizer (zero value = defaults).
+	// Localization carries the localizer's evidence filter and shard
+	// count; its zero value is what WithLocalization runs.
 	Localization localize.Config
 	// Workers bounds the per-job fan-out of the analysis pipeline. Zero or
 	// negative means GOMAXPROCS; 1 runs the pipeline sequentially.
@@ -151,13 +173,10 @@ func WithGroupRails(rail func(Addr) int) Option {
 
 // WithLocalization enables root-cause localization: every report gains a
 // ranked Suspects list naming the switches, inter-switch links and host
-// NICs most likely behind the window's alerts. cfg tunes the localizer;
-// the zero value uses the documented defaults.
-func WithLocalization(cfg LocalizationConfig) Option {
-	return func(c *Config) {
-		c.Localize = true
-		c.Localization = cfg
-	}
+// NICs most likely behind the window's alerts — at most 8 suspects, each
+// scoring at least 0.02, with the bandwidth contrast clamped to [1/16, 16].
+func WithLocalization() Option {
+	return func(c *Config) { c.Localize = true }
 }
 
 // WithWorkers bounds the per-job fan-out of the analysis pipeline. Zero or

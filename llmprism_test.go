@@ -24,10 +24,10 @@ func TestOptionsApply(t *testing.T) {
 	if cfg.Diagnosis.Bucket != 30*time.Second {
 		t.Error("WithSwitchBucket not applied")
 	}
-	full := Config{Parallel: parallel.Config{MinFlows: 7}}
+	full := Config{Parallel: parallel.Config{DisableRefinement: true}, Workers: 7}
 	var cfg2 Config
 	WithConfig(full)(&cfg2)
-	if cfg2.Parallel.MinFlows != 7 {
+	if !cfg2.Parallel.DisableRefinement || cfg2.Workers != 7 {
 		t.Error("WithConfig not applied")
 	}
 }

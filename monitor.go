@@ -96,9 +96,7 @@ type monitorConfig struct {
 	archiveSink func(ArchiveMeta) (ArchiveSink, error)
 	anchor      time.Time
 	suppress    bool
-	incident    diagnose.IncidentConfig
 	checkpoint  string
-	coverage    CoverageConfig
 	coverageOn  bool
 }
 
@@ -134,17 +132,15 @@ func WithPipelineDepth(n int) MonitorOption {
 // incident that fires from (effectively) the first observed window and
 // keeps firing is a property of the deployment — a structurally slow
 // trailing-rail DP group, a permanently oversubscribed link — not an
-// event worth re-alerting every window. Once an incident turns chronic
-// (see IncidentConfig), its alerts are removed from JobReport.Alerts and
-// Report.SwitchAlerts, and it is excluded from the localization evidence,
-// so localization ranks genuine faults instead of the deployment's known
-// baseline. The incident itself stays visible in Report.Incidents with
-// Chronic set. The zero cfg applies the documented defaults.
-func WithChronicSuppression(cfg diagnose.IncidentConfig) MonitorOption {
-	return func(c *monitorConfig) {
-		c.suppress = true
-		c.incident = cfg
-	}
+// event worth re-alerting every window. An incident turns chronic once it
+// has fired 3 consecutive windows, having opened within 2 windows of the
+// first alert the monitor saw. Its alerts are then removed from
+// JobReport.Alerts and Report.SwitchAlerts, and it is excluded from the
+// localization evidence, so localization ranks genuine faults instead of
+// the deployment's known baseline. The incident itself stays visible in
+// Report.Incidents with Chronic set.
+func WithChronicSuppression() MonitorOption {
+	return func(c *monitorConfig) { c.suppress = true }
 }
 
 // WithArchive makes the monitor's Stream session record every completed
@@ -210,62 +206,46 @@ func WithCheckpoint(path string) MonitorOption {
 	return func(c *monitorConfig) { c.checkpoint = path }
 }
 
-// CoverageConfig tunes the monitor's collection-coverage guard.
-type CoverageConfig struct {
-	// BaselineWindows is the length of the rolling baseline: the row
-	// counts of this many recent healthy windows define the expected
-	// per-window flow volume. Default 8.
-	BaselineWindows int
-	// MinBaseline is how many healthy windows must accumulate before the
-	// guard starts classifying (earlier windows pass unjudged). Default 3.
-	MinBaseline int
-	// DegradedBelow marks a window degraded when its row count falls
-	// below this fraction of the baseline mean. Default 0.5.
-	DegradedBelow float64
-}
-
-func (c CoverageConfig) withDefaults() CoverageConfig {
-	if c.BaselineWindows <= 0 {
-		c.BaselineWindows = 8
-	}
-	if c.MinBaseline <= 0 {
-		c.MinBaseline = 3
-	}
-	if c.DegradedBelow <= 0 || c.DegradedBelow >= 1 {
-		c.DegradedBelow = 0.5
-	}
-	return c
-}
+// The coverage guard's operating point.
+const (
+	// coverageBaselineWindows is the length of the rolling baseline: the
+	// row counts of this many recent healthy windows define the expected
+	// per-window flow volume.
+	coverageBaselineWindows = 8
+	// coverageMinBaseline is how many healthy windows must accumulate
+	// before the guard starts classifying (earlier windows pass unjudged).
+	coverageMinBaseline = 3
+	// coverageDegradedBelow marks a window degraded when its row count
+	// falls below this fraction of the baseline mean.
+	coverageDegradedBelow = 0.5
+)
 
 // Coverage is one window's collection-coverage signal (see Report).
 type Coverage struct {
 	// Rows is the window's observed flow record count.
 	Rows int
-	// Baseline is the rolling mean row count of recent healthy windows;
-	// 0 until MinBaseline healthy windows have accumulated.
+	// Baseline is the rolling mean row count of the last 8 healthy
+	// windows; 0 until 3 healthy windows have accumulated.
 	Baseline float64
 	// Ratio is Rows/Baseline (0 while no baseline is established).
 	Ratio float64
-	// Degraded marks a window whose coverage fell below DegradedBelow of
-	// baseline — including a fully empty window once a baseline exists.
+	// Degraded marks a window whose coverage fell below half of baseline
+	// — including a fully empty window once a baseline exists.
 	Degraded bool
 }
 
 // WithCoverageGuard makes the monitor compare every window's observed flow
-// volume against a rolling baseline of recent healthy windows and stamp
-// the result on Report.Coverage. A window whose volume collapses below the
-// configured fraction of baseline — a collector outage, a switch mirror
-// blackout — is marked degraded: its alerts are withheld and the
-// continuity trackers (job registry, incidents, suspects) are frozen for
-// the window, because diagnoses drawn from thinned evidence are false
-// alarms waiting to happen, not detections. Healthy windows refresh the
-// baseline; degraded ones do not poison it. The zero cfg applies the
-// documented defaults.
-func WithCoverageGuard(cfg CoverageConfig) MonitorOption {
-	return func(c *monitorConfig) {
-		c.coverageOn = true
-		c.coverage = cfg.withDefaults()
-	}
+// volume against a rolling baseline — the mean row count of the last 8
+// healthy windows, judged once 3 have accumulated — and stamp the result
+// on Report.Coverage. A window whose volume collapses below half of
+// baseline — a collector outage, a switch mirror blackout — is marked
+// degraded: its alerts are withheld and the continuity trackers (job
+// registry, incidents, suspects) are frozen for the window, because
+// diagnoses drawn from thinned evidence are false alarms waiting to
+// happen, not detections. Healthy windows refresh the baseline; degraded
+// ones do not poison it.
+func WithCoverageGuard() MonitorOption {
+	return func(c *monitorConfig) { c.coverageOn = true }
 }
 
 // NewMonitor returns a Monitor that analyzes consecutive windows of the
@@ -309,7 +289,7 @@ func NewMonitor(analyzer *Analyzer, mapper jobrec.ServerMapper, window time.Dura
 		mapper:    mapper,
 		cfg:       cfg,
 		registry:  jobrec.NewRegistry(jobrec.RegistryConfig{}),
-		incidents: diagnose.NewIncidentTracker(cfg.incident),
+		incidents: diagnose.NewIncidentTracker(diagnose.IncidentConfig{}),
 	}
 	if acfg.Localize {
 		m.suspects = localize.NewTracker(localize.TrackerConfig{})
@@ -486,7 +466,7 @@ func (m *Monitor) annotate(r *Report, rows int) {
 // into the baseline.
 func (m *Monitor) observeCoverage(rows int) Coverage {
 	cov := Coverage{Rows: rows}
-	if len(m.covRecent) >= m.cfg.coverage.MinBaseline {
+	if len(m.covRecent) >= coverageMinBaseline {
 		var sum int64
 		for _, v := range m.covRecent {
 			sum += v
@@ -494,12 +474,12 @@ func (m *Monitor) observeCoverage(rows int) Coverage {
 		cov.Baseline = float64(sum) / float64(len(m.covRecent))
 		if cov.Baseline > 0 {
 			cov.Ratio = float64(rows) / cov.Baseline
-			cov.Degraded = cov.Ratio < m.cfg.coverage.DegradedBelow
+			cov.Degraded = cov.Ratio < coverageDegradedBelow
 		}
 	}
 	if !cov.Degraded && rows > 0 {
 		m.covRecent = append(m.covRecent, int64(rows))
-		if n := len(m.covRecent) - m.cfg.coverage.BaselineWindows; n > 0 {
+		if n := len(m.covRecent) - coverageBaselineWindows; n > 0 {
 			m.covRecent = append(m.covRecent[:0], m.covRecent[n:]...)
 		}
 	}

@@ -83,10 +83,10 @@ func TestMonitorChronicSuppression(t *testing.T) {
 	slow := topo.AddrOf(4, 0) // the chronically degraded rank (chronicTrace)
 	const window = 20 * time.Second
 	// Window 0 is a quiet warmup; the chronic alert fires from window 1 and
-	// the incident reaches ChronicAfter (3 windows) at window 3.
+	// the incident reaches the chronic threshold (3 windows) at window 3.
 	const firstAlert, warmup = 1, 3
 	newMonitor := func(opts ...MonitorOption) *Monitor {
-		m, err := NewMonitor(New(WithSigmaK(4), WithLocalization(LocalizationConfig{})), topo, window, opts...)
+		m, err := NewMonitor(New(WithSigmaK(4), WithLocalization()), topo, window, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestMonitorChronicSuppression(t *testing.T) {
 	// With suppression: the baseline learning period may still alert, but
 	// once the incident turns chronic its alerts and localization evidence
 	// are gone while the incident stays visible.
-	suppressed := streamAll(t, newMonitor(WithChronicSuppression(IncidentConfig{})), records, 2000)
+	suppressed := streamAll(t, newMonitor(WithChronicSuppression()), records, 2000)
 	if len(suppressed) != len(raw) {
 		t.Fatalf("suppressed run emitted %d windows, raw %d", len(suppressed), len(raw))
 	}
@@ -218,8 +218,8 @@ func TestMonitorSuppressionStreamMatchesFeed(t *testing.T) {
 	records, topo := res.Records, res.Topo
 	const window = 15 * time.Second
 	newM := func(workers int, opts ...MonitorOption) *Monitor {
-		m, err := NewMonitor(New(WithWorkers(workers), WithSwitchBucket(5*time.Second), WithLocalization(LocalizationConfig{})), topo, window,
-			append([]MonitorOption{WithChronicSuppression(IncidentConfig{})}, opts...)...)
+		m, err := NewMonitor(New(WithWorkers(workers), WithSwitchBucket(5*time.Second), WithLocalization()), topo, window,
+			append([]MonitorOption{WithChronicSuppression()}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func TestMonitorStreamMatchesFeed(t *testing.T) {
 	const window = 5 * time.Second
 
 	feed := func(workers int) []*Report {
-		m, err := NewMonitor(New(WithWorkers(workers), WithLocalization(LocalizationConfig{})), topo, window)
+		m, err := NewMonitor(New(WithWorkers(workers), WithLocalization()), topo, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestMonitorStreamMatchesFeed(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		for _, depth := range []int{1, 3} {
-			m, err := NewMonitor(New(WithWorkers(workers), WithLocalization(LocalizationConfig{})), topo, window, WithPipelineDepth(depth))
+			m, err := NewMonitor(New(WithWorkers(workers), WithLocalization()), topo, window, WithPipelineDepth(depth))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestMonitorStreamPermutationInvariance(t *testing.T) {
 	)
 
 	run := func(recs []FlowRecord, depth int) []*Report {
-		m, err := NewMonitor(New(WithWorkers(4), WithLocalization(LocalizationConfig{})), topo, window,
+		m, err := NewMonitor(New(WithWorkers(4), WithLocalization()), topo, window,
 			WithLateness(lateness), WithPipelineDepth(depth))
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +299,7 @@ func TestMonitorStreamIncidentContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(New(WithSwitchBucket(5*time.Second), WithLocalization(LocalizationConfig{})),
+	m, err := NewMonitor(New(WithSwitchBucket(5*time.Second), WithLocalization()),
 		res.Topo, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)

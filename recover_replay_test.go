@@ -90,7 +90,7 @@ func TestRecoveredArchiveReplaysSalvagedPrefix(t *testing.T) {
 	)
 
 	var buf bytes.Buffer
-	m, err := NewMonitor(New(WithWorkers(4), WithLocalization(LocalizationConfig{})), topo, window,
+	m, err := NewMonitor(New(WithWorkers(4), WithLocalization()), topo, window,
 		WithLateness(lateness), WithPipelineDepth(3), WithArchive(&buf))
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +106,14 @@ func TestRecoveredArchiveReplaysSalvagedPrefix(t *testing.T) {
 	}
 
 	// The clean image opens strictly.
-	if _, rep := replayRecovered(t, data, topo, WithWorkers(4), WithLocalization(LocalizationConfig{})); !rep.Clean || rep.Segments != len(want) {
+	if _, rep := replayRecovered(t, data, topo, WithWorkers(4), WithLocalization()); !rep.Clean || rep.Segments != len(want) {
 		t.Fatalf("clean archive: %s", rep)
 	}
 
 	bounds := archiveBoundaries(t, data, len(want))
 	check := func(name string, cut int64, k int) {
 		t.Helper()
-		got, rep := replayRecovered(t, data[:cut], topo, WithWorkers(4), WithLocalization(LocalizationConfig{}))
+		got, rep := replayRecovered(t, data[:cut], topo, WithWorkers(4), WithLocalization())
 		if rep.Clean {
 			t.Fatalf("%s: torn archive reported clean", name)
 		}

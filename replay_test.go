@@ -68,7 +68,7 @@ func TestArchiveReplayReproducesReports(t *testing.T) {
 
 	record := func(recs []FlowRecord) ([]*Report, []byte) {
 		var buf bytes.Buffer
-		m, err := NewMonitor(New(WithWorkers(4), WithLocalization(LocalizationConfig{})), topo, window,
+		m, err := NewMonitor(New(WithWorkers(4), WithLocalization()), topo, window,
 			WithLateness(lateness), WithPipelineDepth(3), WithArchive(&buf))
 		if err != nil {
 			t.Fatal(err)
@@ -85,12 +85,12 @@ func TestArchiveReplayReproducesReports(t *testing.T) {
 	if len(want) < 3 {
 		t.Fatalf("windows = %d, want >= 3", len(want))
 	}
-	got := replayArchive(t, data, topo, WithWorkers(4), WithLocalization(LocalizationConfig{}))
+	got := replayArchive(t, data, topo, WithWorkers(4), WithLocalization())
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("replayed reports diverge from recorded session")
 	}
 	// Worker count must not matter on replay either.
-	if got1 := replayArchive(t, data, topo, WithWorkers(1), WithLocalization(LocalizationConfig{})); !reflect.DeepEqual(want, got1) {
+	if got1 := replayArchive(t, data, topo, WithWorkers(1), WithLocalization()); !reflect.DeepEqual(want, got1) {
 		t.Fatal("replay with 1 worker diverges from recorded session")
 	}
 
@@ -101,7 +101,7 @@ func TestArchiveReplayReproducesReports(t *testing.T) {
 	if !reflect.DeepEqual(want, permuted) {
 		t.Fatal("permuted live session diverges (pre-existing invariant)")
 	}
-	if got := replayArchive(t, permData, topo, WithWorkers(4), WithLocalization(LocalizationConfig{})); !reflect.DeepEqual(permuted, got) {
+	if got := replayArchive(t, permData, topo, WithWorkers(4), WithLocalization()); !reflect.DeepEqual(permuted, got) {
 		t.Fatal("replay of permuted-session archive diverges")
 	}
 }

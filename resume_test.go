@@ -49,12 +49,12 @@ func TestResumeMonitorContinuesSession(t *testing.T) {
 		}},
 		{"chronic suppression + coverage guard", []MonitorOption{
 			WithLateness(lateness), WithPipelineDepth(3),
-			WithChronicSuppression(IncidentConfig{}),
-			WithCoverageGuard(CoverageConfig{}),
+			WithChronicSuppression(),
+			WithCoverageGuard(),
 		}},
 	}
 	analyzer := func() *Analyzer {
-		return New(WithWorkers(4), WithLocalization(LocalizationConfig{}))
+		return New(WithWorkers(4), WithLocalization())
 	}
 
 	for _, v := range variants {
@@ -138,8 +138,8 @@ func TestResumeMonitorRejectsMismatchedOptions(t *testing.T) {
 	// Depth 1: a window's analysis finishes before the next one dispatches,
 	// so the single Push below has released a window by the time it returns
 	// and Checkpoint has a boundary to write, however the host is loaded.
-	m, err := NewMonitor(New(WithLocalization(LocalizationConfig{})), topo, 5*time.Second,
-		WithCoverageGuard(CoverageConfig{}), WithPipelineDepth(1))
+	m, err := NewMonitor(New(WithLocalization()), topo, 5*time.Second,
+		WithCoverageGuard(), WithPipelineDepth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +160,16 @@ func TestResumeMonitorRejectsMismatchedOptions(t *testing.T) {
 	data := ck.Bytes()
 
 	// No localization on the resuming analyzer.
-	if _, err := ResumeMonitor(New(), topo, bytes.NewReader(data), WithCoverageGuard(CoverageConfig{})); err == nil {
+	if _, err := ResumeMonitor(New(), topo, bytes.NewReader(data), WithCoverageGuard()); err == nil {
 		t.Error("resume without localization accepted")
 	}
 	// No coverage guard in the resuming options.
-	if _, err := ResumeMonitor(New(WithLocalization(LocalizationConfig{})), topo, bytes.NewReader(data)); err == nil {
+	if _, err := ResumeMonitor(New(WithLocalization()), topo, bytes.NewReader(data)); err == nil {
 		t.Error("resume without coverage guard accepted")
 	}
 	// Matching configuration resumes.
-	if _, err := ResumeMonitor(New(WithLocalization(LocalizationConfig{})), topo, bytes.NewReader(data),
-		WithCoverageGuard(CoverageConfig{})); err != nil {
+	if _, err := ResumeMonitor(New(WithLocalization()), topo, bytes.NewReader(data),
+		WithCoverageGuard()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,7 +187,7 @@ func TestWithCheckpointFileResume(t *testing.T) {
 	)
 	path := filepath.Join(t.TempDir(), "session.ckpt")
 	analyzer := func() *Analyzer {
-		return New(WithWorkers(4), WithLocalization(LocalizationConfig{}))
+		return New(WithWorkers(4), WithLocalization())
 	}
 
 	// Uninterrupted reference (no checkpointing).
@@ -266,47 +266,72 @@ func TestWithCheckpointFileResume(t *testing.T) {
 	}
 }
 
-// TestCoverageGuardMarksDegradedWindows pins the guard's window-level
-// semantics on a hand-built trace: early windows pass unjudged while the
-// baseline forms, a volume collapse is stamped degraded, and degraded
-// windows do not poison the baseline for their successors.
-func TestCoverageGuardMarksDegradedWindows(t *testing.T) {
+// coverageRun streams one 10-second window per entry of rows, holding that
+// many records, through a coverage-guarded monitor and returns each
+// window's coverage stamp.
+func coverageRun(t *testing.T, rows []int) []Coverage {
+	t.Helper()
 	_, topo := monitorFixture(t)
-	m, err := NewMonitor(New(), topo, 10*time.Second,
-		WithCoverageGuard(CoverageConfig{BaselineWindows: 4, MinBaseline: 2, DegradedBelow: 0.5}))
+	m, err := NewMonitor(New(), topo, 10*time.Second, WithCoverageGuard())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Windows 0..2 hold 4 records each, window 3 collapses to one record,
-	// window 4 recovers.
 	var recs []FlowRecord
 	id := uint64(0)
-	emit := func(w int, n int) {
+	for w, n := range rows {
 		for i := 0; i < n; i++ {
 			id++
-			recs = append(recs, monitorRecord(id, time.Duration(w*10)*time.Second+time.Duration(i)*time.Second, topo))
+			recs = append(recs, monitorRecord(id, time.Duration(w*10)*time.Second+time.Duration(i)*500*time.Millisecond, topo))
 		}
 	}
-	emit(0, 4)
-	emit(1, 4)
-	emit(2, 4)
-	emit(3, 1)
-	emit(4, 4)
 	reports := streamAll(t, m, recs, len(recs))
-	if len(reports) != 5 {
-		t.Fatalf("windows = %d, want 5", len(reports))
+	if len(reports) != len(rows) {
+		t.Fatalf("windows = %d, want %d", len(reports), len(rows))
 	}
+	out := make([]Coverage, len(reports))
+	for i, r := range reports {
+		out[i] = r.Coverage
+	}
+	return out
+}
 
+// TestCoverageGuardMarksDegradedWindows pins the guard's window-level
+// semantics on a hand-built trace: windows pass unjudged until
+// coverageMinBaseline (3) healthy windows have formed the baseline, a
+// window at exactly coverageDegradedBelow (half) of baseline is healthy, a
+// volume collapse below it is stamped degraded, and degraded windows do
+// not poison the baseline for their successors.
+func TestCoverageGuardMarksDegradedWindows(t *testing.T) {
+	got := coverageRun(t, []int{4, 4, 4, 2, 1, 4})
 	want := []Coverage{
-		{Rows: 4},                        // no baseline yet: unjudged
-		{Rows: 4},                        // still below MinBaseline
-		{Rows: 4, Baseline: 4, Ratio: 1}, // judged healthy
-		{Rows: 1, Baseline: 4, Ratio: 0.25, Degraded: true},
-		{Rows: 4, Baseline: 4, Ratio: 1}, // degraded window did not drag the baseline down
+		{Rows: 4},                          // no baseline yet: unjudged
+		{Rows: 4},                          // one healthy window: unjudged
+		{Rows: 4},                          // two, one below coverageMinBaseline: unjudged
+		{Rows: 2, Baseline: 4, Ratio: 0.5}, // three: judged; exactly half is healthy
+		{Rows: 1, Baseline: 3.5, Ratio: 1 / 3.5, Degraded: true},
+		{Rows: 4, Baseline: 3.5, Ratio: 4 / 3.5}, // degraded window did not drag the baseline down
 	}
 	for i, w := range want {
-		if got := reports[i].Coverage; got != w {
-			t.Errorf("window %d coverage = %+v, want %+v", i, got, w)
+		if got[i] != w {
+			t.Errorf("window %d coverage = %+v, want %+v", i, got[i], w)
 		}
+	}
+}
+
+// TestCoverageGuardBaselineWindow: the baseline is the mean of the last
+// coverageBaselineWindows (8) healthy windows. With eight windows of
+// history the oldest still counts; with nine it has aged out.
+func TestCoverageGuardBaselineWindow(t *testing.T) {
+	got := coverageRun(t, []int{12, 4, 4, 4, 4, 4, 4, 4, 4, 4})
+	for i, c := range got {
+		if c.Degraded {
+			t.Errorf("window %d degraded: %+v", i, c)
+		}
+	}
+	if b := got[8].Baseline; b != 5 { // (12 + 7×4) / 8
+		t.Errorf("window 8 baseline = %v, want 5 (eight windows of history, the oldest included)", b)
+	}
+	if b := got[9].Baseline; b != 4 {
+		t.Errorf("window 9 baseline = %v, want 4 (the 12-row window aged out)", b)
 	}
 }

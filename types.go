@@ -67,12 +67,6 @@ type (
 	Incident = diagnose.Incident
 	// IncidentKey identifies one logical anomaly across windows.
 	IncidentKey = diagnose.IncidentKey
-	// IncidentConfig tunes the monitor's chronic-baseline classification
-	// (WithChronicSuppression).
-	IncidentConfig = diagnose.IncidentConfig
-	// SuspectTrackerConfig tunes cross-window suspect continuity and
-	// fusion (localize.NewTracker).
-	SuspectTrackerConfig = localize.TrackerConfig
 	// Suspect is one ranked root-cause candidate of a window's alerts
 	// (Report.Suspects, produced WithLocalization).
 	Suspect = localize.Suspect
@@ -81,8 +75,6 @@ type (
 	SuspectComponent = localize.Component
 	// SuspectComponentKind classifies suspect components.
 	SuspectComponentKind = localize.ComponentKind
-	// LocalizationConfig tunes root-cause localization.
-	LocalizationConfig = localize.Config
 
 	// Scenario specifies a platform simulation.
 	Scenario = platform.Scenario
