@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/bocd"
 	"github.com/llmprism/llmprism/internal/core/diagnose"
 	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/parallel"
@@ -231,6 +232,12 @@ func TestAnalyzeFrameMatchesRecordSlice(t *testing.T) {
 	if len(want.Jobs) != 3 {
 		t.Fatalf("jobs = %d, want 3", len(want.Jobs))
 	}
+	// The 4-node job (PP 2 x DP 2) has only two-member DP groups, so each
+	// of its ranks' DP flows are one pair's flows and its timelines reuse
+	// identification's segments; the reference below always splits.
+	if pairOnlyDPJob(want) < 0 {
+		t.Fatal("no job with only two-member DP groups: the segment reuse goes unexercised")
+	}
 	frame := flow.NewFrame(records)
 	for _, workers := range []int{1, 2, 8} {
 		got, err := New(WithWorkers(workers)).AnalyzeFrameContext(context.Background(), frame, topo)
@@ -248,6 +255,53 @@ func TestAnalyzeFrameMatchesRecordSlice(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("Analyze adapter diverges from record-slice reference")
+	}
+}
+
+// pairOnlyDPJob returns the index of the first job of r whose DP groups
+// all have two members, -1 if there is none. Every rank of such a job sends
+// its DP flows over one pair.
+func pairOnlyDPJob(r *Report) int {
+	for i, j := range r.Jobs {
+		pairOnly := len(j.DPGroups) > 0
+		for _, g := range j.DPGroups {
+			pairOnly = pairOnly && len(g) == 2
+		}
+		if pairOnly {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestAnalyzeFrameSplitMismatchMatchesRecordSlice covers the configuration
+// under which reconstruction must not reuse identification's segments: a
+// Timeline.Split that differs from Parallel.Split. The frame pipeline must
+// still equal the reference pipeline under the same config, and the
+// differing split must move the timelines of the job whose ranks would
+// otherwise take the reuse, or the case proves nothing.
+func TestAnalyzeFrameSplitMismatchMatchesRecordSlice(t *testing.T) {
+	records, topo := concurrencyTrace(t)
+	cfg := Config{Timeline: timeline.Config{Split: bocd.SplitConfig{MinSeparation: 100}}}
+	want := analyzeRecordsSequential(cfg, records, topo)
+	base := analyzeRecordsSequential(Config{}, records, topo)
+	j := pairOnlyDPJob(base)
+	if j < 0 {
+		t.Fatal("no job with only two-member DP groups")
+	}
+	if reflect.DeepEqual(want.Jobs[j].Timelines, base.Jobs[j].Timelines) {
+		t.Fatal("the timeline split setting moves no timeline of the pair-only DP job")
+	}
+	frame := flow.NewFrame(records)
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		got, err := New(WithConfig(cfg)).AnalyzeFrame(frame, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("workers=%d: frame report diverges from record-slice reference", workers)
+		}
 	}
 }
 

@@ -340,6 +340,65 @@ func BenchmarkAnalyzeFrame(b *testing.B) {
 	b.ReportMetric(float64(len(records)), "records/op")
 }
 
+var (
+	smallJobsOnce    sync.Once
+	smallJobsRecords []flow.Record
+	smallJobsTopo    *llmprism.Topology
+	smallJobsErr     error
+)
+
+// smallJobsTrace simulates one minute of eight 2-node jobs on a 16-node
+// fabric (4 nodes per leaf, 8 spines): every job is PP 2 x DP 2, so each
+// rank's DP traffic is one pair.
+func smallJobsTrace(b *testing.B) ([]flow.Record, *llmprism.Topology) {
+	b.Helper()
+	smallJobsOnce.Do(func() {
+		topoSpec := llmprism.TopologySpec{Nodes: 16, NodesPerLeaf: 4, Spines: 8}
+		plans := make([]llmprism.JobPlan, 8)
+		for i := range plans {
+			plans[i] = llmprism.JobPlan{Nodes: 2, TargetStep: 3 * time.Second}
+		}
+		jobs, err := llmprism.PlanJobs(topoSpec, plans, 1)
+		if err != nil {
+			smallJobsErr = err
+			return
+		}
+		res, err := llmprism.Simulate(llmprism.Scenario{
+			Name: "bench-small-jobs", Topo: topoSpec, Jobs: jobs,
+			Horizon: 60 * time.Second,
+		})
+		if err != nil {
+			smallJobsErr = err
+			return
+		}
+		smallJobsRecords = res.Records
+		smallJobsTopo = res.Topo
+	})
+	if smallJobsErr != nil {
+		b.Fatal(smallJobsErr)
+	}
+	return smallJobsRecords, smallJobsTopo
+}
+
+// BenchmarkAnalyzeFrameSmallJobs is BenchmarkAnalyzeFrame over eight
+// 2-node jobs, the shape in which timeline reconstruction takes every
+// rank's step segments from identification instead of splitting the same
+// DP pair again. BenchmarkAnalyzeFrame has no DP = 2 job and measures the
+// path without that reuse.
+func BenchmarkAnalyzeFrameSmallJobs(b *testing.B) {
+	records, topo := smallJobsTrace(b)
+	frame := flow.NewFrame(records)
+	analyzer := llmprism.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analyzer.AnalyzeFrame(frame, topo); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(records)), "records/op")
+}
+
 // --- trace persistence: binary frame archive vs text codecs ---
 
 // BenchmarkLoadTraceCSV is the text baseline the archive replaces: parse

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/bocd"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -18,6 +19,7 @@ func Identify(records []flow.Record, cfg Config) Classification {
 	out := Classification{
 		Types:        make(map[flow.Pair]Type, len(byPair)),
 		StepsPerPair: make(map[flow.Pair]int, len(byPair)),
+		Segments:     make(map[flow.Pair][]bocd.Segment, len(byPair)),
 	}
 
 	// Deterministic pair order.
@@ -37,9 +39,10 @@ func Identify(records []flow.Record, cfg Config) Classification {
 		if len(recs) < minFlows {
 			continue
 		}
-		t, steps := classifyPair(recs, cfg)
+		t, segments := classifyPair(recs, cfg)
 		out.Types[p] = t
-		out.StepsPerPair[p] = steps
+		out.StepsPerPair[p] = len(segments)
+		out.Segments[p] = segments
 	}
 
 	if !cfg.DisableRefinement {
@@ -51,7 +54,7 @@ func Identify(records []flow.Record, cfg Config) Classification {
 
 // classifyPair divides one pair's flows into steps and applies the
 // distinct-size mode rule.
-func classifyPair(recs []flow.Record, cfg Config) (Type, int) {
+func classifyPair(recs []flow.Record, cfg Config) (Type, []bocd.Segment) {
 	times := make([]time.Time, len(recs))
 	sizes := make([]int64, len(recs))
 	for i, r := range recs {

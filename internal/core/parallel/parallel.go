@@ -66,8 +66,16 @@ type Classification struct {
 	// and NIC rail), sorted for determinism.
 	DPGroups [][]flow.Addr
 	// StepsPerPair reports how many steps the splitter found per pair
-	// (diagnostic; short windows yield few steps and noisier modes).
+	// (diagnostic; short windows yield few steps and noisier modes). It is
+	// len(Segments[p]) for every classified pair.
 	StepsPerPair map[flow.Pair]int
+	// Segments holds the steps the splitter found per classified pair,
+	// over the pair's flows in start order, under Config.Split. Timeline
+	// reconstruction reuses them for a rank whose DP flows are exactly one
+	// pair's flows (every rank of a two-member DP group), since splitting
+	// that same sequence again with the same settings gives the same
+	// segments.
+	Segments map[flow.Pair][]bocd.Segment
 }
 
 // IdentifyView classifies every communicating pair of one job's frame view.
@@ -81,6 +89,7 @@ func IdentifyView(v flow.View, cfg Config) Classification {
 	out := Classification{
 		Types:        make(map[flow.Pair]Type, v.NumPairs()),
 		StepsPerPair: make(map[flow.Pair]int, v.NumPairs()),
+		Segments:     make(map[flow.Pair][]bocd.Segment, v.NumPairs()),
 	}
 	var times []time.Time
 	var sizes []int64
@@ -95,10 +104,11 @@ func IdentifyView(v flow.View, cfg Config) Classification {
 			times = append(times, f.Start(r))
 			sizes = append(sizes, f.Bytes(r))
 		}
-		t, steps := classifySpan(times, sizes, cfg)
+		t, segments := classifySpan(times, sizes, cfg)
 		p := v.PairAt(i)
 		out.Types[p] = t
-		out.StepsPerPair[p] = steps
+		out.StepsPerPair[p] = len(segments)
+		out.Segments[p] = segments
 	}
 
 	if !cfg.DisableRefinement {
@@ -109,8 +119,9 @@ func IdentifyView(v flow.View, cfg Config) Classification {
 }
 
 // classifySpan is the shared classification core over one pair's start
-// times and flow sizes (parallel slices, sorted by start).
-func classifySpan(times []time.Time, sizes []int64, cfg Config) (Type, int) {
+// times and flow sizes (parallel slices, sorted by start). It returns the
+// pair's type and the segments it was judged over.
+func classifySpan(times []time.Time, sizes []int64, cfg Config) (Type, []bocd.Segment) {
 	segments := bocd.SplitTimes(times, cfg.Split)
 	counts := make([]int, 0, len(segments))
 	for _, seg := range segments {
@@ -118,9 +129,9 @@ func classifySpan(times []time.Time, sizes []int64, cfg Config) (Type, int) {
 	}
 	mode, _ := stats.Mode(counts)
 	if mode == 1 {
-		return TypePP, len(segments)
+		return TypePP, segments
 	}
-	return TypeDP, len(segments)
+	return TypeDP, segments
 }
 
 // refine applies the DP transitivity rule: every pair whose endpoints land

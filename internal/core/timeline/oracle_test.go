@@ -35,7 +35,7 @@ func reconstructRank(rank flow.Addr, recs []flow.Record, types map[flow.Pair]par
 			dpEnds = append(dpEnds, r.End().UnixNano())
 		}
 	}
-	return &Timeline{Rank: rank, Steps: reconstructSteps(starts, dpStarts, dpEnds, cfg)}
+	return &Timeline{Rank: rank, Steps: reconstructSteps(starts, dpStarts, dpEnds, nil, cfg)}
 }
 
 // byEndpoint buckets records by endpoint: each record appears in the bucket

@@ -6,7 +6,11 @@
 // uses. The reconstructor therefore divides each rank's DP flows into steps
 // with the same BOCD splitter used for classification; the end of a step's
 // DP segment marks the end of the step, and the gaps between a step's
-// communication events approximate compute. A Timeline keeps the steps and
+// communication events approximate compute. When a rank's DP flows are all
+// one pair's flows (every rank of a two-member DP group), that sequence is
+// the one identification already split, so ReconstructClassified takes the
+// pair's segments from the classification instead of splitting it again;
+// every other rank is split here. A Timeline keeps the steps and
 // a count of the PP and DP flows that start in each, not the flows
 // themselves: the job's records already hold those, and a renderer that
 // wants them (viz.TimelineSwimlanes) reads them from there.
@@ -66,21 +70,41 @@ type Config struct {
 const minDPFlows = 4
 
 // ReconstructView builds timelines for every rank of one job's frame view;
-// types is the pair classification from package parallel. Every rank that
-// sends or receives a flow gets a timeline, with no steps when it has fewer
-// than minDPFlows DP flows. It sizes every rank's buffers from the view's
-// pair spans, then streams the view's rows once, in start order, filling
-// each endpoint's flow starts and DP start/end times; the starts are
-// therefore already ascending. Nothing proportional to the rows outlives
-// the call. It is the only reconstruction entry point; oracle_test.go
-// keeps the record-slice Reconstruct it is tested against.
+// types is the pair classification from package parallel. It is
+// ReconstructClassified over a classification without segments, so every
+// rank's DP flows are split here.
 func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config) map[flow.Addr]*Timeline {
+	return ReconstructClassified(v, parallel.Classification{Types: types}, cfg)
+}
+
+// ReconstructClassified builds timelines for every rank of one job's frame
+// view from cls, the view's classification from package parallel. Every
+// rank that sends or receives a flow gets a timeline, with no steps when it
+// has fewer than minDPFlows DP flows. A rank whose DP flows all belong to
+// one pair P takes its segments from cls.Segments[P] when that entry is
+// present; every other rank splits its DP flows with cfg.Split. The reused
+// segments are only right when cls came from parallel.IdentifyView over
+// the same view with a Split equal to cfg.Split (Detectors aside): the
+// rank's DP starts are then exactly the start times identification split
+// for P, and the splitter depends on nothing else.
+//
+// It sizes every rank's buffers from the view's pair spans, then streams
+// the view's rows once, in start order, filling each endpoint's flow
+// starts and DP start/end times; the starts are therefore already
+// ascending. Nothing proportional to the rows outlives the call. It is the
+// only reconstruction core; oracle_test.go keeps the record-slice
+// Reconstruct it is tested against.
+func ReconstructClassified(v flow.View, cls parallel.Classification, cfg Config) map[flow.Addr]*Timeline {
 	f := v.Frame()
 
-	// One build per rank, indexed in first-seen order.
+	// One build per rank, indexed in first-seen order. dpPair is the view
+	// pair index of the rank's only DP pair, noDP before it has one and
+	// manyDP once it has two.
+	const noDP, manyDP = -1, -2
 	type rankBuild struct {
 		rank     flow.Addr
 		n, dp    int
+		dpPair   int
 		starts   []int64
 		dpStarts []time.Time
 		dpEnds   []int64
@@ -92,7 +116,7 @@ func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config)
 		if !ok {
 			i = int32(len(builds))
 			rankOf[a] = i
-			builds = append(builds, rankBuild{rank: a})
+			builds = append(builds, rankBuild{rank: a, dpPair: noDP})
 		}
 		return i
 	}
@@ -107,14 +131,20 @@ func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config)
 	for i := range pairs {
 		p := v.PairAt(i)
 		lo, hi := v.PairSpan(i)
-		pi := pairInfo{a: index(p.A), b: index(p.B), dp: types[p] == parallel.TypeDP}
+		pi := pairInfo{a: index(p.A), b: index(p.B), dp: cls.Types[p] == parallel.TypeDP}
 		pairs[i] = pi
 		for _, r := range [2]int32{pi.a, pi.b} {
-			builds[r].n += hi - lo
+			b := &builds[r]
+			b.n += hi - lo
 			total += hi - lo
 			if pi.dp {
-				builds[r].dp += hi - lo
+				b.dp += hi - lo
 				totalDP += hi - lo
+				if b.dpPair == noDP {
+					b.dpPair = i
+				} else {
+					b.dpPair = manyDP
+				}
 			}
 			if pi.b == pi.a {
 				break
@@ -155,7 +185,11 @@ func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config)
 	out := make(map[flow.Addr]*Timeline, len(builds))
 	for i := range builds {
 		b := &builds[i]
-		tls[i] = Timeline{Rank: b.rank, Steps: reconstructSteps(b.starts, b.dpStarts, b.dpEnds, cfg)}
+		var segments []bocd.Segment
+		if b.dpPair >= 0 {
+			segments = cls.Segments[v.PairAt(b.dpPair)]
+		}
+		tls[i] = Timeline{Rank: b.rank, Steps: reconstructSteps(b.starts, b.dpStarts, b.dpEnds, segments, cfg)}
 		out[b.rank] = &tls[i]
 	}
 	return out
@@ -164,13 +198,17 @@ func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config)
 // reconstructSteps is the shared step-division core. starts holds the Unix
 // nanosecond start of every one of the rank's flows, ascending; dpStarts
 // and dpEnds hold the start time and Unix nanosecond end of its DP flows,
-// in flow order. It returns the reconstructed steps, nil below minDPFlows.
-// Step times are UTC, as flow.Frame materializes its timestamps.
-func reconstructSteps(starts []int64, dpStarts []time.Time, dpEnds []int64, cfg Config) []Step {
+// in flow order. segments, when non-nil, is the split of dpStarts already
+// computed elsewhere; nil splits dpStarts with cfg.Split. It returns the
+// reconstructed steps, nil below minDPFlows. Step times are UTC, as
+// flow.Frame materializes its timestamps.
+func reconstructSteps(starts []int64, dpStarts []time.Time, dpEnds []int64, segments []bocd.Segment, cfg Config) []Step {
 	if len(dpStarts) < minDPFlows {
 		return nil
 	}
-	segments := bocd.SplitTimes(dpStarts, cfg.Split)
+	if segments == nil {
+		segments = bocd.SplitTimes(dpStarts, cfg.Split)
+	}
 	steps := make([]Step, 0, len(segments))
 	prevEnd := starts[0] // the DP flows are among starts, so it is not empty
 	for i, seg := range segments {

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -61,20 +62,18 @@ func NewFrameBuilder() *FrameBuilder {
 // Len returns the number of rows appended so far.
 func (b *FrameBuilder) Len() int { return len(b.ids) }
 
-// Grow pre-sizes the builder for n additional rows.
+// Grow pre-sizes the builder for n additional rows. Each column grows by
+// append's amortized policy, not to the exact need, so a builder grown
+// once per pushed frame copies its rows O(log m) times over m pushes
+// rather than once per push.
 func (b *FrameBuilder) Grow(n int) {
-	need := len(b.ids) + n
-	if cap(b.ids) >= need {
-		return
-	}
-	grow := func(s []int64) []int64 { return append(make([]int64, 0, need), s...) }
-	b.ids = append(make([]uint64, 0, need), b.ids...)
-	b.starts = grow(b.starts)
-	b.durs = grow(b.durs)
-	b.srcs = append(make([]Addr, 0, need), b.srcs...)
-	b.dsts = append(make([]Addr, 0, need), b.dsts...)
-	b.nbytes = grow(b.nbytes)
-	b.paths = append(make([]PathID, 0, need), b.paths...)
+	b.ids = slices.Grow(b.ids, n)
+	b.starts = slices.Grow(b.starts, n)
+	b.durs = slices.Grow(b.durs, n)
+	b.srcs = slices.Grow(b.srcs, n)
+	b.dsts = slices.Grow(b.dsts, n)
+	b.nbytes = slices.Grow(b.nbytes, n)
+	b.paths = slices.Grow(b.paths, n)
 }
 
 // InternPath deduplicates a switch path, returning its stable id. The empty

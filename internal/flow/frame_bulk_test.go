@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -181,6 +182,52 @@ func TestInternTablePreSizesTable(t *testing.T) {
 	b.AppendFrameRows(src, remap, nil)
 	if cap(b.ids) != capIDs {
 		t.Fatalf("AppendFrameRows reallocated row columns: cap %d->%d", capIDs, cap(b.ids))
+	}
+}
+
+// TestGrowAmortizesReallocation pins Grow's growth policy: a window builder
+// is grown once per pushed frame, and m successive Grow + AppendFrameRows
+// rounds must reallocate each column O(log m) times, not once per round
+// (which made the copying quadratic in the number of frames per window).
+func TestGrowAmortizesReallocation(t *testing.T) {
+	const m = 256
+	src := NewFrame(bulkRecords(31, 100))
+	b := NewFrameBuilder()
+	caps := func() [7]int {
+		return [7]int{cap(b.ids), cap(b.starts), cap(b.durs), cap(b.srcs), cap(b.dsts), cap(b.nbytes), cap(b.paths)}
+	}
+	var reallocs [7]int
+	last := caps()
+	for range m {
+		b.Grow(src.Len())
+		now := caps()
+		for c := range now {
+			if now[c] != last[c] {
+				reallocs[c]++
+			}
+		}
+		last = now
+		remap := b.InternTable(src.PathTable())
+		b.AppendFrameRows(src, remap, nil)
+		if caps() != now {
+			t.Fatal("AppendFrameRows reallocated a column after Grow")
+		}
+	}
+	if b.Len() != m*src.Len() {
+		t.Fatalf("builder holds %d rows, want %d", b.Len(), m*src.Len())
+	}
+	for i, id := range b.ids {
+		if id != src.ids[i%src.Len()] {
+			t.Fatalf("row %d: id %d, want %d", i, id, src.ids[i%src.Len()])
+		}
+	}
+	// append's policy doubles small slices and grows large ones by about
+	// 1.25x: ~20 reallocations here, against m = 256 at the exact need.
+	limit := 4 * bits.Len(m)
+	for c, n := range reallocs {
+		if n > limit {
+			t.Errorf("column %d reallocated %d times over %d rounds, want <= %d", c, n, m, limit)
+		}
 	}
 }
 

@@ -355,6 +355,13 @@ func (a *Analyzer) AnalyzeFrameContext(ctx context.Context, f *flow.Frame, mappe
 	// expensive phases below are per-job and embarrassingly parallel.
 	clusters := jobrec.RecognizeFrame(f, mapper, a.cfg.Recognition)
 	views := jobrec.SelectJobs(f, clusters)
+	// Reconstruction reuses identification's per-pair segments only when
+	// both stages split with the same settings (detector pools never change
+	// a split). Every shipped caller leaves both at zero; WithConfig can
+	// make them differ.
+	ps, ts := a.cfg.Parallel.Split, a.cfg.Timeline.Split
+	ps.Detectors, ts.Detectors = nil, nil
+	reuseSegments := ps == ts
 
 	analyses, err := pool.Map(ctx, a.cfg.Workers, clusters,
 		func(ctx context.Context, i int, cluster jobrec.Cluster) (jobAnalysis, error) {
@@ -363,7 +370,11 @@ func (a *Analyzer) AnalyzeFrameContext(ctx context.Context, f *flow.Frame, mappe
 			if err := ctx.Err(); err != nil {
 				return jobAnalysis{}, err
 			}
-			tls := timeline.ReconstructView(v, cls.Types, a.cfg.Timeline)
+			tcls := cls
+			if !reuseSegments {
+				tcls.Segments = nil
+			}
+			tls := timeline.ReconstructClassified(v, tcls, a.cfg.Timeline)
 			if err := ctx.Err(); err != nil {
 				return jobAnalysis{}, err
 			}
