@@ -14,6 +14,7 @@ import (
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/core/timeline"
 	"github.com/llmprism/llmprism/internal/flow"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 // concurrencyTrace simulates a three-job window once per test binary; the
@@ -29,7 +30,7 @@ func concurrencyTrace(t testing.TB) ([]FlowRecord, *Topology) {
 	t.Helper()
 	concOnce.Do(func() {
 		topoSpec := TopologySpec{Nodes: 24, NodesPerLeaf: 8, Spines: 4}
-		jobs, err := PlanJobs(topoSpec, []JobPlan{
+		jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 			{Nodes: 8, TargetStep: 2 * time.Second},
 			{Nodes: 8, TargetStep: 3 * time.Second},
 			{Nodes: 4, TargetStep: 2 * time.Second},
@@ -38,7 +39,7 @@ func concurrencyTrace(t testing.TB) ([]FlowRecord, *Topology) {
 			concErr = err
 			return
 		}
-		res, err := Simulate(Scenario{
+		res, err := testbed.Simulate(testbed.Scenario{
 			Name: "concurrency", Topo: topoSpec, Jobs: jobs, Horizon: 20 * time.Second,
 		})
 		if err != nil {
@@ -75,7 +76,7 @@ func faultedTrace(t testing.TB) ([]FlowRecord, *Topology, SwitchID) {
 			return
 		}
 		faultSpine = topo.SpineSwitch(1)
-		jobs, err := PlanJobs(topoSpec, []JobPlan{
+		jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 			{Nodes: 8, TargetStep: 2 * time.Second},
 			{Nodes: 8, TargetStep: 2 * time.Second},
 			{Nodes: 8, TargetStep: 2 * time.Second},
@@ -84,10 +85,10 @@ func faultedTrace(t testing.TB) ([]FlowRecord, *Topology, SwitchID) {
 			faultErr = err
 			return
 		}
-		res, err := Simulate(Scenario{
+		res, err := testbed.Simulate(testbed.Scenario{
 			Name: "faulted", Topo: topoSpec, Jobs: jobs,
-			Faults: FaultSchedule{Faults: []Fault{{
-				Kind: FaultSwitchDegrade, Switch: faultSpine,
+			Faults: testbed.FaultSchedule{Faults: []testbed.Fault{{
+				Kind: testbed.FaultSwitchDegrade, Switch: faultSpine,
 				At: 10 * time.Second, Until: 40 * time.Second, Factor: 0.1,
 			}}},
 			Horizon: 40 * time.Second,

@@ -21,6 +21,7 @@ import (
 	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/stream"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 // BenchmarkFig3JobRecognition regenerates E1 (Fig. 3): job recognition
@@ -164,7 +165,7 @@ func benchTrace(b *testing.B) ([]flow.Record, *llmprism.Topology) {
 	b.Helper()
 	benchOnce.Do(func() {
 		topoSpec := llmprism.TopologySpec{Nodes: 32, NodesPerLeaf: 8, Spines: 4}
-		jobs, err := llmprism.PlanJobs(topoSpec, []llmprism.JobPlan{
+		jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 			{Nodes: 16, TargetStep: 3 * time.Second},
 			{Nodes: 8, TargetStep: 2 * time.Second},
 			{Nodes: 8, TargetStep: 4 * time.Second},
@@ -173,7 +174,7 @@ func benchTrace(b *testing.B) ([]flow.Record, *llmprism.Topology) {
 			benchErr = err
 			return
 		}
-		res, err := llmprism.Simulate(llmprism.Scenario{
+		res, err := testbed.Simulate(testbed.Scenario{
 			Name: "bench-trace", Topo: topoSpec, Jobs: jobs,
 			Faults:  faults.Schedule{},
 			Horizon: 60 * time.Second,
@@ -354,16 +355,16 @@ func smallJobsTrace(b *testing.B) ([]flow.Record, *llmprism.Topology) {
 	b.Helper()
 	smallJobsOnce.Do(func() {
 		topoSpec := llmprism.TopologySpec{Nodes: 16, NodesPerLeaf: 4, Spines: 8}
-		plans := make([]llmprism.JobPlan, 8)
+		plans := make([]testbed.JobPlan, 8)
 		for i := range plans {
-			plans[i] = llmprism.JobPlan{Nodes: 2, TargetStep: 3 * time.Second}
+			plans[i] = testbed.JobPlan{Nodes: 2, TargetStep: 3 * time.Second}
 		}
-		jobs, err := llmprism.PlanJobs(topoSpec, plans, 1)
+		jobs, err := testbed.PlanJobs(topoSpec, plans, 1)
 		if err != nil {
 			smallJobsErr = err
 			return
 		}
-		res, err := llmprism.Simulate(llmprism.Scenario{
+		res, err := testbed.Simulate(testbed.Scenario{
 			Name: "bench-small-jobs", Topo: topoSpec, Jobs: jobs,
 			Horizon: 60 * time.Second,
 		})

@@ -97,7 +97,7 @@ import (
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/session"
 	"github.com/llmprism/llmprism/internal/topology"
-	"github.com/llmprism/llmprism/internal/viz"
+	"github.com/llmprism/llmprism/viz"
 )
 
 func main() {

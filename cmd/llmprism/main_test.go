@@ -13,6 +13,7 @@ import (
 
 	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/flow"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/timeline.golden")
@@ -23,14 +24,14 @@ func writeTrace(t *testing.T) (flowsPath, topoPath string) {
 	t.Helper()
 	dir := t.TempDir()
 	topoSpec := llmprism.TopologySpec{Nodes: 8, NodesPerLeaf: 4, Spines: 2}
-	jobs, err := llmprism.PlanJobs(topoSpec, []llmprism.JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 4, TargetStep: 2 * time.Second},
 		{Nodes: 4, TargetStep: 2 * time.Second},
 	}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := llmprism.Simulate(llmprism.Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "cli-smoke", Topo: topoSpec, Jobs: jobs, Horizon: 12 * time.Second,
 	})
 	if err != nil {

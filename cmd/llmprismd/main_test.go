@@ -20,6 +20,7 @@ import (
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/session"
 	"github.com/llmprism/llmprism/internal/topology"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 // daemonTrace simulates one cluster's flow trace, sorted by start. Each
@@ -27,14 +28,14 @@ import (
 func daemonTrace(t testing.TB, seed int64) ([]flow.Record, *topology.Topology) {
 	t.Helper()
 	spec := llmprism.TopologySpec{Nodes: 24, NodesPerLeaf: 8, Spines: 4}
-	jobs, err := llmprism.PlanJobs(spec, []llmprism.JobPlan{
+	jobs, err := testbed.PlanJobs(spec, []testbed.JobPlan{
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 4, TargetStep: 3 * time.Second},
 	}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := llmprism.Simulate(llmprism.Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "daemon", Topo: spec, Jobs: jobs, Horizon: 12 * time.Second,
 	})
 	if err != nil {

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism"
+	"github.com/llmprism/llmprism/testbed"
+	"github.com/llmprism/llmprism/viz"
 )
 
 func main() {
@@ -19,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	jobs, err := llmprism.PlanJobs(topoSpec, []llmprism.JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 8, TargetStep: 3 * time.Second},
 		{Nodes: 8, TargetStep: 4 * time.Second},
 		{Nodes: 8, TargetStep: 3 * time.Second},
@@ -29,12 +31,12 @@ func main() {
 	}
 
 	badSpine := topo.SpineSwitch(2)
-	res, err := llmprism.Simulate(llmprism.Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "congestion",
 		Topo: topoSpec,
 		Jobs: jobs,
-		Faults: llmprism.FaultSchedule{Faults: []llmprism.Fault{{
-			Kind:   llmprism.FaultSwitchDegrade,
+		Faults: testbed.FaultSchedule{Faults: []testbed.Fault{{
+			Kind:   testbed.FaultSwitchDegrade,
 			Switch: badSpine,
 			At:     40 * time.Second,
 			Until:  2 * time.Minute,
@@ -53,10 +55,10 @@ func main() {
 	}
 
 	fmt.Println("per-switch mean DP flow bandwidth (Gb/s):")
-	fmt.Println(llmprism.RenderSwitchSeries(report.SwitchSeries, res.Topo.SwitchName))
+	fmt.Println(viz.BandwidthSeries(report.SwitchSeries, res.Topo.SwitchName))
 
 	fmt.Println("switch-level alerts:")
-	fmt.Print(llmprism.RenderAlerts(report.SwitchAlerts))
+	fmt.Print(viz.AlertList(report.SwitchAlerts))
 
 	hit := false
 	for _, a := range report.SwitchAlerts {

@@ -10,12 +10,14 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism"
+	"github.com/llmprism/llmprism/testbed"
+	"github.com/llmprism/llmprism/viz"
 )
 
 func main() {
 	// 48 servers (384 GPUs), six tenants of mixed size.
 	topoSpec := llmprism.TopologySpec{Nodes: 48, NodesPerLeaf: 16, Spines: 4}
-	jobs, err := llmprism.PlanJobs(topoSpec, []llmprism.JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 12, TargetStep: 5 * time.Second},
 		{Nodes: 10, TargetStep: 4 * time.Second},
 		{Nodes: 8, TargetStep: 5 * time.Second},
@@ -26,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := llmprism.Simulate(llmprism.Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name:    "job-recognition",
 		Topo:    topoSpec,
 		Jobs:    jobs,
@@ -42,9 +44,9 @@ func main() {
 		len(window), res.Topo.Endpoints())
 
 	// Phase 1: disjoint-set over flow endpoints → cross-machine clusters.
-	cross := llmprism.CrossMachineClusters(window)
+	cross := testbed.CrossMachineClusters(window)
 	fmt.Printf("phase 1 — %d cross-machine clusters (one per NIC rail per job):\n\n", len(cross))
-	fmt.Println(llmprism.RenderClusterGrid(res.Topo, cross))
+	fmt.Println(viz.ClusterGrid(res.Topo, cross))
 
 	// Phase 2: merge clusters with identical server sets.
 	report, err := llmprism.New().Analyze(window, res.Topo)
@@ -58,9 +60,9 @@ func main() {
 		sets = append(sets, j.Cluster.Endpoints)
 	}
 	fmt.Printf("phase 2 — %d job-level clusters after the topology merge:\n\n", len(clusters))
-	fmt.Println(llmprism.RenderJobGrid(res.Topo, clusters))
+	fmt.Println(viz.JobClusterGrid(res.Topo, clusters))
 
-	score := llmprism.ScoreRecognition(sets, res.Truth.Jobs)
+	score := testbed.ScoreRecognition(sets, res.Truth.Jobs)
 	fmt.Printf("recognition: %d/%d exact, perfect=%v\n",
 		score.ExactMatches, score.TrueJobs, score.Perfect())
 }

@@ -39,11 +39,12 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 func main() {
 	topoSpec := llmprism.TopologySpec{Nodes: 16, NodesPerLeaf: 8, Spines: 4}
-	jobs, err := llmprism.PlanJobs(topoSpec, []llmprism.JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 16, TargetStep: 2 * time.Second},
 	}, 5)
 	if err != nil {
@@ -56,12 +57,12 @@ func main() {
 		log.Fatal(err)
 	}
 	victim := topo.AddrOf(1, 3)
-	res, err := llmprism.Simulate(llmprism.Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "online-monitor",
 		Topo: topoSpec,
 		Jobs: jobs,
-		Faults: llmprism.FaultSchedule{Faults: []llmprism.Fault{{
-			Kind:   llmprism.FaultRankSlowdown,
+		Faults: testbed.FaultSchedule{Faults: []testbed.Fault{{
+			Kind:   testbed.FaultRankSlowdown,
 			Addr:   victim,
 			At:     time.Minute,
 			Until:  100 * time.Second,

@@ -9,12 +9,14 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism"
+	"github.com/llmprism/llmprism/testbed"
+	"github.com/llmprism/llmprism/viz"
 )
 
 func main() {
 	// A 24-server fabric (192 GPUs) hosting two tenant jobs.
 	topoSpec := llmprism.TopologySpec{Nodes: 24, NodesPerLeaf: 8, Spines: 4}
-	jobs, err := llmprism.PlanJobs(topoSpec, []llmprism.JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 16, TargetStep: 3 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
 	}, 42)
@@ -22,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := llmprism.Simulate(llmprism.Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name:    "quickstart",
 		Topo:    topoSpec,
 		Jobs:    jobs,
@@ -53,7 +55,7 @@ func main() {
 		var meanStep time.Duration
 		var n int
 		for _, tl := range job.Timelines {
-			if d := llmprism.MeanStepDuration(tl); d > 0 {
+			if d := testbed.MeanStepDuration(tl); d > 0 {
 				meanStep += d
 				n++
 			}
@@ -66,14 +68,14 @@ func main() {
 			dp, pp, len(job.DPGroups), meanStep.Round(time.Millisecond))
 	}
 
-	fmt.Printf("\nalerts:\n%s", llmprism.RenderAlerts(report.Alerts()))
+	fmt.Printf("\nalerts:\n%s", viz.AlertList(report.Alerts()))
 
 	// The simulation also carries ground truth — verify the analysis.
 	var clusters [][]llmprism.Addr
 	for _, job := range report.Jobs {
 		clusters = append(clusters, job.Cluster.Endpoints)
 	}
-	score := llmprism.ScoreRecognition(clusters, res.Truth.Jobs)
+	score := testbed.ScoreRecognition(clusters, res.Truth.Jobs)
 	fmt.Printf("\nground truth check: %d/%d jobs recognized exactly (perfect=%v)\n",
 		score.ExactMatches, score.TrueJobs, score.Perfect())
 }

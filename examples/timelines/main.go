@@ -12,17 +12,19 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism"
+	"github.com/llmprism/llmprism/testbed"
+	"github.com/llmprism/llmprism/viz"
 )
 
 func main() {
 	topoSpec := llmprism.TopologySpec{Nodes: 16, NodesPerLeaf: 8, Spines: 4}
-	jobs, err := llmprism.PlanJobs(topoSpec, []llmprism.JobPlan{
-		{Nodes: 16, TargetStep: 5 * time.Second, Style: llmprism.StyleZeRO, StyleSet: true},
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
+		{Nodes: 16, TargetStep: 5 * time.Second, Style: testbed.StyleZeRO, StyleSet: true},
 	}, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := llmprism.Simulate(llmprism.Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name:    "timelines",
 		Topo:    topoSpec,
 		Jobs:    jobs,
@@ -54,11 +56,11 @@ func main() {
 	}
 
 	ref := job.Timelines[ranks[0]]
-	mean := llmprism.MeanStepDuration(ref)
+	mean := testbed.MeanStepDuration(ref)
 	from := ref.Steps[len(ref.Steps)/2].Start
 	fmt.Printf("reconstructed %d training steps per rank, mean step %v\n\n",
 		len(ref.Steps), mean.Round(time.Millisecond))
-	fmt.Println(llmprism.RenderTimelines(job, ranks, from, from.Add(2*mean+mean/2), 110))
+	fmt.Println(viz.TimelineSwimlanes(job.Records, job.Types, job.Timelines, ranks, from, from.Add(2*mean+mean/2), 110))
 
 	// Per-step detail for one rank.
 	fmt.Printf("steps of rank %v:\n", ranks[0])
@@ -69,7 +71,7 @@ func main() {
 	}
 
 	// Score against ground truth, as §V-C does against profiler data.
-	score := llmprism.ScoreTimelines(job.Timelines, res.Truth.Epoch, res.Truth.Jobs[0])
+	score := testbed.ScoreTimelines(job.Timelines, res.Truth.Epoch, res.Truth.Jobs[0])
 	fmt.Printf("\nreconstruction error vs ground truth: mean %.3f%%, max %.3f%% over %d steps (paper: ≤ 0.3%%)\n",
 		100*score.MeanRelError, 100*score.MaxRelError, score.MatchedSteps)
 }

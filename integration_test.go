@@ -10,6 +10,7 @@ import (
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/topology"
 	"github.com/llmprism/llmprism/internal/truth"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 // truthJobOf returns the ground-truth job owning addr, or nil.
@@ -25,10 +26,10 @@ func truthJobOf(p *truth.Platform, addr flow.Addr) *truth.Job {
 }
 
 // simulateSmallPlatform runs a 3-job platform for the given horizon.
-func simulateSmallPlatform(t testing.TB, horizon time.Duration, sched faults.Schedule) *SimResult {
+func simulateSmallPlatform(t testing.TB, horizon time.Duration, sched faults.Schedule) *testbed.SimResult {
 	t.Helper()
 	topoSpec := TopologySpec{Nodes: 24, NodesPerLeaf: 8, Spines: 4}
-	jobs, err := PlanJobs(topoSpec, []JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 3 * time.Second},
 		{Nodes: 4, TargetStep: 2 * time.Second},
@@ -36,7 +37,7 @@ func simulateSmallPlatform(t testing.TB, horizon time.Duration, sched faults.Sch
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name:    "integration",
 		Topo:    topoSpec,
 		Jobs:    jobs,
@@ -161,7 +162,7 @@ func TestEndToEndSwitchDegradationDetection(t *testing.T) {
 		Kind: faults.KindSwitchDegrade, Switch: badSpine,
 		At: 20 * time.Second, Until: 60 * time.Second, Factor: 0.15,
 	}}}
-	jobs, err := PlanJobs(topoSpec, []JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
@@ -169,7 +170,7 @@ func TestEndToEndSwitchDegradationDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "switch-fault", Topo: topoSpec, Jobs: jobs,
 		Faults: sched, Horizon: 60 * time.Second,
 	})

@@ -11,7 +11,7 @@ import (
 	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/topology"
 	"github.com/llmprism/llmprism/internal/truth"
-	"github.com/llmprism/llmprism/internal/viz"
+	"github.com/llmprism/llmprism/viz"
 )
 
 // fig3JobNodeCounts is the tenant mix of the paper's Fig. 3 cluster:

@@ -15,7 +15,7 @@ import (
 	"github.com/llmprism/llmprism/internal/topology"
 	"github.com/llmprism/llmprism/internal/trainsim"
 	"github.com/llmprism/llmprism/internal/truth"
-	"github.com/llmprism/llmprism/internal/viz"
+	"github.com/llmprism/llmprism/viz"
 )
 
 // Fig4Result is the timeline-reconstruction experiment outcome.

@@ -14,7 +14,7 @@ import (
 	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/stats"
 	"github.com/llmprism/llmprism/internal/topology"
-	"github.com/llmprism/llmprism/internal/viz"
+	"github.com/llmprism/llmprism/viz"
 )
 
 // Fig5Result is the switch-level diagnosis experiment outcome.

@@ -16,6 +16,7 @@ import (
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/session"
 	"github.com/llmprism/llmprism/internal/topology"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 // managerTrace simulates a multi-job window once per test binary.
@@ -30,7 +31,7 @@ func managerTrace(t testing.TB) ([]flow.Record, *topology.Topology) {
 	t.Helper()
 	traceOnce.Do(func() {
 		spec := llmprism.TopologySpec{Nodes: 24, NodesPerLeaf: 8, Spines: 4}
-		jobs, err := llmprism.PlanJobs(spec, []llmprism.JobPlan{
+		jobs, err := testbed.PlanJobs(spec, []testbed.JobPlan{
 			{Nodes: 8, TargetStep: 2 * time.Second},
 			{Nodes: 8, TargetStep: 3 * time.Second},
 		}, 41)
@@ -38,7 +39,7 @@ func managerTrace(t testing.TB) ([]flow.Record, *topology.Topology) {
 			traceErr = err
 			return
 		}
-		res, err := llmprism.Simulate(llmprism.Scenario{
+		res, err := testbed.Simulate(testbed.Scenario{
 			Name: "manager", Topo: spec, Jobs: jobs, Horizon: 15 * time.Second,
 		})
 		if err != nil {

@@ -11,15 +11,15 @@
 //  4. diagnoses performance degradations (slow steps, slow DP groups,
 //     congested or degraded switches).
 //
-// The package also exposes a full platform simulator (Simulate) that stands
-// in for a production multi-tenant GPU cluster: topology, 3D-parallel
-// training jobs, a fluid network model, ERSPAN-style flow collection, and
-// fault injection — everything needed to reproduce the paper's evaluation
-// end to end.
+// The package is the product: flow records in; recognized jobs,
+// parallelism, timelines and diagnoses out. The platform simulator and
+// ground-truth scoring that stand in for a production cluster live in the
+// testbed package, and the paper's figure renderers in viz; neither is
+// imported here.
 //
 // # Quick start
 //
-//	res, err := llmprism.Simulate(scenario)       // or load real flows
+//	res, err := testbed.Simulate(scenario)        // or load real flows
 //	report, err := llmprism.New().Analyze(res.Records, res.Topo)
 //	for _, job := range report.Jobs { ... }
 //

@@ -8,6 +8,7 @@ import (
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/topology"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 func TestOptionsApply(t *testing.T) {
@@ -96,17 +97,17 @@ func TestAnalyzerRobustToDuplicatesAndSplits(t *testing.T) {
 	// Heavy collector noise: duplicates and record splitting must not
 	// change what the pipeline concludes.
 	topoSpec := TopologySpec{Nodes: 8, NodesPerLeaf: 8, Spines: 2}
-	jobs, err := PlanJobs(topoSpec, []JobPlan{{Nodes: 8, TargetStep: 2 * time.Second}}, 19)
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{{Nodes: 8, TargetStep: 2 * time.Second}}, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenario := Scenario{
+	scenario := testbed.Scenario{
 		Name: "noisy", Topo: topoSpec, Jobs: jobs, Horizon: 20 * time.Second,
 	}
 	scenario.Collector.DuplicateProb = 0.10
 	scenario.Collector.TimeJitter = 5 * time.Microsecond
 	scenario.Collector.Seed = 19
-	res, err := Simulate(scenario)
+	res, err := testbed.Simulate(scenario)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/llmprism/llmprism/internal/core/localize"
 	"github.com/llmprism/llmprism/internal/topology"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 // chronicTrace simulates the multi-tenant platform the chronic tests
@@ -21,7 +22,7 @@ import (
 func chronicTrace(t testing.TB, degrade bool) ([]FlowRecord, *Topology) {
 	t.Helper()
 	spec := TopologySpec{Nodes: 24, NodesPerLeaf: 3, Spines: 8}
-	jobs, err := PlanJobs(spec, []JobPlan{
+	jobs, err := testbed.PlanJobs(spec, []testbed.JobPlan{
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
@@ -30,19 +31,19 @@ func chronicTrace(t testing.TB, degrade bool) ([]FlowRecord, *Topology) {
 		t.Fatal(err)
 	}
 	const horizon = 2 * time.Minute
-	var schedule FaultSchedule
+	var schedule testbed.FaultSchedule
 	if degrade {
 		topo, err := NewTopology(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		slowNIC := topology.LinkID(int(topo.AddrOf(4, 0)))
-		schedule.Faults = []Fault{{
-			Kind: FaultLinkDegrade, Link: slowNIC,
+		schedule.Faults = []testbed.Fault{{
+			Kind: testbed.FaultLinkDegrade, Link: slowNIC,
 			At: 0, Until: horizon, Factor: 0.3,
 		}}
 	}
-	res, err := Simulate(Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "chronic-baseline", Topo: spec, Jobs: jobs,
 		Horizon: horizon, Faults: schedule,
 	})
@@ -192,7 +193,7 @@ func TestMonitorSuppressionStreamMatchesFeed(t *testing.T) {
 		t.Skip("simulation-backed; skipped in -short")
 	}
 	spec := TopologySpec{Nodes: 24, NodesPerLeaf: 3, Spines: 4}
-	jobs, err := PlanJobs(spec, []JobPlan{
+	jobs, err := testbed.PlanJobs(spec, []testbed.JobPlan{
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
@@ -204,11 +205,11 @@ func TestMonitorSuppressionStreamMatchesFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "suppression-equivalence", Topo: spec, Jobs: jobs,
 		Horizon: 60 * time.Second,
-		Faults: FaultSchedule{Faults: []Fault{{
-			Kind: FaultSwitchDegrade, Switch: topo0.SpineSwitch(1),
+		Faults: testbed.FaultSchedule{Faults: []testbed.Fault{{
+			Kind: testbed.FaultSwitchDegrade, Switch: topo0.SpineSwitch(1),
 			At: 15 * time.Second, Until: 60 * time.Second, Factor: 0.15,
 		}}},
 	})

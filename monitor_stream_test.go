@@ -9,6 +9,7 @@ import (
 
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/topology"
+	"github.com/llmprism/llmprism/testbed"
 )
 
 // pushAll replays records through a stream session in fixed-size batches
@@ -280,7 +281,7 @@ func TestMonitorStreamIncidentContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	badSpine := topo.SpineSwitch(1)
-	jobs, err := PlanJobs(topoSpec, []JobPlan{
+	jobs, err := testbed.PlanJobs(topoSpec, []testbed.JobPlan{
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
 		{Nodes: 8, TargetStep: 2 * time.Second},
@@ -288,10 +289,10 @@ func TestMonitorStreamIncidentContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(Scenario{
+	res, err := testbed.Simulate(testbed.Scenario{
 		Name: "incident-continuity", Topo: topoSpec, Jobs: jobs,
-		Faults: FaultSchedule{Faults: []Fault{{
-			Kind: FaultSwitchDegrade, Switch: badSpine,
+		Faults: testbed.FaultSchedule{Faults: []testbed.Fault{{
+			Kind: testbed.FaultSwitchDegrade, Switch: badSpine,
 			At: 15 * time.Second, Until: 60 * time.Second, Factor: 0.15,
 		}}},
 		Horizon: 60 * time.Second,

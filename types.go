@@ -9,15 +9,8 @@ import (
 	"github.com/llmprism/llmprism/internal/core/localize"
 	"github.com/llmprism/llmprism/internal/core/parallel"
 	"github.com/llmprism/llmprism/internal/core/timeline"
-	"github.com/llmprism/llmprism/internal/erspan"
-	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
-	"github.com/llmprism/llmprism/internal/model"
-	"github.com/llmprism/llmprism/internal/netsim"
-	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/topology"
-	"github.com/llmprism/llmprism/internal/trainsim"
-	"github.com/llmprism/llmprism/internal/truth"
 )
 
 // Public aliases of the library's data types, so downstream users can name
@@ -76,41 +69,11 @@ type (
 	// SuspectComponentKind classifies suspect components.
 	SuspectComponentKind = localize.ComponentKind
 
-	// Scenario specifies a platform simulation.
-	Scenario = platform.Scenario
-	// SimResult is the output of Simulate.
-	SimResult = platform.Result
-	// JobPlan is a compact tenant-job request for PlanJobs.
-	JobPlan = platform.JobPlan
-	// JobConfig fully describes a simulated training job.
-	JobConfig = trainsim.JobConfig
-	// CommStyle selects ZeRO or all-reduce data parallelism.
-	CommStyle = trainsim.CommStyle
-	// ModelSpec describes a transformer model.
-	ModelSpec = model.Spec
-	// NetConfig configures the fluid network simulator.
-	NetConfig = netsim.Config
-	// FaultSchedule is a set of injected anomalies.
-	FaultSchedule = faults.Schedule
-	// Fault is one injected anomaly.
-	Fault = faults.Fault
-	// GroundTruth is the simulation's reference record for scoring.
-	GroundTruth = truth.Platform
-
 	// TraceArchive reads a binary trace archive recorded with
-	// WithArchive (or an erspan capture). Open with OpenTraceArchive.
+	// WithArchive. Open with OpenTraceArchive.
 	TraceArchive = archive.Reader
-	// TraceArchiveMeta is the window geometry a trace was recorded with.
-	TraceArchiveMeta = archive.Meta
 	// TraceArchiveSegment locates one archived window.
 	TraceArchiveSegment = archive.Segment
-
-	// CollectorConfig parameterizes the simulated collection pipeline's
-	// noise (Scenario.Collector): loss, duplication, jitter, aggregation
-	// and per-switch mirror blackouts.
-	CollectorConfig = erspan.Config
-	// CollectorBlackout is one switch mirror outage in a CollectorConfig.
-	CollectorBlackout = erspan.Blackout
 )
 
 // Re-exported enum values.
@@ -120,39 +83,15 @@ const (
 
 	AlertCrossStep       = diagnose.AlertCrossStep
 	AlertCrossGroup      = diagnose.AlertCrossGroup
-	AlertSwitchFlowCount = diagnose.AlertSwitchFlowCount
 	AlertSwitchBandwidth = diagnose.AlertSwitchBandwidth
 
 	ComponentSwitch = localize.ComponentSwitch
 	ComponentLink   = localize.ComponentLink
 	ComponentHost   = localize.ComponentHost
-
-	StyleZeRO      = trainsim.StyleZeRO
-	StyleAllReduce = trainsim.StyleAllReduce
-
-	FaultSwitchDegrade = faults.KindSwitchDegrade
-	FaultLinkDegrade   = faults.KindLinkDegrade
-	FaultRankSlowdown  = faults.KindRankSlowdown
-)
-
-// Predefined model specs (LLaMA-family sizes).
-var (
-	Llama7B  = model.Llama7B
-	Llama13B = model.Llama13B
-	Llama33B = model.Llama33B
-	Llama70B = model.Llama70B
 )
 
 // NewTopology builds a fabric from a spec.
 func NewTopology(spec TopologySpec) (*Topology, error) { return topology.New(spec) }
-
-// Simulate runs a platform scenario and returns flows plus ground truth.
-func Simulate(s Scenario) (*SimResult, error) { return platform.Run(s) }
-
-// PlanJobs expands compact job plans into validated job configs.
-func PlanJobs(spec TopologySpec, plans []JobPlan, seed int64) ([]JobConfig, error) {
-	return platform.PlanJobs(spec, plans, seed)
-}
 
 // OpenTraceArchive opens a binary trace archive recorded by a Monitor
 // Stream session with WithArchive. r must cover the whole archive (size

@@ -1,7 +1,14 @@
-// Package viz renders the LLMPrism analysis results as plain-text views:
-// the job-recognition cluster grid (the paper's Fig. 3), per-rank timeline
-// swimlanes (Fig. 4), and per-switch bandwidth series (Fig. 5). The
-// renderings target terminals and monospace report files.
+// Package viz renders LLMPrism analysis results as plain-text views: the
+// job-recognition cluster grid (the paper's Fig. 3), per-rank timeline
+// swimlanes (Fig. 4), per-switch bandwidth series (Fig. 5) and alert
+// lists. Each renderer takes the fields of an llmprism.Report as they
+// are, for example
+//
+//	viz.TimelineSwimlanes(job.Records, job.Types, job.Timelines, ranks, from, to, 110)
+//
+// for one JobReport. The renderings target terminals and monospace report
+// files. The llmprism CLI, the experiment runner and the examples draw
+// with it; the root package and the daemon do not import it.
 package viz
 
 import (
