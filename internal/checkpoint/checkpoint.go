@@ -47,7 +47,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"time"
 
 	"github.com/llmprism/llmprism/internal/binfmt"
@@ -375,14 +374,4 @@ func Save(path string, c *Checkpoint) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
-}
-
-// Load reads and validates the checkpoint at path.
-func Load(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
 }

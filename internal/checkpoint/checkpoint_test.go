@@ -187,6 +187,17 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	})
 }
 
+// load reads the checkpoint Save wrote at path, as a resuming monitor does
+// from the file it opens.
+func load(path string) (*Checkpoint, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
+}
+
 func TestCheckpointSaveLoadAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "session.ckpt")
@@ -194,7 +205,7 @@ func TestCheckpointSaveLoadAtomic(t *testing.T) {
 	if err := Save(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +225,7 @@ func TestCheckpointSaveLoadAtomic(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "session.ckpt" {
 		t.Errorf("directory holds %v", entries)
 	}
-	if got, err = Load(path); err != nil || got.Engine.Seq != want.Engine.Seq {
+	if got, err = load(path); err != nil || got.Engine.Seq != want.Engine.Seq {
 		t.Errorf("reload: %+v, %v", got.Engine, err)
 	}
 }
@@ -245,7 +256,7 @@ func TestCheckpointSaveReusesOneTemporary(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "east.llpk" {
 		t.Errorf("directory holds %v after 100 saves over a stray temporary", entries)
 	}
-	if got, err := Load(path); err != nil || !reflect.DeepEqual(got, c) {
+	if got, err := load(path); err != nil || !reflect.DeepEqual(got, c) {
 		t.Errorf("reload after 100 saves: %v", err)
 	}
 	if err := Save(filepath.Join(dir, "missing", "east.llpk"), c); err == nil {

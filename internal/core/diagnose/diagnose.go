@@ -6,9 +6,8 @@
 //     indicate compute or communication slowdown (stragglers, throttling).
 //   - cross-group: DP groups of the same job should spend similar time in
 //     their collectives each step; a slow group points at its network path.
-//   - switch-level: per-switch concurrent DP flow counts (configuration-
-//     induced congestion) and per-switch average DP flow bandwidth
-//     (degraded or congested switches, the paper's Fig. 5).
+//   - switch-level: per-switch average DP flow bandwidth (degraded or
+//     congested switches, the paper's Fig. 5).
 //
 // All detectors use the k-sigma rule with k = 3 by default. (The paper's σ
 // formula is a typo — as printed it is identically zero — so the standard
@@ -34,6 +33,8 @@ type AlertKind uint8
 const (
 	AlertCrossStep AlertKind = iota + 1
 	AlertCrossGroup
+	// AlertSwitchFlowCount is no longer produced. Its value stays
+	// reserved because checkpoints store alert kinds as one byte.
 	AlertSwitchFlowCount
 	AlertSwitchBandwidth
 )
@@ -86,9 +87,6 @@ const minSamples = 6
 type Config struct {
 	// K is the k-sigma multiplier. Default 3.
 	K float64
-	// MaxConcurrentDPFlows alerts switches carrying more distinct DP
-	// flows than this within a bucket. Zero disables the check.
-	MaxConcurrentDPFlows int
 	// Bucket is the time-bucket width for switch-level series.
 	// Default 1 minute.
 	Bucket time.Duration
@@ -483,10 +481,9 @@ func (a *SeriesAccum) Series() map[flow.SwitchID][]SwitchPoint {
 	return out
 }
 
-// SwitchDiagnose inspects switch series bucket by bucket: bandwidth
-// degradation (k-sigma lower outlier across switches) and concurrent DP
-// flow limits. The bandwidth comparison covers only cells with measurable
-// bandwidth (BWFlows > 0) and, when Config.SwitchTier is set, runs within
+// SwitchDiagnose inspects switch series bucket by bucket for bandwidth
+// degradation (k-sigma lower outlier across switches). The comparison
+// covers only cells with measurable bandwidth (BWFlows > 0) and, when Config.SwitchTier is set, runs within
 // each tier separately so leaves are never judged against spines.
 func SwitchDiagnose(series map[flow.SwitchID][]SwitchPoint, cfg Config) []Alert {
 	cfg = cfg.withDefaults()
@@ -511,21 +508,6 @@ func SwitchDiagnose(series map[flow.SwitchID][]SwitchPoint, cfg Config) []Alert 
 	for _, b := range buckets {
 		cells := byBucket[b]
 		sort.Slice(cells, func(i, j int) bool { return cells[i].sw < cells[j].sw })
-		if cfg.MaxConcurrentDPFlows > 0 {
-			for _, c := range cells {
-				if c.point.Flows > cfg.MaxConcurrentDPFlows {
-					alerts = append(alerts, Alert{
-						Kind:     AlertSwitchFlowCount,
-						Switch:   c.sw,
-						Time:     b,
-						Value:    float64(c.point.Flows),
-						Baseline: float64(cfg.MaxConcurrentDPFlows),
-						Detail: fmt.Sprintf("switch %v carried %d DP flows in bucket %s (limit %d)",
-							c.sw, c.point.Flows, b.Format(time.TimeOnly), cfg.MaxConcurrentDPFlows),
-					})
-				}
-			}
-		}
 		// Partition the bucket's measurable cells into comparison tiers
 		// (one tier when no classifier is set), keeping the per-tier cell
 		// order sorted by switch id.

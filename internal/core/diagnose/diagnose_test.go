@@ -306,24 +306,6 @@ func TestSwitchDiagnoseFlagsDegradedSwitch(t *testing.T) {
 	}
 }
 
-func TestSwitchDiagnoseFlowCountLimit(t *testing.T) {
-	var records []flow.Record
-	for i := 0; i < 20; i++ {
-		records = append(records, dpRecord(uint64(i+1), time.Duration(i)*time.Second, 100, 1))
-	}
-	series := SwitchSeries(records, dpTypes(), Config{})
-	alerts := SwitchDiagnose(series, Config{MaxConcurrentDPFlows: 10})
-	found := false
-	for _, a := range alerts {
-		if a.Kind == AlertSwitchFlowCount && a.Switch == 1 && a.Value == 20 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("flow-count limit not flagged: %+v", alerts)
-	}
-}
-
 func TestSwitchDiagnoseNeedsPopulation(t *testing.T) {
 	records := []flow.Record{dpRecord(1, 0, 10, 1), dpRecord(2, 0, 150, 2)}
 	series := SwitchSeries(records, dpTypes(), Config{})

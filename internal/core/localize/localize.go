@@ -288,11 +288,8 @@ func rank(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 	}
 	flaggedSwitches := make(map[flow.SwitchID]bool)
 	for _, a := range switchAlerts {
-		switch a.Kind {
-		case diagnose.AlertSwitchBandwidth, diagnose.AlertSwitchFlowCount:
-			if keep(0, a) {
-				flaggedSwitches[a.Switch] = true
-			}
+		if a.Kind == diagnose.AlertSwitchBandwidth && keep(0, a) {
+			flaggedSwitches[a.Switch] = true
 		}
 	}
 	targets := make([]jobTargets, len(jobs))
@@ -312,7 +309,7 @@ func rank(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 						t.members[m] = true
 					}
 				}
-			case diagnose.AlertSwitchBandwidth, diagnose.AlertSwitchFlowCount:
+			case diagnose.AlertSwitchBandwidth:
 				flaggedSwitches[a.Switch] = true
 				any = true
 			}

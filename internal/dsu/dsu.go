@@ -14,7 +14,6 @@ package dsu
 type DSU struct {
 	parent []int32
 	rank   []int8
-	sets   int
 }
 
 // New returns a DSU over n singleton elements 0..n-1.
@@ -22,19 +21,12 @@ func New(n int) *DSU {
 	d := &DSU{
 		parent: make([]int32, n),
 		rank:   make([]int8, n),
-		sets:   n,
 	}
 	for i := range d.parent {
 		d.parent[i] = int32(i)
 	}
 	return d
 }
-
-// Len returns the size of the universe.
-func (d *DSU) Len() int { return len(d.parent) }
-
-// Sets returns the current number of disjoint sets.
-func (d *DSU) Sets() int { return d.sets }
 
 // Find returns the representative of x's set, compressing paths on the way.
 func (d *DSU) Find(x int) int {
@@ -62,23 +54,11 @@ func (d *DSU) Union(x, y int) bool {
 	if d.rank[rx] == d.rank[ry] {
 		d.rank[rx]++
 	}
-	d.sets--
 	return true
 }
 
 // Same reports whether x and y belong to the same set.
 func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
-
-// Groups returns the current partition as a map from representative to the
-// sorted-by-insertion list of members. The result is freshly allocated.
-func (d *DSU) Groups() map[int][]int {
-	groups := make(map[int][]int)
-	for i := range d.parent {
-		r := d.Find(i)
-		groups[r] = append(groups[r], i)
-	}
-	return groups
-}
 
 // Sparse is a disjoint-set union over arbitrary comparable keys. Keys are
 // added implicitly on first use.
@@ -93,17 +73,6 @@ func NewSparse[K comparable]() *Sparse[K] {
 	return &Sparse[K]{index: make(map[K]int)}
 }
 
-// Len returns the number of distinct keys seen so far.
-func (s *Sparse[K]) Len() int { return len(s.keys) }
-
-// Sets returns the current number of disjoint sets.
-func (s *Sparse[K]) Sets() int {
-	if s.d == nil {
-		return 0
-	}
-	return s.d.Sets()
-}
-
 func (s *Sparse[K]) id(k K) int {
 	if i, ok := s.index[k]; ok {
 		return i
@@ -116,7 +85,6 @@ func (s *Sparse[K]) id(k K) int {
 	} else {
 		s.d.parent = append(s.d.parent, int32(i))
 		s.d.rank = append(s.d.rank, 0)
-		s.d.sets++
 	}
 	return i
 }
@@ -127,9 +95,6 @@ func (s *Sparse[K]) Union(x, y K) bool {
 	ix, iy := s.id(x), s.id(y)
 	return s.d.Union(ix, iy)
 }
-
-// Add ensures k is present as (at least) a singleton set.
-func (s *Sparse[K]) Add(k K) { s.id(k) }
 
 // Same reports whether x and y are known and belong to the same set.
 func (s *Sparse[K]) Same(x, y K) bool {

@@ -8,9 +8,6 @@ import (
 
 func TestNewSingletons(t *testing.T) {
 	d := New(5)
-	if got, want := d.Sets(), 5; got != want {
-		t.Fatalf("Sets() = %d, want %d", got, want)
-	}
 	for i := 0; i < 5; i++ {
 		if d.Find(i) != i {
 			t.Errorf("Find(%d) = %d, want %d", i, d.Find(i), i)
@@ -32,9 +29,6 @@ func TestUnionBasics(t *testing.T) {
 	if d.Same(0, 2) {
 		t.Fatal("Same(0,2) = true, want false")
 	}
-	if got, want := d.Sets(), 5; got != want {
-		t.Fatalf("Sets() = %d, want %d", got, want)
-	}
 }
 
 func TestTransitivity(t *testing.T) {
@@ -46,24 +40,6 @@ func TestTransitivity(t *testing.T) {
 		if !d.Same(pair[0], pair[1]) {
 			t.Errorf("Same(%d,%d) = false, want true", pair[0], pair[1])
 		}
-	}
-}
-
-func TestGroups(t *testing.T) {
-	d := New(7)
-	d.Union(0, 1)
-	d.Union(2, 3)
-	d.Union(3, 4)
-	groups := d.Groups()
-	if len(groups) != 4 {
-		t.Fatalf("len(Groups()) = %d, want 4", len(groups))
-	}
-	sizes := make(map[int]int)
-	for _, members := range groups {
-		sizes[len(members)]++
-	}
-	if sizes[2] != 1 || sizes[3] != 1 || sizes[1] != 2 {
-		t.Fatalf("group size histogram = %v, want map[1:2 2:1 3:1]", sizes)
 	}
 }
 
@@ -79,7 +55,11 @@ func TestSetCountInvariant(t *testing.T) {
 				merges++
 			}
 		}
-		return d.Sets() == n-merges
+		roots := make(map[int]bool)
+		for i := 0; i < n; i++ {
+			roots[d.Find(i)] = true
+		}
+		return len(roots) == n-merges
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -108,27 +88,33 @@ func TestFindIdempotent(t *testing.T) {
 	}
 }
 
-// Property: groups partition the universe (every element in exactly one group).
+// Property: groups partition the keys seen (every key in exactly one
+// group), and two keys share a group exactly when Same says so.
 func TestGroupsPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(150)
-		d := New(n)
+		s := NewSparse[int]()
 		for i := 0; i < 200; i++ {
-			d.Union(rng.Intn(n), rng.Intn(n))
+			s.Union(rng.Intn(n), rng.Intn(n))
 		}
-		seen := make([]bool, n)
-		total := 0
-		for _, members := range d.Groups() {
+		group := make(map[int]int)
+		for g, members := range s.Groups() {
 			for _, m := range members {
-				if seen[m] {
+				if _, dup := group[m]; dup {
 					return false
 				}
-				seen[m] = true
-				total++
+				group[m] = g
 			}
 		}
-		return total == n
+		for a := range group {
+			for b := range group {
+				if (group[a] == group[b]) != s.Same(a, b) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -137,18 +123,11 @@ func TestGroupsPartition(t *testing.T) {
 
 func TestSparseBasics(t *testing.T) {
 	s := NewSparse[string]()
-	if s.Sets() != 0 || s.Len() != 0 {
-		t.Fatal("empty sparse DSU should have 0 sets and 0 keys")
+	if s.Groups() != nil || s.Same("a", "a") {
+		t.Fatal("empty sparse DSU should have no groups and no keys")
 	}
 	s.Union("a", "b")
 	s.Union("c", "d")
-	s.Add("e")
-	if got, want := s.Len(), 5; got != want {
-		t.Fatalf("Len() = %d, want %d", got, want)
-	}
-	if got, want := s.Sets(), 3; got != want {
-		t.Fatalf("Sets() = %d, want %d", got, want)
-	}
 	if !s.Same("a", "b") || s.Same("a", "c") || s.Same("a", "zzz") {
 		t.Fatal("Same() results inconsistent with unions")
 	}
@@ -163,7 +142,7 @@ func TestSparseGroups(t *testing.T) {
 	s.Union(10, 20)
 	s.Union(30, 40)
 	s.Union(20, 30)
-	s.Add(99)
+	s.Union(99, 99)
 	groups := s.Groups()
 	if len(groups) != 2 {
 		t.Fatalf("len(Groups()) = %d, want 2", len(groups))
@@ -176,16 +155,6 @@ func TestSparseGroups(t *testing.T) {
 	}
 	if len(big) != 4 || len(small) != 1 || small[0] != 99 {
 		t.Fatalf("groups = %v, want one group of 4 and {99}", groups)
-	}
-}
-
-func TestSparseAddIdempotent(t *testing.T) {
-	s := NewSparse[string]()
-	s.Add("x")
-	s.Add("x")
-	s.Add("x")
-	if s.Len() != 1 || s.Sets() != 1 {
-		t.Fatalf("Len,Sets = %d,%d after repeated Add, want 1,1", s.Len(), s.Sets())
 	}
 }
 

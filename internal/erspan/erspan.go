@@ -8,19 +8,16 @@
 // silently invisible, exactly as in production.
 //
 // A Collector's output is columnar: Frame builds everything collected as
-// one flow.Frame — the form a monitor stream ingests — and Records and
-// WriteArchive are a materialized copy and a persisted copy of that frame.
+// one flow.Frame — the form a monitor stream ingests — and Records is a
+// materialized copy of that frame.
 // A caller that streams cuts the collected records into batches itself.
 package erspan
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
 
-	"github.com/llmprism/llmprism/internal/archive"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/netsim"
 )
@@ -236,43 +233,6 @@ func (c *Collector) Frame() *flow.Frame {
 // collector's interned path table and must be treated as read-only.
 func (c *Collector) Records() []flow.Record {
 	return c.Frame().RecordsByStart()
-}
-
-// WriteArchive is the collector → archive bridge: it flushes any pending
-// aggregations and persists everything collected so far as a one-segment
-// binary trace archive — the collector's columnar frame written directly,
-// no text codec in between. The archive is marked as an unwindowed capture
-// (zero window geometry, no grid anchor); replaying it through a monitor
-// windows it like any live stream. The segment's bounds are the collected
-// records' time span (an empty capture uses the collector's epoch, never
-// the zero time — zero-time UnixNano is undefined and would bake garbage
-// bounds into the file).
-func (c *Collector) WriteArchive(w io.Writer) error {
-	f := c.Frame()
-	start, end := c.epoch, c.epoch
-	if n := f.Len(); n > 0 {
-		// Rows are sorted by (pair, start, id); scan for the span.
-		start, end = f.Start(0), f.End(0)
-		for i := 1; i < n; i++ {
-			if s := f.Start(i); s.Before(start) {
-				start = s
-			}
-			if e := f.End(i); e.After(end) {
-				end = e
-			}
-		}
-	}
-	aw, err := archive.NewWriter(w, archive.Meta{})
-	if err != nil {
-		return fmt.Errorf("erspan: archive capture: %w", err)
-	}
-	if err := aw.Append(0, start, end, f); err != nil {
-		return fmt.Errorf("erspan: archive capture: %w", err)
-	}
-	if err := aw.Close(); err != nil {
-		return fmt.Errorf("erspan: archive capture: %w", err)
-	}
-	return nil
 }
 
 // inBlackout reports whether a record starting at start whose path is the

@@ -1,12 +1,10 @@
 package erspan
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
 
-	"github.com/llmprism/llmprism/internal/archive"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/netsim"
 )
@@ -41,45 +39,6 @@ func TestPerfectCollection(t *testing.T) {
 	}
 	if c.Observed() != 2 || c.Lost() != 0 {
 		t.Errorf("Observed/Lost = %d/%d", c.Observed(), c.Lost())
-	}
-}
-
-// TestWriteArchiveCapture exercises the collector → archive bridge: the
-// capture must reopen as a one-segment unwindowed archive whose frame is
-// bit-identical to the collector's own, with the record time span as the
-// segment bounds.
-func TestWriteArchiveCapture(t *testing.T) {
-	c := New(epoch, Config{})
-	c.Observe(comp(1, 2, 1000, 0, time.Millisecond))
-	c.Observe(comp(3, 4, 2000, time.Second, time.Second+5*time.Millisecond))
-
-	var buf bytes.Buffer
-	if err := c.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ar, err := archive.OpenReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ar.NumSegments() != 1 {
-		t.Fatalf("segments = %d, want 1", ar.NumSegments())
-	}
-	if meta := ar.Meta(); meta != (archive.Meta{}) {
-		t.Errorf("capture meta = %+v, want zero (unwindowed)", meta)
-	}
-	if !ar.Anchor().IsZero() {
-		t.Errorf("capture anchor = %v, want zero", ar.Anchor())
-	}
-	seg := ar.Segment(0)
-	if !seg.Start.Equal(epoch) || !seg.End.Equal(epoch.Add(time.Second+5*time.Millisecond)) {
-		t.Errorf("segment bounds = [%v, %v)", seg.Start, seg.End)
-	}
-	got, err := ar.Frame(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(c.Frame(), got) {
-		t.Error("archived capture frame differs from collector frame")
 	}
 }
 

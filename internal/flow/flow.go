@@ -125,18 +125,6 @@ func MakePair(x, y Addr) Pair {
 // String renders the pair as "src<->dst".
 func (p Pair) String() string { return p.A.String() + "<->" + p.B.String() }
 
-// Other returns the endpoint of p that is not a. If a is not part of the
-// pair it returns p.A.
-func (p Pair) Other(a Addr) Addr {
-	if p.A == a {
-		return p.B
-	}
-	if p.B == a {
-		return p.A
-	}
-	return p.A
-}
-
 // SortByStart sorts records by start time ascending (stable on ID for
 // deterministic ordering of simultaneous flows).
 func SortByStart(records []Record) {

@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit used across the
 // LLMPrism pipeline: summary statistics, mode estimation (used to classify
-// communication pairs), Jaccard similarity (used to merge job clusters),
-// percentiles, and the online Welford accumulator used by the continuous
-// monitors.
+// communication pairs), percentiles, and the online Welford accumulator
+// used by the continuous monitors.
 package stats
 
 import (
@@ -116,30 +115,6 @@ func DistinctCount(xs []int64) int {
 		seen[x] = struct{}{}
 	}
 	return len(seen)
-}
-
-// Jaccard returns the Jaccard similarity |a∩b| / |a∪b| of two sets given as
-// slices (duplicates are ignored). Two empty sets have similarity 1.
-func Jaccard[K comparable](a, b []K) float64 {
-	setA := make(map[K]struct{}, len(a))
-	for _, x := range a {
-		setA[x] = struct{}{}
-	}
-	setB := make(map[K]struct{}, len(b))
-	for _, x := range b {
-		setB[x] = struct{}{}
-	}
-	if len(setA) == 0 && len(setB) == 0 {
-		return 1
-	}
-	inter := 0
-	for x := range setA {
-		if _, ok := setB[x]; ok {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	return float64(inter) / float64(union)
 }
 
 // Welford accumulates mean and variance online in a numerically stable way.

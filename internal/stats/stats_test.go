@@ -104,28 +104,6 @@ func TestDistinctCount(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b []string
-		want float64
-	}{
-		{"identical", []string{"x", "y"}, []string{"y", "x"}, 1},
-		{"disjoint", []string{"a"}, []string{"b"}, 0},
-		{"half", []string{"a", "b"}, []string{"b", "c"}, 1.0 / 3},
-		{"both empty", nil, nil, 1},
-		{"one empty", []string{"a"}, nil, 0},
-		{"duplicates ignored", []string{"a", "a", "b"}, []string{"a", "b", "b"}, 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Jaccard(tt.a, tt.b); !almostEqual(got, tt.want, 1e-12) {
-				t.Errorf("Jaccard(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.want)
-			}
-		})
-	}
-}
-
 // Property: Welford matches the batch mean/variance.
 func TestWelfordMatchesBatch(t *testing.T) {
 	f := func(seed int64) bool {
@@ -140,18 +118,6 @@ func TestWelfordMatchesBatch(t *testing.T) {
 		return almostEqual(w.Mean(), Mean(xs), 1e-9) &&
 			almostEqual(w.Variance(), Variance(xs), 1e-9) &&
 			w.N() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Jaccard is symmetric and bounded in [0,1].
-func TestJaccardProperties(t *testing.T) {
-	f := func(a, b []uint8) bool {
-		j1 := Jaccard(a, b)
-		j2 := Jaccard(b, a)
-		return j1 == j2 && j1 >= 0 && j1 <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

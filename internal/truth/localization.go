@@ -83,8 +83,7 @@ func FaultComponent(topo *topology.Topology, f faults.Fault) (localize.Component
 func FaultDetected(topo *topology.Topology, f faults.Fault, alerts []diagnose.Alert) bool {
 	switchAlertOn := func(sw flow.SwitchID) bool {
 		for _, a := range alerts {
-			if (a.Kind == diagnose.AlertSwitchBandwidth || a.Kind == diagnose.AlertSwitchFlowCount) &&
-				a.Switch == sw {
+			if a.Kind == diagnose.AlertSwitchBandwidth && a.Switch == sw {
 				return true
 			}
 		}
