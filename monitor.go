@@ -70,13 +70,11 @@ type Monitor struct {
 	// keeps its first-seen time and windows count, and accumulates the
 	// fused cross-window score behind Report.FusedSuspects.
 	suspects *localize.Tracker
-	// relocalize moves localization from the per-window analysis into
-	// annotate (set when chronic suppression and localization are both on),
-	// so chronic incidents — known only to the monitor's continuity state —
-	// can be excluded from the localization evidence. locCfg is the
-	// localization config the analyzer would have used.
-	relocalize bool
-	locCfg     localize.Config
+	// locCfg is the localization config the analyzer would have used.
+	// Localization runs in annotate, not in the per-window analysis, so
+	// chronic incidents — known only to the monitor's continuity state —
+	// can be excluded from its evidence.
+	locCfg localize.Config
 	// covRecent is the coverage guard's rolling baseline: row counts of
 	// the most recent healthy windows (non-nil state only when
 	// WithCoverageGuard is on).
@@ -293,16 +291,8 @@ func NewMonitor(analyzer *Analyzer, mapper jobrec.ServerMapper, window time.Dura
 	}
 	if acfg.Localize {
 		m.suspects = localize.NewTracker(localize.TrackerConfig{})
-		if cfg.suppress {
-			// Chronic suppression must filter the localization evidence,
-			// and chronic state lives in the monitor's in-order continuity
-			// path — so localization moves out of the (parallel) analysis
-			// into annotate. Same merged report, same in-order execution,
-			// bit-identical suspects.
-			m.relocalize = true
-			m.locCfg = acfg.Localization
-			acfg.Localize = false
-		}
+		m.locCfg = acfg.Localization
+		acfg.Localize = false
 	}
 	m.analyzer = &Analyzer{cfg: acfg}
 	return m, nil
@@ -388,8 +378,9 @@ func (m *Monitor) Lateness() time.Duration { return m.cfg.lateness }
 // annotate stamps cross-window continuity onto one report: stable JobIDs
 // from the registry, the incident view of the window's alerts (chronic
 // baseline anomalies suppressed from the alert surface and the
-// localization evidence when WithChronicSuppression is on), and the fused
-// cross-window suspect ranking. rows is the window's record count, the
+// localization evidence when WithChronicSuppression is on), and, when the
+// analyzer localizes, the window's suspects and the fused cross-window
+// ranking. rows is the window's record count, the
 // coverage guard's input. Reports must be annotated in window order;
 // MonitorStream.collect guarantees that.
 func (m *Monitor) annotate(r *Report, rows int) {
@@ -408,7 +399,6 @@ func (m *Monitor) annotate(r *Report, rows int) {
 				r.Jobs[i].Alerts = nil
 			}
 			r.SwitchAlerts = nil
-			r.Suspects = nil
 			if m.suspects != nil {
 				r.FusedSuspects = m.suspects.Fused()
 			}
@@ -432,32 +422,31 @@ func (m *Monitor) annotate(r *Report, rows int) {
 	}
 	r.Incidents = m.incidents.Observe(alerts)
 
+	var chronic map[diagnose.IncidentKey]bool
 	if m.cfg.suppress {
-		chronic := make(map[diagnose.IncidentKey]bool)
+		chronic = make(map[diagnose.IncidentKey]bool)
 		for _, inc := range r.Incidents {
 			if inc.Chronic && inc.StillFiring {
 				chronic[inc.Key] = true
 			}
 		}
-		if m.relocalize {
-			cfg := m.locCfg
-			if len(chronic) > 0 {
-				cfg.Filter = func(job int, a diagnose.Alert) bool {
-					return !chronic[diagnose.KeyOf(job, a)]
-				}
-			}
-			r.Suspects = localizeReport(r, cfg)
-		}
-		if len(chronic) > 0 {
-			for i := range r.Jobs {
-				r.Jobs[i].Alerts = dropChronic(r.Jobs[i].Alerts, int(ids[i]), chronic)
-			}
-			r.SwitchAlerts = dropChronic(r.SwitchAlerts, 0, chronic)
-		}
 	}
 	if m.suspects != nil {
+		cfg := m.locCfg
+		if len(chronic) > 0 {
+			cfg.Filter = func(job int, a diagnose.Alert) bool {
+				return !chronic[diagnose.KeyOf(job, a)]
+			}
+		}
+		r.Suspects = localizeReport(r, cfg)
 		m.suspects.Observe(r.Window.Start, r.Suspects)
 		r.FusedSuspects = m.suspects.Fused()
+	}
+	if len(chronic) > 0 {
+		for i := range r.Jobs {
+			r.Jobs[i].Alerts = dropChronic(r.Jobs[i].Alerts, int(ids[i]), chronic)
+		}
+		r.SwitchAlerts = dropChronic(r.SwitchAlerts, 0, chronic)
 	}
 }
 

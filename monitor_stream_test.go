@@ -365,6 +365,52 @@ func TestMonitorStreamIncidentContinuity(t *testing.T) {
 	}
 }
 
+// TestMonitorStreamSuspectsMatchStandalone pins where the monitor
+// localizes: in annotate, after JobIDs are stamped, whether or not chronic
+// suppression is on. Without suppression nothing filters the evidence, so
+// each window's suspects must equal a standalone localizing analysis of
+// that window's records, once the tracker's continuity stamps are cleared.
+func TestMonitorStreamSuspectsMatchStandalone(t *testing.T) {
+	records, topo, _ := faultedTrace(t)
+	const window = 10 * time.Second
+	m, err := NewMonitor(New(WithSwitchBucket(5*time.Second), WithLocalization()), topo, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := streamAll(t, m, records, 1000)
+	localized := 0
+	for _, r := range reports {
+		var in []FlowRecord
+		for _, rec := range records {
+			if !rec.Start.Before(r.Window.Start) && rec.Start.Before(r.Window.End) {
+				in = append(in, rec)
+			}
+		}
+		want, err := New(WithSwitchBucket(5*time.Second), WithLocalization()).Analyze(in, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Suspect, len(r.Suspects))
+		for i, s := range r.Suspects {
+			s.FirstSeen, s.Windows, s.Fused = time.Time{}, 0, 0
+			got[i] = s
+		}
+		if len(want.Suspects) == 0 {
+			want.Suspects = []Suspect{}
+		}
+		if !reflect.DeepEqual(want.Suspects, got) {
+			t.Errorf("window %d: suspects diverge from a standalone analysis\nwant %+v\ngot  %+v",
+				r.Window.Seq, want.Suspects, got)
+		}
+		if len(got) > 0 {
+			localized++
+		}
+	}
+	if localized == 0 {
+		t.Fatal("no window localized the degraded spine; the comparison is vacuous")
+	}
+}
+
 func TestMonitorStreamCanceled(t *testing.T) {
 	records, topo := concurrencyTrace(t)
 	m, err := NewMonitor(New(), topo, 5*time.Second)
