@@ -243,3 +243,103 @@ func TestPushFrameLateFrame(t *testing.T) {
 		t.Fatalf("pending = %d, want 1 (only the on-time record)", e.Pending())
 	}
 }
+
+// fuzzPushConfigs are the grids FuzzPushFrame draws from: tumbling and
+// hopping, with and without lateness, pipelined, and one whose short
+// MaxEmptyRun makes far-future rows skip slots.
+var fuzzPushConfigs = []Config{
+	{Width: 10 * time.Second},
+	{Width: 10 * time.Second, Lateness: 2 * time.Second},
+	{Width: 12 * time.Second, Hop: 4 * time.Second, Lateness: time.Second},
+	{Width: 10 * time.Second, Lateness: 2 * time.Second, MaxInFlight: 3},
+	{Width: 6 * time.Second, Hop: 2 * time.Second, MaxEmptyRun: 2},
+}
+
+// fuzzPushBatches decodes data into a grid and a batched record set. The
+// first byte picks the config; then every three bytes make one record:
+//
+//	b0      start, in 250 ms steps (coarse, so starts tie)
+//	b1      bits 0-1 src, 2-3 dst (a few pairs), 4-5 switch path,
+//	        bits 6-7 duration in 300 ms steps
+//	b2      bit 0 reuses the previous record's id, bit 1 ends the batch
+//	        after this record, bit 2 moves the start a minute later,
+//	        bits 3-7 a sub-step start offset in 7 ms units
+//
+// Batches arrive in data order, so rows a batch carries below the
+// watermark of an earlier one are late. Past 64 records the rest of data
+// is ignored, which keeps each run short.
+func fuzzPushBatches(data []byte) (Config, [][]flow.Record) {
+	if len(data) == 0 {
+		return fuzzPushConfigs[0], nil
+	}
+	cfg := fuzzPushConfigs[int(data[0])%len(fuzzPushConfigs)]
+	paths := [][]flow.SwitchID{nil, {1, 9, 2}, {1, 8, 2}, {3, 9, 4}}
+	var batches [][]flow.Record
+	var batch []flow.Record
+	id := uint64(0)
+	for p := data[1:min(len(data), 1+3*64)]; len(p) >= 3; p = p[3:] {
+		b0, b1, b2 := p[0], p[1], p[2]
+		if b2&1 == 0 || id == 0 {
+			id++
+		}
+		start := time.Duration(b0)*250*time.Millisecond + time.Duration(b2>>3)*7*time.Millisecond
+		if b2&4 != 0 {
+			start += time.Minute
+		}
+		batch = append(batch, flow.Record{
+			ID:       id,
+			Start:    epoch.Add(start),
+			Duration: time.Duration(b1>>6) * 300 * time.Millisecond,
+			Src:      flow.Addr(b1 & 3),
+			Dst:      flow.Addr(b1 >> 2 & 3),
+			Bytes:    int64(b0)<<8 | int64(b1),
+			Switches: paths[b1>>4&3],
+		})
+		if b2&2 != 0 {
+			batches = append(batches, batch)
+			batch = nil
+		}
+	}
+	if len(batch) > 0 {
+		batches = append(batches, batch)
+	}
+	return cfg, batches
+}
+
+// FuzzPushFrame is TestPushFrameMatchesPush over generated inputs: for any
+// small record set — tied starts, duplicate ids, late rows, far-future
+// rows, tumbling and hopping grids — and any batch split, PushFrame must
+// emit the same windows with byte-identical frames as the per-record
+// router, with equal Pending, Late and Skipped after every push.
+func FuzzPushFrame(f *testing.F) {
+	f.Add([]byte{0, 4, 0x12, 0, 40, 0x21, 2, 8, 0x33, 1, 60, 0x01, 2, 2, 0x12, 0})
+	f.Add([]byte{1, 100, 0x05, 2, 10, 0x06, 1, 101, 0x05, 2, 0, 0x0a, 0, 50, 0x10, 2})
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 1, 30, 0x30, 2, 20, 0x30, 0, 90, 0xff, 2, 5, 0x10, 0})
+	f.Add([]byte{3, 10, 0x01, 2, 60, 0x02, 2, 12, 0x03, 2, 120, 0x04, 2, 30, 0x05, 0})
+	f.Add([]byte{4, 0, 0x01, 0, 4, 0x02, 4, 8, 0x03, 2, 1, 0x04, 0, 200, 0x05, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, batches := fuzzPushBatches(data)
+		ref := newCaptureEngine(cfg)
+		bulk := newCaptureEngine(cfg)
+		var want, got []frameResult
+		for i, chunk := range batches {
+			if err := ref.pushRecords(context.Background(), chunk); err != nil {
+				t.Fatal(err)
+			}
+			want = capture(t, want, ref.Ready())
+			if err := bulk.PushFrame(context.Background(), flow.NewFrame(chunk)); err != nil {
+				t.Fatal(err)
+			}
+			got = capture(t, got, bulk.Ready())
+			if ref.Pending() != bulk.Pending() || ref.Late() != bulk.Late() || ref.Skipped() != bulk.Skipped() {
+				t.Fatalf("push %d: pending/late/skipped %d/%d/%d (records) vs %d/%d/%d (frame)",
+					i, ref.Pending(), ref.Late(), ref.Skipped(), bulk.Pending(), bulk.Late(), bulk.Skipped())
+			}
+		}
+		want = append(want, captureAll(t, ref)...)
+		got = append(got, captureAll(t, bulk)...)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("PushFrame windows diverge from the record router (%d vs %d windows)", len(want), len(got))
+		}
+	})
+}
