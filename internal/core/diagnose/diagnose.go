@@ -33,8 +33,8 @@ type AlertKind uint8
 const (
 	AlertCrossStep AlertKind = iota + 1
 	AlertCrossGroup
-	// AlertSwitchFlowCount is no longer produced. Its value stays
-	// reserved because checkpoints store alert kinds as one byte.
+	// AlertSwitchFlowCount is never produced. Its value and name stay
+	// reserved: checkpoints store alert kinds as one byte.
 	AlertSwitchFlowCount
 	AlertSwitchBandwidth
 )

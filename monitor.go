@@ -380,9 +380,9 @@ func (m *Monitor) Lateness() time.Duration { return m.cfg.lateness }
 // baseline anomalies suppressed from the alert surface and the
 // localization evidence when WithChronicSuppression is on), and, when the
 // analyzer localizes, the window's suspects and the fused cross-window
-// ranking. rows is the window's record count, the
-// coverage guard's input. Reports must be annotated in window order;
-// MonitorStream.collect guarantees that.
+// ranking. rows is the window's record count, the coverage guard's input.
+// Reports must be annotated in window order; MonitorStream.collect
+// guarantees that.
 func (m *Monitor) annotate(r *Report, rows int) {
 	if m.cfg.coverageOn {
 		r.Coverage = m.observeCoverage(rows)
