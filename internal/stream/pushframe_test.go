@@ -170,35 +170,45 @@ func TestPushFrameMatchesPush(t *testing.T) {
 		{Width: 10 * time.Second, Lateness: 2 * time.Second, MaxInFlight: 4},
 	}
 	for ii, input := range inputs {
-		name := names[ii]
 		for ci, cfg := range configs {
 			for _, batch := range []int{1, 7, 200, len(input)} {
-				ref := newCaptureEngine(cfg)
-				bulk := newCaptureEngine(cfg)
-				var want, got []frameResult
+				var batches [][]flow.Record
 				for lo := 0; lo < len(input); lo += batch {
-					chunk := input[lo:min(lo+batch, len(input))]
-					if err := ref.pushRecords(context.Background(), chunk); err != nil {
-						t.Fatal(err)
-					}
-					want = capture(t, want, ref.Ready())
-					if err := bulk.PushFrame(context.Background(), flow.NewFrame(chunk)); err != nil {
-						t.Fatal(err)
-					}
-					got = capture(t, got, bulk.Ready())
-					if ref.Pending() != bulk.Pending() || ref.Late() != bulk.Late() || ref.Skipped() != bulk.Skipped() {
-						t.Fatalf("%s, config %d, batch %d, push at %d: pending/late/skipped %d/%d/%d (records) vs %d/%d/%d (frame)",
-							name, ci, batch, lo, ref.Pending(), ref.Late(), ref.Skipped(), bulk.Pending(), bulk.Late(), bulk.Skipped())
-					}
+					batches = append(batches, input[lo:min(lo+batch, len(input))])
 				}
-				want = append(want, captureAll(t, ref)...)
-				got = append(got, captureAll(t, bulk)...)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s, config %d, batch %d: PushFrame windows diverge from the record router (%d vs %d windows)",
-						name, ci, batch, len(want), len(got))
-				}
+				checkPushFrame(t, fmt.Sprintf("%s, config %d, batch %d", names[ii], ci, batch), cfg, batches)
 			}
 		}
+	}
+}
+
+// checkPushFrame pushes batches in order through the per-record router and
+// through PushFrame, and fails t unless every push leaves equal Pending,
+// Late and Skipped and both emit the same windows with byte-identical
+// frames.
+func checkPushFrame(t *testing.T, label string, cfg Config, batches [][]flow.Record) {
+	t.Helper()
+	ref := newCaptureEngine(cfg)
+	bulk := newCaptureEngine(cfg)
+	var want, got []frameResult
+	for i, chunk := range batches {
+		if err := ref.pushRecords(context.Background(), chunk); err != nil {
+			t.Fatal(err)
+		}
+		want = capture(t, want, ref.Ready())
+		if err := bulk.PushFrame(context.Background(), flow.NewFrame(chunk)); err != nil {
+			t.Fatal(err)
+		}
+		got = capture(t, got, bulk.Ready())
+		if ref.Pending() != bulk.Pending() || ref.Late() != bulk.Late() || ref.Skipped() != bulk.Skipped() {
+			t.Fatalf("%s, push %d: pending/late/skipped %d/%d/%d (records) vs %d/%d/%d (frame)",
+				label, i, ref.Pending(), ref.Late(), ref.Skipped(), bulk.Pending(), bulk.Late(), bulk.Skipped())
+		}
+	}
+	want = append(want, captureAll(t, ref)...)
+	got = append(got, captureAll(t, bulk)...)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: PushFrame windows diverge from the record router (%d vs %d windows)", label, len(want), len(got))
 	}
 }
 
@@ -319,27 +329,6 @@ func FuzzPushFrame(f *testing.F) {
 	f.Add([]byte{4, 0, 0x01, 0, 4, 0x02, 4, 8, 0x03, 2, 1, 0x04, 0, 200, 0x05, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, batches := fuzzPushBatches(data)
-		ref := newCaptureEngine(cfg)
-		bulk := newCaptureEngine(cfg)
-		var want, got []frameResult
-		for i, chunk := range batches {
-			if err := ref.pushRecords(context.Background(), chunk); err != nil {
-				t.Fatal(err)
-			}
-			want = capture(t, want, ref.Ready())
-			if err := bulk.PushFrame(context.Background(), flow.NewFrame(chunk)); err != nil {
-				t.Fatal(err)
-			}
-			got = capture(t, got, bulk.Ready())
-			if ref.Pending() != bulk.Pending() || ref.Late() != bulk.Late() || ref.Skipped() != bulk.Skipped() {
-				t.Fatalf("push %d: pending/late/skipped %d/%d/%d (records) vs %d/%d/%d (frame)",
-					i, ref.Pending(), ref.Late(), ref.Skipped(), bulk.Pending(), bulk.Late(), bulk.Skipped())
-			}
-		}
-		want = append(want, captureAll(t, ref)...)
-		got = append(got, captureAll(t, bulk)...)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("PushFrame windows diverge from the record router (%d vs %d windows)", len(want), len(got))
-		}
+		checkPushFrame(t, fmt.Sprintf("config %+v", cfg), cfg, batches)
 	})
 }
