@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/llmprism/llmprism/internal/bocd"
 	"github.com/llmprism/llmprism/internal/core/diagnose"
 	"github.com/llmprism/llmprism/internal/core/jobrec"
 	"github.com/llmprism/llmprism/internal/core/parallel"
@@ -273,37 +272,6 @@ func pairOnlyDPJob(r *Report) int {
 		}
 	}
 	return -1
-}
-
-// TestAnalyzeFrameSplitMismatchMatchesRecordSlice covers the configuration
-// under which reconstruction must not reuse identification's segments: a
-// Timeline.Split that differs from Parallel.Split. The frame pipeline must
-// still equal the reference pipeline under the same config, and the
-// differing split must move the timelines of the job whose ranks would
-// otherwise take the reuse, or the case proves nothing.
-func TestAnalyzeFrameSplitMismatchMatchesRecordSlice(t *testing.T) {
-	records, topo := concurrencyTrace(t)
-	cfg := Config{Timeline: timeline.Config{Split: bocd.SplitConfig{MinSeparation: 100}}}
-	want := analyzeRecordsSequential(cfg, records, topo)
-	base := analyzeRecordsSequential(Config{}, records, topo)
-	j := pairOnlyDPJob(base)
-	if j < 0 {
-		t.Fatal("no job with only two-member DP groups")
-	}
-	if reflect.DeepEqual(want.Jobs[j].Timelines, base.Jobs[j].Timelines) {
-		t.Fatal("the timeline split setting moves no timeline of the pair-only DP job")
-	}
-	frame := flow.NewFrame(records)
-	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		got, err := New(WithConfig(cfg)).AnalyzeFrame(frame, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: frame report diverges from record-slice reference", workers)
-		}
-	}
 }
 
 // TestAnalyzeJobOrderDeterministic pins the merge order contract: jobs are

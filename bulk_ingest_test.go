@@ -61,8 +61,9 @@ func bulkReplay(t *testing.T, data []byte, topo *topology.Topology, depth int, r
 // frame rebuilt from []FlowRecord, so the decoded path table and row order
 // are never reused) — reports (incidents, suspects and fused
 // suspects included), late counts, and the re-archived frame bytes — across
-// pipeline depths, localization shard counts, and a live session that
-// ingested its records permuted within the lateness bound. Run with -race.
+// pipeline depths and a live session that ingested its records permuted
+// within the lateness bound (localization's shard counts are covered by
+// internal/core/localize's shard_test.go). Run with -race.
 func TestPushFrameReplayEquivalence(t *testing.T) {
 	records, topo := concurrencyTrace(t)
 	const (
@@ -124,18 +125,13 @@ func TestPushFrameReplayEquivalence(t *testing.T) {
 	}
 
 	for _, depth := range []int{1, 3} {
-		for _, shards := range []int{0, 1, 4} {
-			var bulkArchive bytes.Buffer
-			// Shards has no option; set it on the analyzer's config.
-			withShards := func(c *Config) { c.Localization.Shards = shards }
-			got := bulkReplay(t, data, topo, depth, &bulkArchive,
-				WithWorkers(4), WithLocalization(), withShards)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("depth=%d shards=%d: PushFrame replay reports diverge from per-record replay", depth, shards)
-			}
-			if !bytes.Equal(refArchive.Bytes(), bulkArchive.Bytes()) {
-				t.Fatalf("depth=%d shards=%d: PushFrame replay archived different frame bytes", depth, shards)
-			}
+		var bulkArchive bytes.Buffer
+		got := bulkReplay(t, data, topo, depth, &bulkArchive, WithWorkers(4), WithLocalization())
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("depth=%d: PushFrame replay reports diverge from per-record replay", depth)
+		}
+		if !bytes.Equal(refArchive.Bytes(), bulkArchive.Bytes()) {
+			t.Fatalf("depth=%d: PushFrame replay archived different frame bytes", depth)
 		}
 	}
 

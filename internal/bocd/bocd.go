@@ -7,22 +7,29 @@
 // modelled as Gaussian with unknown mean and variance under a Normal-Gamma
 // conjugate prior, giving a Student-t predictive distribution. A constant
 // hazard function governs change-point arrival. The paper reports a
-// change-point whenever P(r_t = 0) exceeds a threshold (0.95 in their
-// implementation, our default).
+// change-point whenever P(r_t = 0) exceeds a threshold.
+//
+// The detector runs at one operating point, so its settings are constants:
+// hazard 1/100, threshold 0.95 (the paper's), at most maxRunLength = 512
+// run-length hypotheses, and the Normal-Gamma prior mu0 = 0, kappa0 = 0.1,
+// alpha0 = 1, beta0 = 1. The small kappa0 keeps the prior on the mean
+// vague, so the change-point hypothesis (which predicts from the prior)
+// explains genuine regime shifts far better than the incumbent run
+// hypotheses and P(r_t = 0) saturates.
 //
 // All computation is in log space. The run-length distribution is truncated
-// at a configurable maximum length, and hypotheses whose mass has fallen
-// below a fixed floor are dropped, so a step costs what the live part of the
-// posterior costs.
+// at maxRunLength, and hypotheses whose mass has fallen below a fixed floor
+// are dropped, so a step costs what the live part of the posterior costs.
 //
 // # The count column and the mass floor
 //
 // Under the Normal-Gamma update kappa and alpha never see the data: a
-// hypothesis that has absorbed c observations has kappa = Kappa0 + c and
-// alpha = Alpha0 + c/2, whatever the observations were. So the Detector keeps
+// hypothesis that has absorbed c observations has kappa = kappa0 + c and
+// alpha = alpha0 + c/2, whatever the observations were. So the Detector keeps
 // only the data-dependent columns (log-probability, mu, beta) plus c itself,
 // and reads kappa, alpha and every expression over them — among them the
-// Student-t normalizer, two Lgamma and a Log — from a table indexed by c.
+// Student-t normalizer, two Lgamma and a Log — from a table indexed by c,
+// built once for the package.
 // (Step counts the observation that opened a run, see the convention there:
 // the change-point hypothesis leaves Step with c = 1. The longest run, last
 // in the posterior, has absorbed every observation since New or Reset, N()
@@ -41,7 +48,7 @@
 //     is renormalized after it, and terms of relative size e^-60 vanish in
 //     float64 sums anyway (2^-53 is e^-36.7).
 //   - Fold timing. A run folds into the longest when its own count reaches
-//     MaxRunLength — not when the array does, which pruning has made shorter
+//     maxRunLength — not when the array does, which pruning has made shorter
 //     than the reference's — so the same run folds at the same step.
 //
 // What is not: after normalization Step drops every hypothesis whose
@@ -72,71 +79,38 @@ import (
 	"math"
 )
 
-// Config parameterizes a Detector. The zero value selects the defaults
-// documented on each field.
-type Config struct {
-	// Hazard is the per-observation change-point probability (1/expected
-	// run length). Default 1/100.
-	Hazard float64
-	// Threshold is the posterior change-point probability above which
-	// a change-point is reported. Default 0.95 (the paper's setting).
-	Threshold float64
-	// MaxRunLength truncates the run-length distribution. Default 512.
-	MaxRunLength int
-	// Prior hyperparameters of the Normal-Gamma prior on (mean, precision).
-	// Defaults: Mu0=0, Kappa0=0.1, Alpha0=1, Beta0=1. The small Kappa0
-	// keeps the prior on the mean vague, so the change-point hypothesis
-	// (which predicts from the prior) explains genuine regime shifts far
-	// better than the incumbent run hypotheses and P(r_t = 0) saturates.
-	Mu0, Kappa0, Alpha0, Beta0 float64
-}
+// Config carries no settings: the operating point is the constants below.
+// The type remains as the carrier NewPool takes and SplitConfig.BOCD
+// holds, which bench/shadow.go still names until ROADMAP item 1(b).
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.Hazard <= 0 || c.Hazard >= 1 {
-		c.Hazard = 1.0 / 100
-	}
-	if c.Threshold <= 0 || c.Threshold > 1 {
-		c.Threshold = 0.95
-	}
-	if c.MaxRunLength <= 0 {
-		c.MaxRunLength = 512
-	}
-	if c.Kappa0 <= 0 {
-		c.Kappa0 = 0.1
-	}
-	if c.Alpha0 <= 0 {
-		c.Alpha0 = 1
-	}
-	if c.Beta0 <= 0 {
-		c.Beta0 = 1
-	}
-	return c
-}
+// The operating point. hazard is the per-observation change-point
+// probability (1/expected run length); threshold the posterior
+// change-point probability above which SplitTimes reports one;
+// maxRunLength the cap on run-length hypotheses; mu0, kappa0, alpha0 and
+// beta0 the Normal-Gamma prior on (mean, precision).
+const (
+	hazard       = 1.0 / 100
+	threshold    = 0.95
+	maxRunLength = 512
+	mu0          = 0
+	kappa0       = 0.1
+	alpha0       = 1
+	beta0        = 1
+)
 
 // Detector is an online BOCD instance. Construct with New.
 //
 // Step is allocation-free in steady state: the posterior arrays are
 // double-buffered, so each update writes into last step's spare buffers
-// and swaps. The posterior never holds more than MaxRunLength hypotheses
-// and the constants table never more than MaxRunLength entries, so once
-// both buffer pairs have grown to the largest live posterior seen no
-// further allocation occurs, however long the sequence — this matters
+// and swaps. The posterior never holds more than maxRunLength hypotheses,
+// so once both buffer pairs have grown to the largest live posterior seen
+// no further allocation occurs, however long the sequence — this matters
 // because the analysis pipeline runs one detector per endpoint pair and
 // per rank over every window.
 type Detector struct {
-	cfg    Config
-	logH   float64 // log hazard
-	log1mH float64 // log(1 - hazard)
-	// The x-independent parts of the prior predictive: its scale, and
-	// tab[0].logNorm - log(scale).
-	priorScale   float64
-	priorLogNorm float64
-	// tab[c] holds the Student-t constants of a hypothesis that has absorbed
-	// c observations (see the package doc). It is a pure function of cfg,
-	// grows one entry per step past its longest run so far up to
-	// MaxRunLength entries, and survives Reset. tail continues it for the
-	// longest run once that has absorbed more than the table holds.
-	tab  []countConsts
+	// tail continues the shared table for the longest run once that has
+	// absorbed more observations than the table holds.
 	tail countConsts
 	// The posterior, one entry per hypothesis Step still holds, in order of
 	// increasing run length: the change-point hypothesis first, the longest
@@ -152,17 +126,19 @@ type Detector struct {
 	spareBeta []float64
 	spareCnt  []int32
 	n         int
-	// floor is pruneFloor; a field only so the package's tests can show what
-	// a shallower one breaks.
-	floor float64
+	// floor is pruneFloor and maxRun maxRunLength; fields only so the
+	// package's tests can show what a shallower floor breaks and make
+	// ordinary bursts fold.
+	floor  float64
+	maxRun int
 	// splitBuf is SplitTimes' gap scratch; it lives here so a pooled
 	// detector carries it from call to call.
 	splitBuf []float64
 }
 
 // countConsts is everything Step needs about a hypothesis that depends only
-// on how many observations it has absorbed: kappa = Kappa0 + c and
-// alpha = Alpha0 + c/2, each built by the repeated +1 / +0.5 the
+// on how many observations it has absorbed: kappa = kappa0 + c and
+// alpha = alpha0 + c/2, each built by the repeated +1 / +0.5 the
 // per-hypothesis update used to perform, and the expressions over them that
 // the Student-t predictive and the Normal-Gamma update evaluate.
 type countConsts struct {
@@ -196,28 +172,38 @@ func newCountConsts(kappa, alpha float64) countConsts {
 // anywhere near Adams & MacKay's 1e-4 changes segments.
 const pruneFloor = -60
 
-// New returns a Detector with the given configuration.
-func New(cfg Config) *Detector {
-	cfg = cfg.withDefaults()
-	prior := newCountConsts(cfg.Kappa0, cfg.Alpha0)
-	priorScale := math.Sqrt(cfg.Beta0 * prior.kappa1 / prior.alphaKappa)
-	d := &Detector{
-		cfg:          cfg,
-		logH:         math.Log(cfg.Hazard),
-		log1mH:       math.Log1p(-cfg.Hazard),
-		priorScale:   priorScale,
-		priorLogNorm: prior.logNorm - math.Log(priorScale),
-		tab:          []countConsts{prior},
-		floor:        pruneFloor,
+// table[c] holds the Student-t constants of a hypothesis that has absorbed
+// c observations (see the package doc), for every count a run reaches
+// before it folds. Entry c+1 is built from entry c by the repeated +1 /
+// +0.5 the per-hypothesis update used to perform.
+var table = func() (t [maxRunLength]countConsts) {
+	t[0] = newCountConsts(kappa0, alpha0)
+	for c := 1; c < maxRunLength; c++ {
+		t[c] = newCountConsts(t[c-1].kappa+1, t[c-1].alpha+0.5)
 	}
+	return t
+}()
+
+var (
+	logH   = math.Log(hazard)
+	log1mH = math.Log1p(-hazard)
+	// The x-independent parts of the prior predictive: its scale, and
+	// table[0].logNorm - log(scale).
+	priorScale   = math.Sqrt(beta0 * table[0].kappa1 / table[0].alphaKappa)
+	priorLogNorm = table[0].logNorm - math.Log(priorScale)
+)
+
+// New returns a Detector in its initial state.
+func New() *Detector {
+	d := &Detector{floor: pruneFloor, maxRun: maxRunLength}
 	d.reset()
 	return d
 }
 
 func (d *Detector) reset() {
 	d.logp = append(d.logp[:0], 0) // P(r_0 = 0) = 1
-	d.mu = append(d.mu[:0], d.cfg.Mu0)
-	d.beta = append(d.beta[:0], d.cfg.Beta0)
+	d.mu = append(d.mu[:0], mu0)
+	d.beta = append(d.beta[:0], beta0)
 	d.cnt = append(d.cnt[:0], 0)
 	d.n = 0
 }
@@ -226,8 +212,8 @@ func (d *Detector) reset() {
 func (d *Detector) N() int { return d.n }
 
 // Reset returns the detector to its initial state while keeping its
-// buffers and its constants table, so one detector can be reused across
-// many short sequences without reallocating or recomputing.
+// buffers, so one detector can be reused across many short sequences
+// without reallocating.
 func (d *Detector) Reset() { d.reset() }
 
 // nextBuf returns buf resized to n without preserving contents, growing
@@ -270,13 +256,13 @@ func (d *Detector) Step(x float64) float64 {
 		scale := math.Sqrt(b * c.kappa1 / c.alphaKappa)
 		z := (x - m) / scale
 		logpred := c.logNorm - math.Log(scale) - c.halfNu1*math.Log1p(z*z/c.nu)
-		newLogp[i+1] = logp[i] + logpred + d.log1mH
+		newLogp[i+1] = logp[i] + logpred + log1mH
 		newMu[i+1] = (c.kappa*m + x) / c.kappa1
 		newBeta[i+1] = b + c.kappa*(x-m)*(x-m)/c.twoKappa1
 	}
 	longest := d.longestConsts()
 	for i, c := range cnt[:n-1] {
-		grow(i, &d.tab[c])
+		grow(i, &table[c])
 		newCnt[i+1] = c + 1
 	}
 	grow(n-1, longest)
@@ -284,19 +270,18 @@ func (d *Detector) Step(x float64) float64 {
 	// The change-point hypothesis pools the hazard mass of every run,
 	// predicts x from the prior, and restarts from the prior updated with x
 	// (its segment contains exactly x).
-	prior := &d.tab[0]
-	k0, m0, b0 := d.cfg.Kappa0, d.cfg.Mu0, d.cfg.Beta0
-	z := (x - m0) / d.priorScale
-	logPriorPred := d.priorLogNorm - prior.halfNu1*math.Log1p(z*z/prior.nu)
-	newLogp[0] = logSumExp(logp) + d.logH + logPriorPred
-	newMu[0] = (k0*m0 + x) / prior.kappa1
-	newBeta[0] = b0 + k0*(x-m0)*(x-m0)/prior.twoKappa1
+	prior := &table[0]
+	z := (x - mu0) / priorScale
+	logPriorPred := priorLogNorm - prior.halfNu1*math.Log1p(z*z/prior.nu)
+	newLogp[0] = logSumExp(logp) + logH + logPriorPred
+	newMu[0] = (kappa0*mu0 + x) / prior.kappa1
+	newBeta[0] = beta0 + kappa0*(x-mu0)*(x-mu0)/prior.twoKappa1
 	newCnt[0] = 1
 
 	// Normalize, and in the same pass close the gaps left by hypotheses
 	// whose mass fell below the floor. The change-point hypothesis and the
 	// longest run always stay: the first is the answer, the second is where
-	// the MaxRunLength fold puts live mass however dead it is itself.
+	// the maxRunLength fold puts live mass however dead it is itself.
 	total := logSumExp(newLogp)
 	newLogp[0] -= total
 	floor, w := d.floor, 1
@@ -309,8 +294,8 @@ func (d *Detector) Step(x float64) float64 {
 		w++
 	}
 	newLogp[w], newMu[w], newBeta[w] = newLogp[n]-total, newMu[n], newBeta[n]
-	if int(newCnt[w-1]) == d.cfg.MaxRunLength {
-		// A run that reaches MaxRunLength folds into the longest, which
+	if int(newCnt[w-1]) == d.maxRun {
+		// A run that reaches maxRunLength folds into the longest, which
 		// keeps its own sufficient statistics.
 		newLogp[w-1] = logSumExp(newLogp[w-1 : w+1])
 		newMu[w-1], newBeta[w-1] = newMu[w], newBeta[w]
@@ -325,24 +310,19 @@ func (d *Detector) Step(x float64) float64 {
 }
 
 // longestConsts returns the constants of the longest run, which has
-// absorbed all d.n observations so far. A new longest run extends the table
-// by one entry until it holds MaxRunLength — every shorter run folds before
-// it would read further — and from there its constants advance in d.tail,
-// so a detector fed an endless sequence stays bounded.
+// absorbed all d.n observations so far. Below maxRunLength that is the
+// shared table's entry — every shorter run folds before it would read
+// further — and from there its constants advance in d.tail, so a detector
+// fed an endless sequence stays bounded.
 func (d *Detector) longestConsts() *countConsts {
-	if d.n < len(d.tab) {
-		return &d.tab[d.n]
+	if d.n < len(table) {
+		return &table[d.n]
 	}
-	prev := &d.tab[len(d.tab)-1]
-	if d.n > len(d.tab) {
+	prev := &table[len(table)-1]
+	if d.n > len(table) {
 		prev = &d.tail
 	}
-	next := newCountConsts(prev.kappa+1, prev.alpha+0.5)
-	if len(d.tab) < d.cfg.MaxRunLength {
-		d.tab = append(d.tab, next)
-		return &d.tab[d.n]
-	}
-	d.tail = next
+	d.tail = newCountConsts(prev.kappa+1, prev.alpha+0.5)
 	return &d.tail
 }
 

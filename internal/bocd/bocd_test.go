@@ -12,12 +12,12 @@ import (
 // run lengths are read from the count column.
 
 // detect runs a fresh detector over xs and returns the indices i where
-// P(r_i = 0) exceeded the configured threshold.
-func detect(xs []float64, cfg Config) []int {
-	d := New(cfg)
+// P(r_i = 0) exceeded the threshold.
+func detect(xs []float64) []int {
+	d := New()
 	var cps []int
 	for i, x := range xs {
-		if p := d.Step(x); p > d.cfg.Threshold && i > 0 {
+		if p := d.Step(x); p > threshold && i > 0 {
 			cps = append(cps, i)
 		}
 	}
@@ -55,7 +55,7 @@ func TestDetectorFindsMeanShift(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		xs = append(xs, 10+rng.NormFloat64()*0.5)
 	}
-	cps := detect(xs, Config{Hazard: 1.0 / 50})
+	cps := detect(xs)
 	if len(cps) == 0 {
 		t.Fatal("no change-point detected across a 20-sigma mean shift")
 	}
@@ -72,7 +72,7 @@ func TestDetectorFindsMeanShift(t *testing.T) {
 
 func TestDetectorQuietOnStationaryData(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d := New(Config{Hazard: 1.0 / 200})
+	d := New()
 	fires := 0
 	for i := 0; i < 500; i++ {
 		if p := d.Step(rng.NormFloat64()); p > 0.95 && i > 5 {
@@ -86,7 +86,7 @@ func TestDetectorQuietOnStationaryData(t *testing.T) {
 
 func TestRunLengthDistNormalized(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	d := New(Config{})
+	d := New()
 	for i := 0; i < 100; i++ {
 		d.Step(rng.NormFloat64())
 	}
@@ -104,7 +104,7 @@ func TestRunLengthDistNormalized(t *testing.T) {
 
 func TestMAPRunLengthGrowsOnStationaryData(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := New(Config{Hazard: 1.0 / 1000})
+	d := New()
 	for i := 0; i < 200; i++ {
 		d.Step(5 + rng.NormFloat64()*0.1)
 	}
@@ -115,7 +115,8 @@ func TestMAPRunLengthGrowsOnStationaryData(t *testing.T) {
 
 func TestTruncationKeepsWorking(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	d := New(Config{MaxRunLength: 16, Hazard: 1.0 / 50})
+	d := New()
+	d.maxRun = 16
 	for i := 0; i < 200; i++ {
 		d.Step(rng.NormFloat64())
 	}
@@ -140,7 +141,7 @@ func TestTruncationKeepsWorking(t *testing.T) {
 func TestStepOutputsValidProbability(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := New(Config{})
+		d := New()
 		for i := 0; i < 50; i++ {
 			x := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(6)))
 			p := d.Step(x)
@@ -270,13 +271,44 @@ func TestSplitTimesSmallInputs(t *testing.T) {
 	}
 }
 
+// TestSplitterConstants pins the splitter's two constants in literal
+// numbers: the separation guard at a top-half gap jump of 4 and the merge
+// rule at 1.5 times the larger span. (The reference's literal operating
+// point already pins the hazard, the threshold, the prior and the
+// run-length cap at the bit level.)
+func TestSplitterConstants(t *testing.T) {
+	if _, ok := separationThreshold([]float64{1, 1, 1, 1, 1, 3.99}); ok {
+		t.Error("a top-half jump of 3.99 separates, want no step boundary")
+	}
+	times := []time.Time{splitEpoch, splitEpoch.Add(time.Millisecond), splitEpoch.Add(2 * time.Millisecond), splitEpoch.Add(5990 * time.Microsecond)}
+	if got := SplitTimes(times, SplitConfig{}); len(got) != 1 {
+		t.Errorf("gaps 1, 1, 3.99 ms: %v, want one segment", got)
+	}
+	if guard, ok := separationThreshold([]float64{1, 1, 1, 1, 1, 4}); !ok || guard != 2 {
+		t.Errorf("a top-half jump of exactly 4: guard %v, separated %v, want 2, true", guard, ok)
+	}
+
+	// Two one-second segments: a gap just below 1.5 s merges them, exactly
+	// 1.5 s keeps the boundary.
+	for _, tc := range []struct {
+		gap  time.Duration
+		want int
+	}{{1490 * time.Millisecond, 1}, {1500 * time.Millisecond, 2}} {
+		at := splitEpoch.Add(time.Second + tc.gap)
+		times := []time.Time{splitEpoch, splitEpoch.Add(time.Second), at, at.Add(time.Second)}
+		if got := mergeImplausible(times, []Segment{{0, 2}, {2, 4}}); len(got) != tc.want {
+			t.Errorf("gap %v between one-second segments: %v, want %d segments", tc.gap, got, tc.want)
+		}
+	}
+}
+
 func TestNaiveSplitTimes(t *testing.T) {
 	times := syntheticStepTimes(5, 10, time.Millisecond, time.Second, 0, 3)
-	segments := NaiveSplitTimes(times, 5)
+	segments := NaiveSplitTimes(times)
 	if len(segments) != 5 {
 		t.Fatalf("naive splitter got %d segments, want 5", len(segments))
 	}
-	if got := NaiveSplitTimes(nil, 5); got != nil {
+	if got := NaiveSplitTimes(nil); got != nil {
 		t.Error("NaiveSplitTimes(nil) should be nil")
 	}
 }
@@ -295,7 +327,8 @@ func TestMedianOf(t *testing.T) {
 
 func BenchmarkDetectorStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	d := New(Config{MaxRunLength: 256})
+	d := New()
+	d.maxRun = 256
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -343,32 +376,33 @@ func BenchmarkSplitTimes(b *testing.B) {
 }
 
 // TestDetectorBoundedOnEndlessSequence holds the Detector doc to its word:
-// fed without end, across Reset cycles, the constants table, the posterior
-// and every buffer stop growing. Only the longest run's count passes
-// MaxRunLength, and its constants advance in place.
+// fed without end, across Reset cycles, the posterior and every buffer stop
+// growing. Only the longest run's count passes the cap, and past the shared
+// table its constants advance in place.
 func TestDetectorBoundedOnEndlessSequence(t *testing.T) {
 	const max = 64
 	rng := rand.New(rand.NewSource(17))
-	d := New(Config{MaxRunLength: max})
+	d := New()
+	d.maxRun = max
 	// Each column is a buffer pair that trades places every step.
-	sizes := func() [5]int {
-		return [5]int{len(d.tab), cap(d.logp) + cap(d.spareLogp), cap(d.mu) + cap(d.spareMu),
+	sizes := func() [4]int {
+		return [4]int{cap(d.logp) + cap(d.spareLogp), cap(d.mu) + cap(d.spareMu),
 			cap(d.beta) + cap(d.spareBeta), cap(d.cnt) + cap(d.spareCnt)}
 	}
-	var plateau [5]int
+	var plateau [4]int
 	for cycle := 0; cycle < 3; cycle++ {
 		d.Reset()
 		for i, x := range winsorizedObs(rng, 100000/3) {
 			d.Step(x)
-			if len(d.logp) > max || len(d.tab) > max {
-				t.Fatalf("cycle %d step %d: %d hypotheses, %d table entries under MaxRunLength %d", cycle, i, len(d.logp), len(d.tab), max)
+			if len(d.logp) > max {
+				t.Fatalf("cycle %d step %d: %d hypotheses under a cap of %d", cycle, i, len(d.logp), max)
 			}
 			if cycle == 0 && i == 10*max {
 				plateau = sizes()
 			}
 		}
 		if got := sizes(); got != plateau {
-			t.Fatalf("cycle %d: table and buffer sizes %v, were %v after %d steps", cycle, got, plateau, 10*max)
+			t.Fatalf("cycle %d: buffer sizes %v, were %v after %d steps", cycle, got, plateau, 10*max)
 		}
 		if got := mapRunLength(d); d.N() != 100000/3 || got > d.N() {
 			t.Fatalf("cycle %d: N = %d, MAP run length %d", cycle, d.N(), got)
@@ -382,13 +416,13 @@ func TestDetectorBoundedOnEndlessSequence(t *testing.T) {
 // update must never let a stale buffer leak into a new run.
 func TestDetectorResetMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	reused := New(Config{})
+	reused := New()
 	for run := 0; run < 4; run++ {
-		fresh := New(Config{})
+		fresh := New()
 		if run > 0 {
 			reused.Reset()
 		}
-		for i := 0; i < 700; i++ { // past MaxRunLength truncation
+		for i := 0; i < 700; i++ { // past the maxRunLength fold
 			x := rng.NormFloat64()
 			if i > 350 {
 				x += 8

@@ -37,17 +37,19 @@ func winsorizedObs(rng *rand.Rand, n int) []float64 {
 // count (the longest run against the reference's last, whose statistics are
 // exact and whose mass may fall short by what was dropped); and, for every
 // hypothesis it let go, a reference mass below the floor at that step.
-// Through the truncation fold and across Reset cycles (which keep the table).
+// Through the truncation fold and across Reset cycles. The reference runs at
+// its own literal operating point, so this also pins every detector
+// constant.
 func TestStepBitIdenticalToReference(t *testing.T) {
-	configs := map[string]Config{
-		"default":  {},
-		"truncate": {MaxRunLength: 16},
-		"prior":    {Alpha0: 0.3, Kappa0: 0.7, Beta0: 2.5, Mu0: 1.1},
+	configs := map[string]refConfig{
+		"default":  refDefaults,
+		"truncate": refCapped,
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
-			det, ref := New(cfg), newRefDetector(cfg)
+			det, ref := New(), newRefDetector(cfg)
+			det.maxRun = cfg.maxRunLength
 			dropped := 0
 			var before []int32
 			// Cycle lengths rise and fall so a Reset detector both reuses
@@ -95,14 +97,14 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 						}
 					}
 					// Every run held before the step grew by one. It is still
-					// held, or it folded at MaxRunLength, or it was dropped.
+					// held, or it folded at the cap, or it was dropped.
 					held := det.cnt[1:longest]
 					for _, c := range before {
 						c++
 						for len(held) > 0 && held[0] < c {
 							held = held[1:]
 						}
-						if len(held) > 0 && held[0] == c || int(c) == det.cfg.MaxRunLength {
+						if len(held) > 0 && held[0] == c || int(c) == det.maxRun {
 							continue
 						}
 						dropped++
@@ -129,7 +131,7 @@ const splitCaseKinds = 8
 // cover the splitter's branches: ordinary bursts, no two-regime separation,
 // a guard-clearing gap at index 0 (never a boundary), a guard-clearing last
 // gap (nothing to skip), duplicate timestamps (zero gaps, down to a zero
-// median), runs longer than MaxRunLength, heavy-tailed gaps where the
+// median), runs longer than the run-length cap, heavy-tailed gaps where the
 // detector vetoes many guard-clearing candidates, and one rank's minute
 // window, where most of the posterior is dead.
 func splitCase(rng *rand.Rand, kind int) []time.Time {
@@ -167,7 +169,7 @@ func splitCase(rng *rand.Rand, kind int) []time.Time {
 			}
 		}
 	case 5:
-		// Past the capped configs' MaxRunLength always, past the default
+		// Past the capped settings' cap always, past the default
 		// 512 one time in six (the reference costs ~50 ms on those).
 		long := 30 + rng.Intn(100)
 		if rng.Intn(6) == 0 {
@@ -221,10 +223,10 @@ func splitCase(rng *rand.Rand, kind int) []time.Time {
 
 // checkSplitMatchesReference compares SplitTimes with the full-scan
 // reference and checks that the segments partition [0, len(times)).
-func checkSplitMatchesReference(t *testing.T, times []time.Time, cfg SplitConfig) {
+func checkSplitMatchesReference(t *testing.T, times []time.Time, s splitSetting) {
 	t.Helper()
-	want := refSplitTimes(times, cfg)
-	got := SplitTimes(times, cfg)
+	want := refSplitTimes(times, s.ref)
+	got := SplitTimes(times, s.config())
 	if len(got) != len(want) {
 		t.Fatalf("%d events: %d segments %v, reference %d %v", len(times), len(got), got, len(want), want)
 	}
@@ -243,14 +245,43 @@ func checkSplitMatchesReference(t *testing.T, times []time.Time, cfg SplitConfig
 	}
 }
 
-// splitTestConfigs are the detector settings the splitter identity checks
-// run under, each with and without a pool: the defaults, and a run-length
-// cap short enough that ordinary bursts fold. Index bit 0 is pooled, bit 1
-// capped.
-func splitTestConfigs() []SplitConfig {
-	var out []SplitConfig
-	for _, c := range []Config{{}, {MaxRunLength: 16}} {
-		out = append(out, SplitConfig{BOCD: c}, SplitConfig{BOCD: c, Detectors: NewPool(c)})
+// splitSetting is one detector setting the splitter identity checks run
+// under: the reference's operating point, and the pool SplitTimes draws
+// from, nil for a fresh detector per call.
+type splitSetting struct {
+	ref  refConfig
+	pool *Pool
+}
+
+// config is the SplitConfig that runs SplitTimes under s. A capped setting
+// without a pool gets a fresh single-detector pool, so its detector is
+// fresh on every call too.
+func (s splitSetting) config() SplitConfig {
+	if s.pool == nil && s.ref.maxRunLength != refDefaults.maxRunLength {
+		return SplitConfig{Detectors: detectorPool(s.ref.maxRunLength, pruneFloor)}
+	}
+	return SplitConfig{Detectors: s.pool}
+}
+
+// detectorPool returns a pool whose one detector folds runs at maxRun and
+// drops hypotheses below floor. Calls that take turns with it all get that
+// detector.
+func detectorPool(maxRun int, floor float64) *Pool {
+	p := NewPool(Config{})
+	d := p.Get()
+	d.maxRun, d.floor = maxRun, floor
+	p.Put(d)
+	return p
+}
+
+// splitTestConfigs are the settings the splitter identity checks run
+// under, each with and without a pool: the shipped operating point, and a
+// run-length cap short enough that ordinary bursts fold. Index bit 0 is
+// pooled, bit 1 capped.
+func splitTestConfigs() []splitSetting {
+	var out []splitSetting
+	for _, ref := range []refConfig{refDefaults, refCapped} {
+		out = append(out, splitSetting{ref: ref}, splitSetting{ref: ref, pool: detectorPool(ref.maxRunLength, pruneFloor)})
 	}
 	return out
 }
@@ -267,7 +298,7 @@ func TestSplitTimesMatchesReference(t *testing.T) {
 		for _, cfg := range configs {
 			checkSplitMatchesReference(t, times, cfg)
 		}
-		boundaries += len(SplitTimes(times, configs[0])) - 1
+		boundaries += len(SplitTimes(times, configs[0].config())) - 1
 	}
 	if boundaries < sequences {
 		t.Fatalf("only %d boundaries over %d sequences: the cases no longer exercise the detector", boundaries, sequences)
@@ -386,16 +417,6 @@ func TestSplitTimesMinuteWindowFixtures(t *testing.T) {
 // boundary the reference does not.
 var revivalCase = []byte("0\x00\x000 00\x00\x00\x00\x000a\x00\x00")
 
-// withFloor returns cfg drawing its detector from a pool whose one detector
-// drops hypotheses below floor instead of pruneFloor.
-func withFloor(cfg SplitConfig, floor float64) SplitConfig {
-	cfg.Detectors = NewPool(cfg.BOCD)
-	d := cfg.Detectors.Get()
-	d.floor = floor
-	cfg.Detectors.Put(d)
-	return cfg
-}
-
 // TestPruneFloorMargin is the red test for anyone tuning the floor toward
 // Adams & MacKay's 1e-4: at the shipped floor no sequence below differs from
 // the reference, at -20 one does (revivalCase, from -40 up), and at -5 the
@@ -404,9 +425,9 @@ func TestPruneFloorMargin(t *testing.T) {
 	_, revival := decodeSplitCase(revivalCase)
 	cases := append(loadSplitFixtures(t), revival)
 	differing := func(floor float64) int {
-		cfg, n := withFloor(SplitConfig{}, floor), 0
+		cfg, n := SplitConfig{Detectors: detectorPool(refDefaults.maxRunLength, floor)}, 0
 		for _, times := range cases {
-			if !slices.Equal(SplitTimes(times, cfg), refSplitTimes(times, cfg)) {
+			if !slices.Equal(SplitTimes(times, cfg), refSplitTimes(times, refDefaults)) {
 				n++
 			}
 		}
@@ -424,7 +445,7 @@ func TestPruneFloorMargin(t *testing.T) {
 
 // foldTargetCase is a FuzzSplitTimes input (capped config, unpooled): 86
 // events whose longest run is long dead when the runs behind it reach
-// MaxRunLength and fold onto its statistics.
+// the cap and fold onto its statistics.
 var foldTargetCase = func() []byte {
 	var vs []uint16
 	repeat := func(n int, v ...uint16) {
@@ -445,17 +466,17 @@ var foldTargetCase = func() []byte {
 }()
 
 // TestSplitTimesFoldTargetSurvivesPruning: the longest run is the
-// MaxRunLength fold's target, so the reference puts live mass on its
+// run-length cap's fold target, so the reference puts live mass on its
 // statistics however dead it is. A detector that drops it with the rest
 // splits this sequence again at 64 and 85 (FuzzSplitTimes found it in 19 s).
 func TestSplitTimesFoldTargetSurvivesPruning(t *testing.T) {
 	flags, times := decodeSplitCase(foldTargetCase)
 	cfg := splitTestConfigs()[flags&3]
-	if cfg.BOCD.MaxRunLength != 16 || cfg.Detectors != nil || len(times) != 86 {
+	if cfg.ref.maxRunLength != 16 || cfg.pool != nil || len(times) != 86 {
 		t.Fatalf("case decodes to %d events under %+v", len(times), cfg)
 	}
 	checkSplitMatchesReference(t, times, cfg)
-	got := SplitTimes(times, cfg)
+	got := SplitTimes(times, cfg.config())
 	if last := got[len(got)-1]; last != (Segment{Lo: 62, Hi: 86}) {
 		t.Fatalf("last segment %+v of %v, want {62 86}", last, got)
 	}

@@ -2,28 +2,23 @@ package bocd
 
 import "sync"
 
-// Pool is a concurrency-safe free list of detectors sharing one
-// configuration. Continuous monitoring runs one SplitTimes pass per
-// endpoint pair and per rank in every window, and each pass historically
-// allocated a fresh Detector whose posterior buffers grow back to steady
-// state from scratch; a Pool lets those passes reuse detectors via Reset
-// instead. A Reset detector is indistinguishable from a newly constructed
-// one, so pooling never changes results — it only recycles buffers — and
-// any worker may use any pooled instance.
+// Pool is a concurrency-safe free list of detectors. Continuous monitoring
+// runs one SplitTimes pass per endpoint pair and per rank in every window,
+// and each pass historically allocated a fresh Detector whose posterior
+// buffers grow back to steady state from scratch; a Pool lets those passes
+// reuse detectors via Reset instead. A Reset detector is indistinguishable
+// from a newly constructed one, so pooling never changes results — it only
+// recycles buffers — and any worker may use any pooled instance.
 type Pool struct {
 	mu   sync.Mutex
-	cfg  Config
 	free []*Detector
 }
 
-// NewPool returns an empty pool handing out detectors configured with cfg
-// (defaults applied).
-func NewPool(cfg Config) *Pool {
-	return &Pool{cfg: cfg.withDefaults()}
+// NewPool returns an empty pool. Its Config argument carries nothing; the
+// signature remains for bench/shadow.go until ROADMAP item 1(b).
+func NewPool(Config) *Pool {
+	return &Pool{}
 }
-
-// Config returns the pool's resolved detector configuration.
-func (p *Pool) Config() Config { return p.cfg }
 
 // Get returns a detector in its initial state, reusing a pooled one when
 // available.
@@ -37,11 +32,10 @@ func (p *Pool) Get() *Detector {
 		return d
 	}
 	p.mu.Unlock()
-	return New(p.cfg)
+	return New()
 }
 
-// Put resets d and returns it to the pool for reuse. d must have been
-// obtained from this pool (or configured identically).
+// Put resets d and returns it to the pool for reuse.
 func (p *Pool) Put(d *Detector) {
 	if d == nil {
 		return

@@ -6,8 +6,7 @@ import (
 )
 
 func TestPoolReuseMatchesFresh(t *testing.T) {
-	cfg := Config{Hazard: 1.0 / 50}
-	p := NewPool(cfg)
+	p := NewPool(Config{})
 	xs := []float64{1, 1.1, 0.9, 1, 8, 1, 1.05, 0.95, 1, 7.5, 1, 1.02}
 
 	run := func(d *Detector) []float64 {
@@ -17,7 +16,7 @@ func TestPoolReuseMatchesFresh(t *testing.T) {
 		}
 		return out
 	}
-	want := run(New(cfg))
+	want := run(New())
 
 	d := p.Get()
 	first := run(d)
@@ -60,12 +59,5 @@ func TestSplitTimesPooledMatchesFresh(t *testing.T) {
 				t.Fatalf("run %d segment %d: %+v, want %+v", i, j, got[j], fresh[j])
 			}
 		}
-	}
-
-	// A pool with a different configuration is ignored, not misused.
-	other := SplitConfig{Detectors: NewPool(Config{Hazard: 0.3})}
-	got := SplitTimes(times, other)
-	if len(got) != len(fresh) {
-		t.Fatalf("mismatched pool changed results: %d segments, want %d", len(got), len(fresh))
 	}
 }

@@ -9,14 +9,46 @@ import (
 // This file freezes the detector and splitter as they stood before the
 // count-indexed constants table, the early-stopping splitter and the mass
 // floor: five posterior columns, two Lgamma and one Log per hypothesis per
-// step, every hypothesis kept up to MaxRunLength, every gap stepped. It is
-// the only unpruned detector in the tree and the oracle the bit-identity
-// tests (and any later float-moving change to Step) gate against, so nothing
-// here may share arithmetic with the production code — only nextBuf and
-// mergeImplausible, which move no float, are reused.
+// step, every hypothesis kept up to the run-length cap, every gap stepped.
+// It is the only unpruned detector in the tree and the oracle the
+// bit-identity tests (and any later float-moving change to Step) gate
+// against, so nothing here may share arithmetic or a constant with the
+// production code — only nextBuf, which moves no float, is reused.
+
+// refConfig is the operating point the reference runs at, written out here
+// rather than read from the production constants, so the bit-identity
+// tests pin the hazard, the threshold, the prior and the run-length cap
+// and the fixtures pin the splitter's two factors. maxRunLength is the one
+// field a test changes: a short cap makes ordinary bursts fold.
+type refConfig struct {
+	hazard, threshold          float64
+	maxRunLength               int
+	mu0, kappa0, alpha0, beta0 float64
+	minSeparation, mergeFactor float64
+}
+
+// refDefaults is the shipped operating point.
+var refDefaults = refConfig{
+	hazard:        1.0 / 100,
+	threshold:     0.95,
+	maxRunLength:  512,
+	mu0:           0,
+	kappa0:        0.1,
+	alpha0:        1,
+	beta0:         1,
+	minSeparation: 4,
+	mergeFactor:   1.5,
+}
+
+// refCapped is refDefaults with the run-length cap at 16.
+var refCapped = func() refConfig {
+	c := refDefaults
+	c.maxRunLength = 16
+	return c
+}()
 
 type refDetector struct {
-	cfg     Config
+	cfg     refConfig
 	logH    float64 // log hazard
 	log1mH  float64 // log(1 - hazard)
 	logp    []float64
@@ -34,12 +66,11 @@ type refDetector struct {
 	n          int
 }
 
-func newRefDetector(cfg Config) *refDetector {
-	cfg = cfg.withDefaults()
+func newRefDetector(cfg refConfig) *refDetector {
 	d := &refDetector{
 		cfg:    cfg,
-		logH:   math.Log(cfg.Hazard),
-		log1mH: math.Log1p(-cfg.Hazard),
+		logH:   math.Log(cfg.hazard),
+		log1mH: math.Log1p(-cfg.hazard),
 	}
 	d.reset()
 	return d
@@ -47,10 +78,10 @@ func newRefDetector(cfg Config) *refDetector {
 
 func (d *refDetector) reset() {
 	d.logp = append(d.logp[:0], 0) // P(r_0 = 0) = 1
-	d.kappa = append(d.kappa[:0], d.cfg.Kappa0)
-	d.mu = append(d.mu[:0], d.cfg.Mu0)
-	d.alpha = append(d.alpha[:0], d.cfg.Alpha0)
-	d.beta = append(d.beta[:0], d.cfg.Beta0)
+	d.kappa = append(d.kappa[:0], d.cfg.kappa0)
+	d.mu = append(d.mu[:0], d.cfg.mu0)
+	d.alpha = append(d.alpha[:0], d.cfg.alpha0)
+	d.beta = append(d.beta[:0], d.cfg.beta0)
 	d.n = 0
 }
 
@@ -80,8 +111,8 @@ func (d *refDetector) Step(x float64) float64 {
 		scale := math.Sqrt(d.beta[r] * (d.kappa[r] + 1) / (d.alpha[r] * d.kappa[r]))
 		logpred[r] = studentTLogPDF(x, nu, d.mu[r], scale)
 	}
-	priorScale := math.Sqrt(d.cfg.Beta0 * (d.cfg.Kappa0 + 1) / (d.cfg.Alpha0 * d.cfg.Kappa0))
-	logPriorPred := studentTLogPDF(x, 2*d.cfg.Alpha0, d.cfg.Mu0, priorScale)
+	priorScale := math.Sqrt(d.cfg.beta0 * (d.cfg.kappa0 + 1) / (d.cfg.alpha0 * d.cfg.kappa0))
+	logPriorPred := studentTLogPDF(x, 2*d.cfg.alpha0, d.cfg.mu0, priorScale)
 
 	// Growth probabilities: r -> r+1; the change-point hypothesis pools the
 	// hazard mass of every run and predicts x from the prior. The new
@@ -106,7 +137,7 @@ func (d *refDetector) Step(x float64) float64 {
 	newMu := nextBuf(d.spareMu, n+1)
 	newAlpha := nextBuf(d.spareAlpha, n+1)
 	newBeta := nextBuf(d.spareBeta, n+1)
-	k0, m0, a0, b0 := d.cfg.Kappa0, d.cfg.Mu0, d.cfg.Alpha0, d.cfg.Beta0
+	k0, m0, a0, b0 := d.cfg.kappa0, d.cfg.mu0, d.cfg.alpha0, d.cfg.beta0
 	newKappa[0] = k0 + 1
 	newMu[0] = (k0*m0 + x) / (k0 + 1)
 	newAlpha[0] = a0 + 0.5
@@ -127,10 +158,10 @@ func (d *refDetector) Step(x float64) float64 {
 	return math.Exp(d.logp[0])
 }
 
-// truncate caps the run-length distribution at MaxRunLength by folding the
+// truncate caps the run-length distribution at maxRunLength by folding the
 // tail mass into the final (longest) hypothesis.
 func (d *refDetector) truncate() {
-	max := d.cfg.MaxRunLength
+	max := d.cfg.maxRunLength
 	if len(d.logp) <= max {
 		return
 	}
@@ -205,8 +236,7 @@ func refMedianOf(xs []float64) float64 {
 
 // refSplitTimes is the full-scan splitter: it steps a refDetector over every
 // gap, including those after the last one that could still be a boundary.
-func refSplitTimes(times []time.Time, cfg SplitConfig) []Segment {
-	cfg = cfg.withDefaults()
+func refSplitTimes(times []time.Time, cfg refConfig) []Segment {
 	n := len(times)
 	if n == 0 {
 		return nil
@@ -219,7 +249,7 @@ func refSplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 	for i := 0; i < n-1; i++ {
 		gaps[i] = times[i+1].Sub(times[i]).Seconds()
 	}
-	guard, separated := refSeparationThreshold(gaps, cfg.MinSeparation)
+	guard, separated := refSeparationThreshold(gaps, cfg.minSeparation)
 	if !separated {
 		return []Segment{{Lo: 0, Hi: n}}
 	}
@@ -237,7 +267,7 @@ func refSplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 		obs[i] = v
 	}
 
-	det := newRefDetector(cfg.BOCD)
+	det := newRefDetector(cfg)
 	var segments []Segment
 	lo := 0
 	for i, x := range obs {
@@ -245,12 +275,35 @@ func refSplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 		if i == 0 {
 			continue
 		}
-		if p > det.cfg.Threshold && gaps[i] >= guard {
+		if p > det.cfg.threshold && gaps[i] >= guard {
 			segments = append(segments, Segment{Lo: lo, Hi: i + 1})
 			lo = i + 1
 			det.Reset()
 		}
 	}
 	segments = append(segments, Segment{Lo: lo, Hi: n})
-	return mergeImplausible(times, segments, cfg.MergeFactor)
+	return refMergeImplausible(times, segments, cfg.mergeFactor)
+}
+
+func refMergeImplausible(times []time.Time, segments []Segment, factor float64) []Segment {
+	if len(segments) <= 1 {
+		return segments
+	}
+	out := segments[:1]
+	for _, next := range segments[1:] {
+		cur := &out[len(out)-1]
+		gap := times[next.Lo].Sub(times[cur.Hi-1]).Seconds()
+		spanCur := times[cur.Hi-1].Sub(times[cur.Lo]).Seconds()
+		spanNext := times[next.Hi-1].Sub(times[next.Lo]).Seconds()
+		span := spanCur
+		if spanNext > span {
+			span = spanNext
+		}
+		if gap < factor*span {
+			cur.Hi = next.Hi
+		} else {
+			out = append(out, next)
+		}
+	}
+	return out
 }

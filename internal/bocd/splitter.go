@@ -15,15 +15,24 @@ type Segment struct {
 // Len returns the number of events in the segment.
 func (s Segment) Len() int { return s.Hi - s.Lo }
 
-// SplitConfig parameterizes step division of a flow/event time sequence.
+// SplitConfig carries the detector pool step division draws from. The
+// splitter's settings are constants (see separationThreshold and
+// mergeImplausible); BOCD carries nothing and remains, with the type, as
+// the pool carrier bench/shadow.go names until ROADMAP item 1(b).
 type SplitConfig struct {
-	// BOCD configures the change-point detector run over normalized
-	// inter-event gaps. The zero value uses the package defaults.
 	BOCD Config
-	// MinSeparation is the minimum multiplicative separation between the
+	// Detectors, when non-nil, supplies the change-point detector via
+	// Reset-based reuse instead of a fresh allocation per call — the
+	// steady-state mode of the streaming monitor, where SplitTimes runs
+	// once per pair and rank every window. Reuse never changes results.
+	Detectors *Pool
+}
+
+const (
+	// minSeparation is the minimum multiplicative separation between the
 	// within-step gap population and the between-step gap cluster. The
 	// splitter locates the largest ratio jump in the sorted upper half of
-	// the gaps; if that jump is below MinSeparation there are no step
+	// the gaps; if that jump is below minSeparation there are no step
 	// boundaries in the window (the paper's premise — "intervals between
 	// flows within the same step are significantly shorter than those
 	// between adjacent steps" — does not hold), and a BOCD change-point
@@ -31,35 +40,20 @@ type SplitConfig struct {
 	// the robustness guard that keeps intra-step structure (e.g. the
 	// optimizer pause between reduce-scatter and all-gather bursts,
 	// typically a few× the largest transfer gap) from registering as step
-	// boundaries. Default 4.
-	MinSeparation float64
-	// MergeFactor post-merges adjacent segments whose separating gap is
-	// below MergeFactor × the larger segment span — see mergeImplausible.
-	// Default 1.5.
-	MergeFactor float64
-	// Detectors, when non-nil and configured with the same BOCD settings,
-	// supplies the change-point detector via Reset-based reuse instead of a
-	// fresh allocation per call — the steady-state mode of the streaming
-	// monitor, where SplitTimes runs once per pair and rank every window.
-	// Reuse never changes results; a mismatched pool is ignored.
-	Detectors *Pool
-}
-
-func (c SplitConfig) withDefaults() SplitConfig {
-	if c.MinSeparation <= 1 {
-		c.MinSeparation = 4
-	}
-	if c.MergeFactor <= 0 {
-		c.MergeFactor = 1.5
-	}
-	return c
-}
+	// boundaries.
+	minSeparation = 4
+	// mergeFactor post-merges adjacent segments whose separating gap is
+	// below mergeFactor × the larger segment span — see mergeImplausible.
+	mergeFactor = 1.5
+	// naiveFactor is NaiveSplitTimes' boundary threshold in medians.
+	naiveFactor = 5
+)
 
 // separationThreshold finds the largest multiplicative jump between
 // consecutive gaps in the upper half of the ascending-sorted gap
-// distribution. ok is false when no jump reaches minRatio. The threshold is
-// the geometric mean of the jump's endpoints.
-func separationThreshold(sorted []float64, minRatio float64) (float64, bool) {
+// distribution. ok is false when no jump reaches minSeparation. The
+// threshold is the geometric mean of the jump's endpoints.
+func separationThreshold(sorted []float64) (float64, bool) {
 	bestRatio, bestAt := 0.0, -1
 	for i := len(sorted) / 2; i+1 < len(sorted); i++ {
 		lo, hi := sorted[i], sorted[i+1]
@@ -70,7 +64,7 @@ func separationThreshold(sorted []float64, minRatio float64) (float64, bool) {
 			bestRatio, bestAt = ratio, i
 		}
 	}
-	if bestAt < 0 || bestRatio < minRatio {
+	if bestAt < 0 || bestRatio < minSeparation {
 		return 0, false
 	}
 	return math.Sqrt(sorted[bestAt] * sorted[bestAt+1]), true
@@ -84,7 +78,6 @@ func separationThreshold(sorted []float64, minRatio float64) (float64, bool) {
 // times must be sorted ascending. The returned segments partition
 // [0, len(times)).
 func SplitTimes(times []time.Time, cfg SplitConfig) []Segment {
-	cfg = cfg.withDefaults()
 	n := len(times)
 	if n == 0 {
 		return nil
@@ -93,9 +86,12 @@ func SplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 		return []Segment{{Lo: 0, Hi: n}}
 	}
 
-	det, pooled := cfg.acquireDetector()
-	if pooled != nil {
-		defer pooled.Put(det)
+	var det *Detector
+	if pool := cfg.Detectors; pool != nil {
+		det = pool.Get()
+		defer pool.Put(det)
+	} else {
+		det = New()
 	}
 	// The gaps and their sorted copy live in the detector's scratch, so a
 	// pooled detector brings them along.
@@ -106,7 +102,7 @@ func SplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 	}
 	copy(sorted, gaps)
 	sort.Float64s(sorted)
-	guard, separated := separationThreshold(sorted, cfg.MinSeparation)
+	guard, separated := separationThreshold(sorted)
 	if !separated {
 		// No two-regime structure in the gaps: the window holds no
 		// complete step boundary.
@@ -141,7 +137,7 @@ func SplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 		if i == 0 {
 			continue
 		}
-		if p > det.cfg.Threshold && g >= guard {
+		if p > threshold && g >= guard {
 			// Gap i separates times[i] and times[i+1]: a new step
 			// begins at event i+1. Reset the detector so run-length
 			// hypotheses containing the boundary spike cannot absorb
@@ -153,27 +149,16 @@ func SplitTimes(times []time.Time, cfg SplitConfig) []Segment {
 		}
 	}
 	segments = append(segments, Segment{Lo: lo, Hi: n})
-	return mergeImplausible(times, segments, cfg.MergeFactor)
+	return mergeImplausible(times, segments)
 }
 
-// acquireDetector returns the detector SplitTimes runs with and, when it
-// came from the configured pool, the pool to return it to. The pool is
-// used only when its configuration matches cfg.BOCD exactly, so pooled and
-// fresh detectors are interchangeable.
-func (c SplitConfig) acquireDetector() (*Detector, *Pool) {
-	if c.Detectors != nil && c.Detectors.cfg == c.BOCD.withDefaults() {
-		return c.Detectors.Get(), c.Detectors
-	}
-	return New(c.BOCD), nil
-}
-
-// mergeImplausible merges adjacent segments whose separating gap is not
-// clearly larger than the segments themselves. A real step boundary is a
+// mergeImplausible merges adjacent segments whose separating gap is below
+// mergeFactor × the larger of their spans. A real step boundary is a
 // compute phase, which dwarfs the communication bursts it separates; a gap
 // comparable to the burst spans (e.g. the optimizer pause splitting one DP
 // burst into reduce-scatter and all-gather halves when the window holds no
 // true boundary to anchor the gap distribution) is intra-step structure.
-func mergeImplausible(times []time.Time, segments []Segment, factor float64) []Segment {
+func mergeImplausible(times []time.Time, segments []Segment) []Segment {
 	if len(segments) <= 1 {
 		return segments
 	}
@@ -187,7 +172,7 @@ func mergeImplausible(times []time.Time, segments []Segment, factor float64) []S
 		if spanNext > span {
 			span = spanNext
 		}
-		if gap < factor*span {
+		if gap < mergeFactor*span {
 			cur.Hi = next.Hi
 		} else {
 			out = append(out, next)
@@ -197,15 +182,12 @@ func mergeImplausible(times []time.Time, segments []Segment, factor float64) []S
 }
 
 // NaiveSplitTimes divides the sequence with a simple threshold rule:
-// a boundary is any gap exceeding factor × median(gaps). It is the baseline
+// a boundary is any gap exceeding 5 × median(gaps). It is the baseline
 // step splitter used in the A2 ablation.
-func NaiveSplitTimes(times []time.Time, factor float64) []Segment {
+func NaiveSplitTimes(times []time.Time) []Segment {
 	n := len(times)
 	if n == 0 {
 		return nil
-	}
-	if factor <= 0 {
-		factor = 5
 	}
 	if n <= 2 {
 		return []Segment{{Lo: 0, Hi: n}}
@@ -214,11 +196,11 @@ func NaiveSplitTimes(times []time.Time, factor float64) []Segment {
 	for i := 0; i < n-1; i++ {
 		gaps[i] = times[i+1].Sub(times[i]).Seconds()
 	}
-	threshold := factor * medianOf(gaps)
+	cut := naiveFactor * medianOf(gaps)
 	var segments []Segment
 	lo := 0
 	for i, g := range gaps {
-		if g > threshold {
+		if g > cut {
 			segments = append(segments, Segment{Lo: lo, Hi: i + 1})
 			lo = i + 1
 		}

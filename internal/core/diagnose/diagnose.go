@@ -74,7 +74,7 @@ type Alert struct {
 	// Time locates the anomaly.
 	Time time.Time
 	// Value is the anomalous measurement; Baseline the healthy reference
-	// (seconds for durations, Gb/s for bandwidth, count for flows).
+	// (seconds for durations, Gb/s for bandwidth).
 	Value, Baseline float64
 	// Detail is a human-readable explanation.
 	Detail string
@@ -349,14 +349,12 @@ func groupDuration(durs []float64, median bool) float64 {
 // SwitchPoint is one time bucket of one switch's DP traffic.
 type SwitchPoint struct {
 	Bucket time.Time
-	// Flows is the number of distinct DP flow records traversing the
-	// switch in the bucket.
-	Flows int
-	// BWFlows is the number of those records with a measurable bandwidth
-	// (positive duration and byte count). Collectors export degenerate
-	// zero-duration/zero-byte records (single-packet or clipped flows)
-	// whose Gbps reads 0; counting them into the mean would fabricate
-	// bandwidth degradation on healthy switches.
+	// BWFlows is the number of DP flow records traversing the switch in
+	// the bucket with a measurable bandwidth (positive duration and byte
+	// count). Collectors export degenerate zero-duration/zero-byte records
+	// (single-packet or clipped flows) whose Gbps reads 0; counting them
+	// into the mean would fabricate bandwidth degradation on healthy
+	// switches.
 	BWFlows int
 	// MeanGbps is the average per-flow bandwidth over the BWFlows
 	// measurable records (0 when there are none).
@@ -378,9 +376,8 @@ type SeriesAccum struct {
 }
 
 type seriesCell struct {
-	flows int
-	bw    int
-	sum   float64
+	bw  int
+	sum float64
 }
 
 // NewSeriesAccum returns an empty accumulator using cfg's bucket width.
@@ -417,7 +414,7 @@ func (a *SeriesAccum) AddView(v flow.View, types map[flow.Pair]parallel.Type) {
 			bw = 1
 		}
 		for _, sw := range f.Switches(r) {
-			a.cell(sw, bucket).add(1, bw, gbps)
+			a.cell(sw, bucket).add(bw, gbps)
 		}
 	}
 }
@@ -432,7 +429,7 @@ func (a *SeriesAccum) Merge(b *SeriesAccum) {
 	}
 	for sw, cells := range b.perSwitch {
 		for bucket, c := range cells {
-			a.cell(sw, bucket).add(c.flows, c.bw, c.sum)
+			a.cell(sw, bucket).add(c.bw, c.sum)
 		}
 	}
 }
@@ -451,8 +448,7 @@ func (a *SeriesAccum) cell(sw flow.SwitchID, bucket time.Time) *seriesCell {
 	return c
 }
 
-func (c *seriesCell) add(flows, bw int, sum float64) {
-	c.flows += flows
+func (c *seriesCell) add(bw int, sum float64) {
 	c.bw += bw
 	c.sum += sum
 }
@@ -470,7 +466,6 @@ func (a *SeriesAccum) Series() map[flow.SwitchID][]SwitchPoint {
 			}
 			points = append(points, SwitchPoint{
 				Bucket:   b,
-				Flows:    c.flows,
 				BWFlows:  c.bw,
 				MeanGbps: mean,
 			})

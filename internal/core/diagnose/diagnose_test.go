@@ -237,10 +237,10 @@ func TestSwitchSeriesAggregation(t *testing.T) {
 	if len(s3) != 2 {
 		t.Fatalf("switch 3 buckets = %d, want 2", len(s3))
 	}
-	if s3[0].Flows != 2 || s3[0].MeanGbps < 109 || s3[0].MeanGbps > 111 {
+	if s3[0].BWFlows != 2 || s3[0].MeanGbps < 109 || s3[0].MeanGbps > 111 {
 		t.Errorf("bucket 0 = %+v, want 2 flows at ≈ 110 Gb/s", s3[0])
 	}
-	if s3[1].Flows != 1 || s3[1].MeanGbps < 79 || s3[1].MeanGbps > 81 {
+	if s3[1].BWFlows != 1 || s3[1].MeanGbps < 79 || s3[1].MeanGbps > 81 {
 		t.Errorf("bucket 1 = %+v, want 1 flow at ≈ 80 Gb/s", s3[1])
 	}
 }
@@ -376,8 +376,8 @@ func zeroDurRecord(id uint64, at time.Duration, switches ...flow.SwitchID) flow.
 }
 
 // TestSwitchSeriesExcludesZeroDurationFromMean is the regression for the
-// bandwidth-mean skew: zero-duration records count as flows but must not
-// enter the bandwidth mean.
+// bandwidth-mean skew: zero-duration records must not enter the bandwidth
+// mean.
 func TestSwitchSeriesExcludesZeroDurationFromMean(t *testing.T) {
 	records := []flow.Record{
 		dpRecord(1, 0, 100, 3),
@@ -387,8 +387,8 @@ func TestSwitchSeriesExcludesZeroDurationFromMean(t *testing.T) {
 	}
 	series := SwitchSeries(records, dpTypes(), Config{Bucket: time.Minute})
 	pt := series[3][0]
-	if pt.Flows != 4 || pt.BWFlows != 2 {
-		t.Errorf("point = %+v, want 4 flows of which 2 measurable", pt)
+	if pt.BWFlows != 2 {
+		t.Errorf("point = %+v, want 2 measurable flows of 4", pt)
 	}
 	if pt.MeanGbps < 109 || pt.MeanGbps > 111 {
 		t.Errorf("MeanGbps = %v, want ≈ 110 (zero-duration rows excluded)", pt.MeanGbps)

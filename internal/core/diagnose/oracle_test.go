@@ -22,7 +22,7 @@ func (a *SeriesAccum) Add(records []flow.Record, types map[flow.Pair]parallel.Ty
 			bw = 1
 		}
 		for _, sw := range r.Switches {
-			a.cell(sw, bucket).add(1, bw, gbps)
+			a.cell(sw, bucket).add(bw, gbps)
 		}
 	}
 }

@@ -48,13 +48,14 @@
 // been folded back in job order: flows are visited in (job, start, id)
 // order and each flow's components in path order, so every per-component
 // float accumulator receives its contributions in one fixed sequence, and
-// the final ranking sorts by (score, kind, identity). Config.Shards
-// parallelizes the accumulation by component hash: each shard scans all
-// flows in that same order but owns a disjoint component set, so every
-// accumulator still sees the serial sequence. The suspect list is
-// therefore bit-identical for any analysis worker count, any shard count,
-// any within-lateness arrival permutation, and any archive replay of the
-// same window.
+// the final ranking sorts by (score, kind, identity). Windows of at least
+// shardMinRows rows parallelize the accumulation by component hash over
+// GOMAXPROCS shards (at most maxAutoShards): each shard scans all flows in
+// that same order but owns a disjoint component set, so every accumulator
+// still sees the serial sequence. The suspect list is therefore
+// bit-identical for any analysis worker count, any shard count, any
+// within-lateness arrival permutation, and any archive replay of the same
+// window.
 package localize
 
 import (
@@ -210,15 +211,6 @@ type Config struct {
 	// firing since window 0 is a structural property whose evidence would
 	// only drag suspicion toward healthy components.
 	Filter func(job int, a diagnose.Alert) bool
-	// Shards parallelizes the per-component evidence accumulation. Each of
-	// Shards workers scans every flow in the same fixed (job, start, id)
-	// order but folds only the components it owns (by component hash), so
-	// every per-component float accumulator still receives its
-	// contributions in exactly the serial sequence — the suspect list is
-	// bit-identical for every shard count. 0 picks GOMAXPROCS (capped at
-	// maxAutoShards); 1 is the serial reference path. Windows smaller than
-	// shardMinRows run serially regardless.
-	Shards int
 }
 
 // receiveDiscount scales the receive-direction host contrast: receiving a
@@ -269,7 +261,7 @@ type compStat struct {
 // It returns nil when no alert implicates any flow, and at most
 // maxSuspects (8) suspects scoring at least minScore (0.02).
 func Localize(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
-	suspects := rank(jobs, switchAlerts, cfg)
+	suspects := rank(jobs, switchAlerts, cfg, 0)
 	if len(suspects) > maxSuspects {
 		suspects = suspects[:maxSuspects]
 	}
@@ -277,8 +269,14 @@ func Localize(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 }
 
 // rank is Localize before the maxSuspects truncation: every component
-// scoring at least minScore, ranked.
-func rank(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
+// scoring at least minScore, ranked. shards is the number of accumulation
+// workers, each scanning every flow in the same fixed (job, start, id)
+// order but folding only the components it owns (by component hash), so
+// every per-component float accumulator still receives its contributions
+// in exactly the serial sequence. 0 picks GOMAXPROCS (capped at
+// maxAutoShards), which is what Localize runs; 1 is the serial reference
+// path. Windows smaller than shardMinRows run serially regardless.
+func rank(jobs []Job, switchAlerts []diagnose.Alert, cfg Config, shards int) []Suspect {
 	// Deduplicate alerts into implication targets: a rank slow in ten
 	// steps implicates its flows once, not ten times. The evidence filter
 	// runs here, before any implication is recorded, so a filtered alert
@@ -327,12 +325,8 @@ func rank(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 	// path for one shard, component-hash-sharded workers otherwise (see
 	// accumulate for the determinism argument). Shard 0 owns the global
 	// totals either way.
-	shards := cfg.Shards
 	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > maxAutoShards {
-			shards = maxAutoShards
-		}
+		shards = min(runtime.GOMAXPROCS(0), maxAutoShards)
 	}
 	total := 0
 	for i := range jobs {
@@ -484,7 +478,7 @@ func rank(jobs []Job, switchAlerts []diagnose.Alert, cfg Config) []Suspect {
 	return suspects
 }
 
-// maxAutoShards caps Shards == 0 auto-selection: the accumulation is
+// maxAutoShards caps the shard count Localize picks: the accumulation is
 // memory-bound well before this, and every shard re-scans every flow.
 const maxAutoShards = 8
 

@@ -272,7 +272,7 @@ func TestLocalizeLimits(t *testing.T) {
 	// 8 candidates all survive; of 9, the last is cut.
 	for _, n := range []int{7, 8} {
 		job := fanOut(n)
-		all := rank([]Job{job}, nil, Config{})
+		all := rank([]Job{job}, nil, Config{}, 0)
 		if len(all) != n+1 {
 			t.Fatalf("fan-out to %d hosts ranked %d suspects, want %d", n, len(all), n+1)
 		}

@@ -38,33 +38,33 @@ func shardTestJobs(n int) ([]Job, []diagnose.Alert) {
 
 // TestLocalizeShardInvariance is the determinism gate for the sharded
 // accumulators: every shard count must produce the exact ranking the
-// serial reference path (Shards: 1) produces — scores bit-identical, not
+// serial reference path (one shard) produces — scores bit-identical, not
 // just rankings — over the whole ranking before the maxSuspects cut, not
 // just the suspects Localize returns.
 func TestLocalizeShardInvariance(t *testing.T) {
 	jobs, alerts := shardTestJobs(shardMinRows + 500)
-	want := rank(jobs, alerts, Config{Shards: 1})
+	want := rank(jobs, alerts, Config{}, 1)
 	if len(want) < 32 {
 		t.Fatalf("reference ranking holds %d suspects, want at least 32", len(want))
 	}
 	for _, shards := range []int{0, 2, 3, 4, 7, 8} {
-		got := rank(jobs, alerts, Config{Shards: shards})
+		got := rank(jobs, alerts, Config{}, shards)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("Shards=%d diverges from serial reference:\nwant %+v\ngot  %+v", shards, want, got)
+			t.Fatalf("shards=%d diverges from serial reference:\nwant %+v\ngot  %+v", shards, want, got)
 		}
 	}
 }
 
 // TestLocalizeSmallWindowStaysSerial: windows under shardMinRows take the
-// serial path regardless of Shards — and still match it exactly when
+// serial path regardless of the shard count — and still match it exactly when
 // forced through the sharded machinery sizes can't reach here. (The
 // equivalence itself is what matters; the fallback is a perf guard.)
 func TestLocalizeSmallWindowShardEquivalence(t *testing.T) {
 	jobs, alerts := shardTestJobs(600)
-	want := Localize(jobs, alerts, Config{Shards: 1})
+	want := rank(jobs, alerts, Config{}, 1)
 	for _, shards := range []int{0, 4} {
-		if got := Localize(jobs, alerts, Config{Shards: shards}); !reflect.DeepEqual(want, got) {
-			t.Fatalf("Shards=%d diverges on a small window", shards)
+		if got := rank(jobs, alerts, Config{}, shards); !reflect.DeepEqual(want, got) {
+			t.Fatalf("shards=%d diverges on a small window", shards)
 		}
 	}
 }

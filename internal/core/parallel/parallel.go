@@ -46,7 +46,9 @@ func (t Type) String() string {
 
 // Config tunes identification.
 type Config struct {
-	// Split configures step division over each pair's flow sequence.
+	// Split carries the detector pool step division over each pair's flow
+	// sequence draws from. The splitter has no settings; the field remains
+	// for bench/shadow.go until ROADMAP item 1(b).
 	Split bocd.SplitConfig
 	// DisableRefinement skips the DP transitive-closure pass — the
 	// "LLMPrism w/o refinement" baseline of Table I.
@@ -70,11 +72,10 @@ type Classification struct {
 	// len(Segments[p]) for every classified pair.
 	StepsPerPair map[flow.Pair]int
 	// Segments holds the steps the splitter found per classified pair,
-	// over the pair's flows in start order, under Config.Split. Timeline
-	// reconstruction reuses them for a rank whose DP flows are exactly one
-	// pair's flows (every rank of a two-member DP group), since splitting
-	// that same sequence again with the same settings gives the same
-	// segments.
+	// over the pair's flows in start order. Timeline reconstruction reuses
+	// them for a rank whose DP flows are exactly one pair's flows (every
+	// rank of a two-member DP group), since splitting that same sequence
+	// again gives the same segments.
 	Segments map[flow.Pair][]bocd.Segment
 }
 

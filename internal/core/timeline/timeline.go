@@ -61,7 +61,9 @@ type Timeline struct {
 
 // Config tunes reconstruction.
 type Config struct {
-	// Split configures the BOCD step division over DP flows.
+	// Split carries the detector pool the BOCD step division over DP flows
+	// draws from. The splitter has no settings; the field remains for
+	// bench/shadow.go until ROADMAP item 1(b).
 	Split bocd.SplitConfig
 }
 
@@ -82,11 +84,10 @@ func ReconstructView(v flow.View, types map[flow.Pair]parallel.Type, cfg Config)
 // rank that sends or receives a flow gets a timeline, with no steps when it
 // has fewer than minDPFlows DP flows. A rank whose DP flows all belong to
 // one pair P takes its segments from cls.Segments[P] when that entry is
-// present; every other rank splits its DP flows with cfg.Split. The reused
-// segments are only right when cls came from parallel.IdentifyView over
-// the same view with a Split equal to cfg.Split (Detectors aside): the
-// rank's DP starts are then exactly the start times identification split
-// for P, and the splitter depends on nothing else.
+// present; every other rank splits its DP flows here. The reused segments
+// are only right when cls came from parallel.IdentifyView over the same
+// view: the rank's DP starts are then exactly the start times
+// identification split for P, and the splitter depends on nothing else.
 //
 // It sizes every rank's buffers from the view's pair spans, then streams
 // the view's rows once, in start order, filling each endpoint's flow
@@ -199,7 +200,7 @@ func ReconstructClassified(v flow.View, cls parallel.Classification, cfg Config)
 // nanosecond start of every one of the rank's flows, ascending; dpStarts
 // and dpEnds hold the start time and Unix nanosecond end of its DP flows,
 // in flow order. segments, when non-nil, is the split of dpStarts already
-// computed elsewhere; nil splits dpStarts with cfg.Split. It returns the
+// computed elsewhere; nil splits dpStarts here. It returns the
 // reconstructed steps, nil below minDPFlows. Step times are UTC, as
 // flow.Frame materializes its timestamps.
 func reconstructSteps(starts []int64, dpStarts []time.Time, dpEnds []int64, segments []bocd.Segment, cfg Config) []Step {

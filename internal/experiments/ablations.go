@@ -118,7 +118,7 @@ func AblationStepSplitter(ctx context.Context, opts Options) (*SplitterResult, e
 			times = append(times, f.Start(r))
 		}
 		nBOCD := len(bocd.SplitTimes(times, bocd.SplitConfig{}))
-		nNaive := len(bocd.NaiveSplitTimes(times, 5))
+		nNaive := len(bocd.NaiveSplitTimes(times))
 		out.PairsEvaluated++
 		out.BOCDStepCountErr += relErr(nBOCD, trueSteps)
 		out.NaiveStepCountErr += relErr(nNaive, trueSteps)

@@ -75,9 +75,15 @@
 // are constants rather than options. Recognition merges cross-machine
 // clusters whose server sets are identical (Jaccard similarity 1). A pair
 // needs 2 flows to be classified, a rank 4 DP flows for its steps to be
-// reconstructed, and a k-sigma decision a population of 6. Across
-// windows, a cluster inherits a job's identity at endpoint-set Jaccard
-// similarity 0.5 or more, and a job unmatched for 8 windows is forgotten.
+// reconstructed, and a k-sigma decision a population of 6. Steps are
+// split by BOCD over median-normalized inter-flow gaps at hazard 1/100 and
+// threshold 0.95, with at most 512 run-length hypotheses and the
+// Normal-Gamma prior mu0 = 0, kappa0 = 0.1, alpha0 = 1, beta0 = 1; a
+// sequence splits only where the largest jump in the upper half of its
+// sorted gaps is at least 4×, and adjacent steps whose separating gap is
+// under 1.5× the larger step's span merge. Across windows, a cluster
+// inherits a job's identity at endpoint-set Jaccard similarity 0.5 or
+// more, and a job unmatched for 8 windows is forgotten.
 // WithLocalization ranks at most 8 suspects, each scoring at least 0.02,
 // with the bandwidth contrast clamped to [1/16, 16]. The monitor's fused
 // suspect ranking lists at most 8 components, decays every sum by 0.5 per
@@ -116,8 +122,8 @@ type Config struct {
 	// ranked Report.Suspects list. Localization runs once on the merged
 	// report, so it adds no per-worker state.
 	Localize bool
-	// Localization carries the localizer's evidence filter and shard
-	// count; its zero value is what WithLocalization runs.
+	// Localization carries the localizer's evidence filter; its zero
+	// value is what WithLocalization runs.
 	Localization localize.Config
 	// Workers bounds the per-job fan-out of the analysis pipeline. Zero or
 	// negative means GOMAXPROCS; 1 runs the pipeline sequentially.
@@ -355,13 +361,6 @@ func (a *Analyzer) AnalyzeFrameContext(ctx context.Context, f *flow.Frame, mappe
 	// expensive phases below are per-job and embarrassingly parallel.
 	clusters := jobrec.RecognizeFrame(f, mapper, a.cfg.Recognition)
 	views := jobrec.SelectJobs(f, clusters)
-	// Reconstruction reuses identification's per-pair segments only when
-	// both stages split with the same settings (detector pools never change
-	// a split). Every shipped caller leaves both at zero; WithConfig can
-	// make them differ.
-	ps, ts := a.cfg.Parallel.Split, a.cfg.Timeline.Split
-	ps.Detectors, ts.Detectors = nil, nil
-	reuseSegments := ps == ts
 
 	analyses, err := pool.Map(ctx, a.cfg.Workers, clusters,
 		func(ctx context.Context, i int, cluster jobrec.Cluster) (jobAnalysis, error) {
@@ -370,11 +369,7 @@ func (a *Analyzer) AnalyzeFrameContext(ctx context.Context, f *flow.Frame, mappe
 			if err := ctx.Err(); err != nil {
 				return jobAnalysis{}, err
 			}
-			tcls := cls
-			if !reuseSegments {
-				tcls.Segments = nil
-			}
-			tls := timeline.ReconstructClassified(v, tcls, a.cfg.Timeline)
+			tls := timeline.ReconstructClassified(v, cls, a.cfg.Timeline)
 			if err := ctx.Err(); err != nil {
 				return jobAnalysis{}, err
 			}

@@ -156,8 +156,8 @@ func TestTimelineSwimlanesOrderIndependent(t *testing.T) {
 
 func TestBandwidthSeries(t *testing.T) {
 	series := map[flow.SwitchID][]diagnose.SwitchPoint{
-		1: {{Bucket: epoch, Flows: 10, MeanGbps: 150}, {Bucket: epoch.Add(time.Minute), Flows: 12, MeanGbps: 40}},
-		2: {{Bucket: epoch, Flows: 8, MeanGbps: 145}},
+		1: {{Bucket: epoch, BWFlows: 10, MeanGbps: 150}, {Bucket: epoch.Add(time.Minute), BWFlows: 12, MeanGbps: 40}},
+		2: {{Bucket: epoch, BWFlows: 8, MeanGbps: 145}},
 	}
 	out := BandwidthSeries(series, nil)
 	if !strings.Contains(out, "150.0") || !strings.Contains(out, "40.0") {
