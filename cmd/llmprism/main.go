@@ -35,12 +35,13 @@
 // Suspects that persist across windows additionally accumulate a fused
 // score; the per-window fused ranking is printed alongside them.
 //
-// diagnose is the diagnosis-focused view of analyze: it stratifies the
-// switch-bandwidth comparison by tier (leaves vs spines, from the
-// topology — monitor, record and replay stratify the same way) and, with
-// -localize, converts the window's alerts plus the flows' switch paths
-// into a ranked list of suspect components — the switch, inter-switch
-// link or host NIC most likely behind the symptoms.
+// Every subcommand diagnoses with one analyzer: the switch-bandwidth
+// comparison is stratified by tier (leaves vs spines) and the cross-group
+// comparison by rail (each server's trailing GPU index apart from the
+// rest), both taken from the topology. diagnose is the diagnosis-focused
+// view of analyze: with -localize it converts the window's alerts plus
+// the flows' switch paths into a ranked list of suspect components — the
+// switch, inter-switch link or host NIC most likely behind the symptoms.
 //
 // record is monitor plus persistence: every completed window's columnar
 // frame is appended to a binary trace alongside the printed report. With
@@ -156,8 +157,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	// One shared option set for every subcommand: the session config is
-	// assembled once from the flags, and each path derives its analyzer
-	// (pooled or tier-stratified) and monitor options from it.
+	// assembled once from the flags, and every path derives the one
+	// analyzer and its monitor options from it.
 	cfg := session.Config{
 		Bucket:   *bucket,
 		Workers:  *workers,
@@ -219,12 +220,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		cfg.CheckpointPath = *ckptPath
 		return runMonitor(ctx, stdout, records, cfg, *batch)
-	case "diagnose":
-		report, err := cfg.TieredAnalyzer().AnalyzeContext(ctx, records, topo)
-		if err != nil {
-			return err
-		}
-		return printDiagnose(stdout, report, topo, *localized)
 	}
 	report, err := cfg.Analyzer().AnalyzeContext(ctx, records, topo)
 	if err != nil {
@@ -232,6 +227,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	switch cmd {
+	case "diagnose":
+		return printDiagnose(stdout, report, topo, *localized)
 	case "analyze":
 		return printAnalysis(stdout, report, topo, *alertsOnly)
 	case "timeline":

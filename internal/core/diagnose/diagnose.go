@@ -9,7 +9,7 @@
 //   - switch-level: per-switch average DP flow bandwidth (degraded or
 //     congested switches, the paper's Fig. 5).
 //
-// All detectors use the k-sigma rule with k = 3 by default. (The paper's σ
+// All detectors use the k-sigma rule at k = 3, a constant. (The paper's σ
 // formula is a typo — as printed it is identically zero — so the standard
 // deviation is used.)
 package diagnose
@@ -83,10 +83,13 @@ type Alert struct {
 // minSamples is the minimum population for a k-sigma decision.
 const minSamples = 6
 
-// Config tunes the detectors.
+// sigmaK is the k of every detector's k-sigma rule.
+const sigmaK = 3
+
+// Config carries the detectors' inputs that are not constants: the switch
+// bucket, the topology's tier and rail classifiers, and the loss-tolerance
+// hardening.
 type Config struct {
-	// K is the k-sigma multiplier. Default 3.
-	K float64
 	// Bucket is the time-bucket width for switch-level series.
 	// Default 1 minute.
 	Bucket time.Duration
@@ -126,9 +129,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = 3
-	}
 	if c.Bucket <= 0 {
 		c.Bucket = time.Minute
 	}
@@ -190,7 +190,7 @@ func CrossStep(timelines map[flow.Addr]*timeline.Timeline, cfg Config) []Alert {
 				if floor := 0.01 * mean; sd < floor {
 					sd = floor
 				}
-				if dur > mean+cfg.K*sd {
+				if dur > mean+sigmaK*sd {
 					rankAlerts = append(rankAlerts, Alert{
 						Kind:     AlertCrossStep,
 						Rank:     rank,
@@ -283,7 +283,7 @@ func CrossGroup(timelines map[flow.Addr]*timeline.Timeline, groups [][]flow.Addr
 				continue
 			}
 			for i := range pop.durs {
-				if bad, base := kSigmaOutlierLOO(pop.durs, i, cfg.K, +1); bad {
+				if bad, base := kSigmaOutlierLOO(pop.durs, i, sigmaK, +1); bad {
 					g := pop.idx[i]
 					var anchor flow.Addr
 					if members := groups[g]; len(members) > 0 {
@@ -533,7 +533,7 @@ func SwitchDiagnose(series map[flow.SwitchID][]SwitchPoint, cfg Config) []Alert 
 				bws[i] = c.point.MeanGbps
 			}
 			for i, c := range peers {
-				if bad, base := kSigmaOutlierLOO(bws, i, cfg.K, -1); bad {
+				if bad, base := kSigmaOutlierLOO(bws, i, sigmaK, -1); bad {
 					alerts = append(alerts, Alert{
 						Kind:     AlertSwitchBandwidth,
 						Switch:   c.sw,

@@ -88,6 +88,59 @@ func TestCrossStepRespectsMinSamples(t *testing.T) {
 	}
 }
 
+// TestSigmaKIsThree pins k = 3 in literal numbers: each detector's outlier
+// sits at 2.99σ (no alert) or 3.01σ (alert) of a baseline with mean 1 s
+// and population deviation 0.1 s (cross-step), or 100 ms and 10 ms
+// (cross-group, leave-one-out over the other six groups).
+func TestSigmaKIsThree(t *testing.T) {
+	for _, c := range []struct {
+		slow   time.Duration
+		alerts int
+	}{
+		{1299 * time.Millisecond, 0},
+		{1301 * time.Millisecond, 1},
+	} {
+		durs := []time.Duration{time.Second, 900 * time.Millisecond, 1100 * time.Millisecond,
+			900 * time.Millisecond, 1100 * time.Millisecond, 900 * time.Millisecond,
+			1100 * time.Millisecond, c.slow}
+		tls := map[flow.Addr]*timeline.Timeline{1: makeTimeline(1, durs, nil)}
+		if got := len(CrossStep(tls, Config{})); got != c.alerts {
+			t.Errorf("cross-step: step of %v against 1s ± 0.1s: %d alerts, want %d", c.slow, got, c.alerts)
+		}
+	}
+	for _, c := range []struct {
+		slow   time.Duration
+		alerts int
+	}{
+		{129900 * time.Microsecond, 0},
+		{130100 * time.Microsecond, 9}, // every step after the truncated first
+	} {
+		tls := make(map[flow.Addr]*timeline.Timeline)
+		var groups [][]flow.Addr
+		for g := 0; g < 7; g++ {
+			rank := flow.Addr(g + 1)
+			dp := 90 * time.Millisecond
+			switch {
+			case g == 6:
+				dp = c.slow
+			case g%2 == 1:
+				dp = 110 * time.Millisecond
+			}
+			tls[rank] = makeTimeline(rank, uniformDurs(10, time.Second), uniformDurs(10, dp))
+			groups = append(groups, []flow.Addr{rank})
+		}
+		alerts := CrossGroup(tls, groups, Config{})
+		if len(alerts) != c.alerts {
+			t.Errorf("cross-group: group of %v against 100ms ± 10ms: %d alerts, want %d", c.slow, len(alerts), c.alerts)
+		}
+		for _, a := range alerts {
+			if a.Group != 6 {
+				t.Errorf("cross-group: alert on group %d, want 6", a.Group)
+			}
+		}
+	}
+}
+
 func TestCrossGroupFlagsSlowGroup(t *testing.T) {
 	// 8 groups of one rank each; group 5's DP segments are 4x longer.
 	tls := make(map[flow.Addr]*timeline.Timeline)

@@ -8,9 +8,9 @@ import (
 
 	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/faults"
-	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/pool"
+	"github.com/llmprism/llmprism/internal/session"
 	"github.com/llmprism/llmprism/internal/topology"
 	"github.com/llmprism/llmprism/internal/truth"
 )
@@ -31,20 +31,7 @@ const (
 	// enough for the per-rank baselines without the scheduling noise very
 	// short steps exhibit.
 	locStep = 2 * time.Second
-	// locSigmaK runs the windowed detectors at k=4: the matrix evaluates
-	// hundreds of leave-one-out tests per window, where k=3 still passes
-	// occasional heavy-tail noise whose spurious alerts would poison the
-	// implicated-flow sets.
-	locSigmaK = 4
-	locTopK   = 3
-	// locPooledRails is the trailing-rail GPU index L1 hands locAnalyzer: no
-	// endpoint has it, so L1 compares all of a job's DP groups in one
-	// population (R1 stratifies on the resolved GPUsPerNode-1). The matrix
-	// and its acceptance bars are calibrated on the pooled comparison;
-	// stratifying L1 moves cells (multi-fault/1x fused top-1 40% → 50% on
-	// the -short grid at seed 7), so it must land alone, rewriting
-	// testdata/localize_short.golden on purpose.
-	locPooledRails = -1
+	locTopK = 3
 )
 
 // LocalizationRow is one scenario × load cell of the localization matrix.
@@ -308,7 +295,7 @@ func localizationCell(ctx context.Context, sc locScenario, load locLoad, idx int
 	// localization evidence) and fuses per-window suspect scores into the
 	// cross-window ranking the cell is scored on. The grid is anchored at
 	// the simulation epoch so windows line up with the fault schedule.
-	m, err := llmprism.NewMonitor(locAnalyzer(res.Topo, locPooledRails), res.Topo, locWindow,
+	m, err := llmprism.NewMonitor(locSession(res.Topo).Analyzer(), res.Topo, locWindow,
 		llmprism.WithAnchor(res.Truth.Epoch),
 		llmprism.WithChronicSuppression())
 	if err != nil {
@@ -332,33 +319,12 @@ func localizationCell(ctx context.Context, sc locScenario, load locLoad, idx int
 	return row, nil
 }
 
-// locAnalyzer is the analyzer both accuracy matrices (L1 and R1) run: the
-// windowed detectors at k=locSigmaK, tier-stratified switch diagnosis,
-// rail-stratified cross-group diagnosis — GPU index trailingRail hosts each
-// group's collective serialization tail and is structurally slower than the
-// other rails, so it is its own comparison class (which, at 2 groups per
-// stage pair, stays below the k-sigma minimum population and is skipped:
-// exactly the population that used to fire chronic false alerts) — and
-// spectrum localization.
-func locAnalyzer(topo *topology.Topology, trailingRail int, extra ...llmprism.Option) *llmprism.Analyzer {
-	opts := []llmprism.Option{
-		llmprism.WithSigmaK(locSigmaK),
-		llmprism.WithSwitchBucket(locBucket),
-		llmprism.WithSwitchTiers(func(sw flow.SwitchID) int {
-			if topo.IsSpine(sw) {
-				return 1
-			}
-			return 0
-		}),
-		llmprism.WithGroupRails(func(a flow.Addr) int {
-			if topo.GPUOf(a) == trailingRail {
-				return 1
-			}
-			return 0
-		}),
-		llmprism.WithLocalization(),
-	}
-	return llmprism.New(append(opts, extra...)...)
+// locSession is the session config both accuracy matrices (L1 and R1)
+// build their analyzer from: the analyzer llmprismd and the llmprism CLI
+// run — k = 3, switch tiers and group rails from the topology — with
+// localization on, at the matrices' switch bucket.
+func locSession(topo *topology.Topology) session.Config {
+	return session.Config{Topo: topo, Bucket: locBucket, Localize: true}
 }
 
 // monitorTrace drives a simulated trace through m's Stream session the way

@@ -174,7 +174,8 @@ func lossCell(ctx context.Context, c lossCellSpec, idx int, opts Options) (LossR
 	// The same deployed loop as the localization matrix, plus the coverage
 	// guard and loss-tolerant detectors. The grid anchors at the first
 	// observed record, as a live collector's would.
-	analyzer := locAnalyzer(res.Topo, res.Topo.Spec().GPUsPerNode-1, llmprism.WithLossTolerantDiagnosis(3))
+	analyzer := llmprism.New(append(locSession(res.Topo).AnalyzerOptions(),
+		llmprism.WithLossTolerantDiagnosis(3))...)
 	m, err := llmprism.NewMonitor(analyzer, res.Topo, locWindow,
 		llmprism.WithChronicSuppression(),
 		llmprism.WithCoverageGuard())

@@ -106,7 +106,7 @@ func directStreamReports(t testing.TB, cfg session.Config, records []flow.Record
 	if cfg.Suppress {
 		opts = append(opts, llmprism.WithChronicSuppression())
 	}
-	mon, err := llmprism.NewMonitor(cfg.TieredAnalyzer(), cfg.Topo, cfg.Window, opts...)
+	mon, err := llmprism.NewMonitor(cfg.Analyzer(), cfg.Topo, cfg.Window, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //   - Config + Session: one options struct describing a monitor session —
 //     window geometry, analyzer knobs (bucket, workers, localization,
 //     chronic suppression), archive and checkpoint paths — and the session
-//     built from it. Open assembles the tier-stratified analyzer, the
+//     built from it. Open assembles the topology-stratified analyzer, the
 //     monitor options and the capture sink once. There is one way in:
 //     PushFrame, which wire frames, archived windows and the CLI's record
 //     batches (as flow.NewFrame) all take. There is one capture
@@ -81,9 +81,10 @@ import (
 // every daemon cluster session) build their monitors from. The zero value
 // of each field keeps the corresponding library default.
 type Config struct {
-	// Topo is the fabric topology; it doubles as the endpoint→server
-	// mapper and as the leaf/spine classifier for tier-stratified switch
-	// diagnosis. Required.
+	// Topo is the fabric topology. It doubles as the endpoint→server
+	// mapper and as the source of both diagnosis strata: the leaf/spine
+	// tier of every switch and the rail (trailing GPU index or not) of
+	// every DP group. Required.
 	Topo *topology.Topology
 	// Bucket is the switch-level aggregation bucket width (0 = library
 	// default).
@@ -140,9 +141,12 @@ type Config struct {
 	Anchor time.Time
 }
 
-// AnalyzerOptions returns the analyzer option set the config describes —
-// built once, shared by every subcommand, instead of the three hand-rolled
-// assemblies the CLI used to carry.
+// AnalyzerOptions returns the analyzer option set the config describes.
+// With a topology, the peer comparisons are stratified by it: the
+// switch-bandwidth detector judges spines (tier 1) apart from leaves, and
+// the cross-group detector judges the groups anchored on each server's
+// trailing GPU (rail 1), which absorb the collective's serialization tail
+// every step, apart from the rest.
 func (c Config) AnalyzerOptions() []llmprism.Option {
 	opts := []llmprism.Option{llmprism.WithWorkers(c.Workers)}
 	if c.Bucket > 0 {
@@ -151,26 +155,29 @@ func (c Config) AnalyzerOptions() []llmprism.Option {
 	if c.Localize {
 		opts = append(opts, llmprism.WithLocalization())
 	}
+	if topo := c.Topo; topo != nil {
+		trailing := topo.Spec().GPUsPerNode - 1
+		opts = append(opts,
+			llmprism.WithSwitchTiers(func(sw llmprism.SwitchID) int {
+				if topo.IsSpine(sw) {
+					return 1
+				}
+				return 0
+			}),
+			llmprism.WithGroupRails(func(a llmprism.Addr) int {
+				if topo.GPUOf(a) == trailing {
+					return 1
+				}
+				return 0
+			}))
+	}
 	return opts
 }
 
-// Analyzer builds the plain (tier-pooled) analyzer — the historical
-// comparison the analyze/timeline/switches subcommands keep.
+// Analyzer builds the analyzer the config describes: the one every
+// monitor session, daemon cluster and CLI subcommand runs.
 func (c Config) Analyzer() *llmprism.Analyzer {
 	return llmprism.New(c.AnalyzerOptions()...)
-}
-
-// TieredAnalyzer builds the topology-aware analyzer the monitoring paths
-// use: the switch-bandwidth peer comparison is stratified by tier, so
-// leaves are judged against leaves and spines against spines.
-func (c Config) TieredAnalyzer() *llmprism.Analyzer {
-	topo := c.Topo
-	return llmprism.New(append(c.AnalyzerOptions(), llmprism.WithSwitchTiers(func(sw llmprism.SwitchID) int {
-		if topo.IsSpine(sw) {
-			return 1
-		}
-		return 0
-	}))...)
 }
 
 // monitorOptions assembles the monitor option set (everything but the
@@ -247,7 +254,7 @@ func Open(ctx context.Context, cfg Config) (*Session, error) {
 	if cfg.Resume {
 		monitor, err = resumeMonitor(cfg, opts)
 	} else {
-		monitor, err = llmprism.NewMonitor(cfg.TieredAnalyzer(), cfg.Topo, cfg.Window, opts...)
+		monitor, err = llmprism.NewMonitor(cfg.Analyzer(), cfg.Topo, cfg.Window, opts...)
 	}
 	if err != nil {
 		return nil, err
@@ -272,13 +279,13 @@ func Open(ctx context.Context, cfg Config) (*Session, error) {
 func resumeMonitor(cfg Config, opts []llmprism.MonitorOption) (*llmprism.Monitor, error) {
 	f, err := os.Open(cfg.CheckpointPath)
 	if errors.Is(err, fs.ErrNotExist) {
-		return llmprism.NewMonitor(cfg.TieredAnalyzer(), cfg.Topo, cfg.Window, opts...)
+		return llmprism.NewMonitor(cfg.Analyzer(), cfg.Topo, cfg.Window, opts...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("session: resume: %w", err)
 	}
 	defer f.Close()
-	return llmprism.ResumeMonitor(cfg.TieredAnalyzer(), cfg.Topo, f, opts...)
+	return llmprism.ResumeMonitor(cfg.Analyzer(), cfg.Topo, f, opts...)
 }
 
 // openCapture is the archive-sink factory Stream invokes with the

@@ -92,9 +92,13 @@
 // fired 3 consecutive windows, having opened within 2 windows of the first
 // alert. WithCoverageGuard judges a window against the mean row count of
 // the last 8 healthy windows, once 3 have accumulated, and marks it
-// degraded below half of that. The k of the k-sigma rule (WithSigmaK,
-// default 3), the switch bucket and the tier and rail classifiers remain
-// options.
+// degraded below half of that. Every detector's k-sigma rule runs at
+// k = 3. The switch tier and DP-group rail classifiers (WithSwitchTiers,
+// WithGroupRails) describe the fabric rather than tune the detectors:
+// llmprismd, the llmprism CLI and the accuracy matrices all take them from
+// the topology, in one place, with spines a tier apart from leaves and
+// each server's trailing GPU index a rail of its own. The switch bucket,
+// loss tolerance and the coverage guard remain options.
 package llmprism
 
 import (
@@ -132,11 +136,6 @@ type Config struct {
 
 // Option customizes an Analyzer.
 type Option func(*Config)
-
-// WithSigmaK sets the k of the k-sigma anomaly rule (default 3).
-func WithSigmaK(k float64) Option {
-	return func(c *Config) { c.Diagnosis.K = k }
-}
 
 // WithSwitchBucket sets the switch-level aggregation bucket width.
 func WithSwitchBucket(d time.Duration) Option {

@@ -13,15 +13,7 @@ import (
 
 func TestOptionsApply(t *testing.T) {
 	var cfg Config
-	for _, opt := range []Option{
-		WithSigmaK(4),
-		WithSwitchBucket(30 * time.Second),
-	} {
-		opt(&cfg)
-	}
-	if cfg.Diagnosis.K != 4 {
-		t.Error("WithSigmaK not applied")
-	}
+	WithSwitchBucket(30 * time.Second)(&cfg)
 	if cfg.Diagnosis.Bucket != 30*time.Second {
 		t.Error("WithSwitchBucket not applied")
 	}
