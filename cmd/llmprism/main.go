@@ -28,10 +28,11 @@
 // every window (atomically), for crash-resume.
 //
 // -suppress-chronic turns the alert feed incident-centric: anomalies that
-// fire from the monitor's first windows and never resolve are classified
-// chronic — platform steady state, not events — and removed from the
-// per-window alert surface and (with -localize) from localization
-// evidence, while their incidents stay listed with a chronic marker.
+// fire from the monitor's first alerting window and never resolve are
+// classified chronic — platform steady state, not events — and removed
+// from the per-window alert surface and (with -localize) from
+// localization evidence, while their incidents stay listed with a
+// chronic marker.
 // Suspects that persist across windows additionally accumulate a fused
 // score; the per-window fused ranking is printed alongside them.
 //

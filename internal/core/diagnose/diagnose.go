@@ -166,20 +166,47 @@ func kSigmaOutlierLOO(xs []float64, i int, k float64, side int) (bool, float64) 
 	return xs[i] < mean-k*sd, mean
 }
 
+// fragmentRatio is the share of the job's step length below which a rank's
+// median step marks its steps as fragments. The ranks of one job step in
+// lockstep, so a rank whose median step is under half its peers' was split
+// by reconstruction, not sped up.
+const fragmentRatio = 0.5
+
 // CrossStep flags steps whose duration is a k-sigma upper outlier against
 // the rank's trailing history, mirroring the online deployment: each step
 // is judged against the steps seen before it, and anomalous steps are kept
 // out of the baseline so a long-running incident keeps alerting instead of
 // normalizing itself. The window-truncated first step is skipped.
+//
+// A rank whose steps were split into fragments is not judged: its history
+// is mostly fragments, against which every whole step reads as an outlier.
+// Its median step falls below fragmentRatio of the job's step length: the
+// median, over the ranks with enough steps to judge, of each rank's median
+// step.
 func CrossStep(timelines map[flow.Addr]*timeline.Timeline, cfg Config) []Alert {
 	cfg = cfg.withDefaults()
 	var alerts []Alert
 	ranks := sortedRanks(timelines)
+	judged := ranks[:0] // filtered in place: judged never overtakes ranks
+	var medians, scratch []float64
 	for _, rank := range ranks {
 		tl := timelines[rank]
 		if len(tl.Steps) < minSamples+1 {
 			continue
 		}
+		scratch = scratch[:0]
+		for _, s := range tl.Steps[1:] {
+			scratch = append(scratch, s.Duration().Seconds())
+		}
+		judged = append(judged, rank)
+		medians = append(medians, sortedMedian(scratch))
+	}
+	jobStep := sortedMedian(append(scratch[:0], medians...))
+	for i, rank := range judged {
+		if medians[i] < fragmentRatio*jobStep {
+			continue
+		}
+		tl := timelines[rank]
 		var w stats.Welford
 		var rankAlerts []Alert
 		for _, s := range tl.Steps[1:] {
@@ -326,6 +353,20 @@ func CrossGroup(timelines map[flow.Addr]*timeline.Timeline, groups [][]flow.Addr
 	return alerts
 }
 
+// sortedMedian returns the median of xs (0 when empty), sorting xs in
+// place.
+func sortedMedian(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
 // groupDuration folds one group's member DP durations into the group's
 // per-step duration: the mean, or with median set the member median (robust
 // to loss-corrupted individual ranks). Ties split like sort order; the
@@ -338,12 +379,7 @@ func groupDuration(durs []float64, median bool) float64 {
 		}
 		return sum / float64(len(durs))
 	}
-	sort.Float64s(durs)
-	n := len(durs)
-	if n%2 == 1 {
-		return durs[n/2]
-	}
-	return (durs[n/2-1] + durs[n/2]) / 2
+	return sortedMedian(durs)
 }
 
 // SwitchPoint is one time bucket of one switch's DP traffic.

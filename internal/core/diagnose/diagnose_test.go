@@ -88,6 +88,58 @@ func TestCrossStepRespectsMinSamples(t *testing.T) {
 	}
 }
 
+// TestCrossStepSkipsFragmentedRanks pins the fragment rule. A rank whose
+// steps reconstruction split into near-zero fragments, with a whole step
+// between runs of them, raises nothing beside two peers stepping every
+// 2 s. The rank alone, without peers, is judged against itself and fires
+// on every whole step. And fragmentRatio in literal numbers: a rank of
+// 1 s steps with one 5 s step beside the 2 s peers sits exactly at half
+// the job's step and is judged (one alert); at 0.99 s it is skipped.
+func TestCrossStepSkipsFragmentedRanks(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	var frag []time.Duration
+	frag = append(frag, ms(1170))
+	for i := 0; i < 3; i++ {
+		frag = append(frag, uniformDurs(10, ms(5))...)
+		frag = append(frag, ms(1640))
+	}
+	peers := func() map[flow.Addr]*timeline.Timeline {
+		return map[flow.Addr]*timeline.Timeline{
+			1: makeTimeline(1, uniformDurs(12, 2*time.Second), nil),
+			2: makeTimeline(2, uniformDurs(12, 2*time.Second), nil),
+		}
+	}
+	tls := peers()
+	tls[3] = makeTimeline(3, frag, nil)
+	if got := CrossStep(tls, Config{}); len(got) != 0 {
+		t.Errorf("fragmented rank beside whole-step peers: %d alerts, want 0", len(got))
+	}
+	alone := map[flow.Addr]*timeline.Timeline{3: makeTimeline(3, frag, nil)}
+	if got := len(CrossStep(alone, Config{})); got != 3 {
+		t.Errorf("fragmented rank alone: %d alerts, want 3 (one per whole step)", got)
+	}
+	for _, c := range []struct {
+		step   time.Duration
+		alerts int
+	}{
+		{ms(990), 0},
+		{ms(1000), 1},
+	} {
+		durs := append(uniformDurs(11, c.step), 5*time.Second)
+		tls := peers()
+		tls[3] = makeTimeline(3, durs, nil)
+		got := CrossStep(tls, Config{})
+		if len(got) != c.alerts {
+			t.Errorf("rank of %v steps beside 2s peers: %d alerts, want %d", c.step, len(got), c.alerts)
+		}
+		for _, a := range got {
+			if a.Rank != 3 || a.Step != 11 {
+				t.Errorf("alert = %+v, want rank 3 step 11", a)
+			}
+		}
+	}
+}
+
 // TestSigmaKIsThree pins k = 3 in literal numbers: each detector's outlier
 // sits at 2.99σ (no alert) or 3.01σ (alert) of a baseline with mean 1 s
 // and population deviation 0.1 s (cross-step), or 100 ms and 10 ms

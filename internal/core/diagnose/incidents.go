@@ -56,12 +56,12 @@ type Incident struct {
 	StillFiring bool
 	// Chronic marks a baseline property rather than an event: the anomaly
 	// has fired in every window since monitoring effectively began (it
-	// opened within baselineWindows (2) of the first alert the tracker
-	// ever saw) and has persisted for at least chronicAfter (3) windows.
-	// A structurally slow DP group — the trailing-rail collective segment
-	// — is chronic; a fault injected mid-run is not, because its incident
-	// opens after the baseline learning period. Chronic is sticky for the
-	// incident's lifetime.
+	// opened in the first window that carried any alert) and has
+	// persisted for at least chronicAfter (3) windows. A structurally slow
+	// DP group — the trailing-rail collective segment of a pooled
+	// comparison — is chronic; a fault injected mid-run is not, because
+	// its incident opens after that first window, even when a spurious
+	// alert opened it. Chronic is sticky for the incident's lifetime.
 	Chronic bool
 	// Detail carries the latest alert's human-readable explanation.
 	Detail string
@@ -74,21 +74,14 @@ type JobAlert struct {
 	Alert Alert
 }
 
-// The chronic-baseline classification's operating point.
-const (
-	// chronicAfter is how many consecutive windows a baseline-eligible
-	// incident must fire before it is classified chronic.
-	chronicAfter = 3
-	// baselineWindows is the length of the baseline learning period, in
-	// windows, starting at the first observation that carried any alert:
-	// only incidents opening inside it can become chronic (anything
-	// appearing later is an event, however long it persists).
-	baselineWindows = 2
-)
+// chronicAfter is how many consecutive windows an incident that opened in
+// the first alerting window must fire before it is classified chronic.
+// Only those incidents can become chronic: anything opening later is an
+// event, however long it persists.
+const chronicAfter = 3
 
 // IncidentConfig has no fields: chronic classification runs at one
-// operating point (chronicAfter, baselineWindows). It stays because bench/
-// names it.
+// operating point (chronicAfter). It stays because bench/ names it.
 type IncidentConfig struct{}
 
 // IncidentTracker folds each window's alerts into ongoing incidents. It is
@@ -101,9 +94,9 @@ type IncidentTracker struct {
 	// opened, the input to the chronic-baseline test.
 	openedSeq map[IncidentKey]int
 	// seq counts Observe calls; firstAlertSeq is the seq of the first
-	// observation that carried any alert (-1 until then) — the start of
-	// the baseline learning period. Leading empty windows (a monitor
-	// session anchoring mid-grid) therefore do not consume the baseline.
+	// observation that carried any alert (-1 until then) — the baseline
+	// window. Leading empty windows (a monitor session anchoring
+	// mid-grid) therefore do not consume the baseline.
 	seq           int
 	firstAlertSeq int
 }
@@ -126,8 +119,8 @@ func NewIncidentTracker(IncidentConfig) *IncidentTracker {
 //
 // Each call is one window. An open incident has, by construction, fired in
 // every window since it opened (a missed window deletes it), so the
-// chronic test reduces to: opened inside the baseline learning period and
-// still alive after chronicAfter windows.
+// chronic test reduces to: opened in the baseline window and still alive
+// after chronicAfter windows.
 func (t *IncidentTracker) Observe(alerts []JobAlert) []Incident {
 	seq := t.seq
 	t.seq++
@@ -163,7 +156,7 @@ func (t *IncidentTracker) Observe(alerts []JobAlert) []Incident {
 	for key, inc := range t.open {
 		if fired[key] {
 			if !inc.Chronic && inc.Windows >= chronicAfter &&
-				t.openedSeq[key] < t.firstAlertSeq+baselineWindows {
+				t.openedSeq[key] == t.firstAlertSeq {
 				inc.Chronic = true
 			}
 			out = append(out, *inc)

@@ -52,11 +52,12 @@ func TestIncidentContinuity(t *testing.T) {
 }
 
 // TestIncidentChronicClassification pins the baseline learner: an anomaly
-// firing from (effectively) the first observed window onward is a property
-// of the deployment — chronic — while one appearing after the baseline
-// period is an event, however long it persists.
+// firing from the first window that carried any alert onward is a
+// property of the deployment — chronic — while one opening in any later
+// window, the very next one included, is an event, however long it
+// persists.
 func TestIncidentChronicClassification(t *testing.T) {
-	tr := NewIncidentTracker(IncidentConfig{}) // chronicAfter 3, baselineWindows 2
+	tr := NewIncidentTracker(IncidentConfig{}) // chronicAfter 3
 	t0 := time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)
 	chronicAlert := func(w int) JobAlert {
 		return JobAlert{Job: 1, Alert: Alert{
@@ -68,8 +69,8 @@ func TestIncidentChronicClassification(t *testing.T) {
 			Kind: AlertCrossStep, Rank: 3, Time: t0.Add(time.Duration(w) * time.Minute),
 		}}
 	}
-	// Switch 1 opens in window 1, the last of the baseline period; switch
-	// 2 opens in window 2, the first after it.
+	// Switch 1 opens in window 1, the first after the baseline window (the
+	// first that carried an alert); switch 2 opens in window 2.
 	switchAlert := func(sw flow.SwitchID, w int) JobAlert {
 		return JobAlert{Alert: Alert{
 			Kind: AlertSwitchBandwidth, Switch: sw, Time: t0.Add(time.Duration(w) * time.Minute),
@@ -114,15 +115,16 @@ func TestIncidentChronicClassification(t *testing.T) {
 			if inc.Key.Kind != AlertSwitchBandwidth {
 				continue
 			}
-			// Switch 1 reaches 3 windows at w=3; switch 2 opened too late.
-			if wantChronic := inc.Key.Switch == 1 && w >= 3; inc.Chronic != wantChronic {
-				t.Errorf("window %d: switch %v incident Chronic = %v, want %v", w, inc.Key.Switch, inc.Chronic, wantChronic)
+			// Both opened after the baseline window: a fault that opens
+			// one window after a spurious first alert is still an event.
+			if inc.Chronic {
+				t.Errorf("window %d: switch %v incident Chronic = true, want false", w, inc.Key.Switch)
 			}
 		}
 	}
 	// The late-opening incident has fired 2 windows; run it past
 	// chronicAfter: it must stay non-chronic — it opened after the
-	// baseline learning period.
+	// baseline window.
 	for w := 6; w < 10; w++ {
 		incs = tr.Observe([]JobAlert{chronicAlert(w), eventAlert(w)})
 		ev := find(incs, AlertCrossStep)

@@ -86,12 +86,6 @@ type lossCellSpec struct {
 // (the -short grid).
 func CollectorLoss(ctx context.Context, opts Options) (*LossResult, error) {
 	opts = opts.withDefaults()
-	spineDegrade := func(topo *topology.Topology) faults.Schedule {
-		return faults.Schedule{Faults: []faults.Fault{{
-			Kind: faults.KindSwitchDegrade, Switch: topo.SpineSwitch(2),
-			At: locFaultFrom, Until: locFaultUntil, Factor: 0.07,
-		}}}
-	}
 	levels := []float64{0, 0.02, 0.05}
 	if opts.Scale < 1 {
 		levels = []float64{0, 0.05}
@@ -102,7 +96,7 @@ func CollectorLoss(ctx context.Context, opts Options) (*LossResult, error) {
 			c := lossCellSpec{scenario: scenario, loss: p}
 			if scenario == "spine-degrade" {
 				c.single = true
-				c.faults = spineDegrade
+				c.faults = lossSpineDegrade
 			}
 			cells = append(cells, c)
 		}
@@ -118,6 +112,15 @@ func CollectorLoss(ctx context.Context, opts Options) (*LossResult, error) {
 		return nil, err
 	}
 	return &LossResult{K: locTopK, Rows: rows, SimWall: time.Since(start)}, nil
+}
+
+// lossSpineDegrade is the sweep's single fault: spine 2 degraded to 7% of
+// its bandwidth across the localization matrix's fault window.
+func lossSpineDegrade(topo *topology.Topology) faults.Schedule {
+	return faults.Schedule{Faults: []faults.Fault{{
+		Kind: faults.KindSwitchDegrade, Switch: topo.SpineSwitch(2),
+		At: locFaultFrom, Until: locFaultUntil, Factor: 0.07,
+	}}}
 }
 
 // lossCell simulates and scores one cell. All randomness derives from

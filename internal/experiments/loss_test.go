@@ -89,6 +89,27 @@ func TestCollectorLossSweepShortGrid(t *testing.T) {
 	checkGolden(t, "loss_short.golden", res.Report())
 }
 
+// TestCollectorLossFragmentedRanks runs the full grid's spine-degrade cell
+// at 0% loss, seed 1 (cell index 3). Before the fault, reconstruction
+// splits the steps of two servers' twelve ranks into near-zero fragments;
+// judged against those fragments, each rank's whole steps read as slow,
+// and their evidence ranked a healthy spine above the degraded one in the
+// cell's first scored window (top-1 50%). Cross-step skips such ranks, so
+// the degraded spine leads every scored window.
+func TestCollectorLossFragmentedRanks(t *testing.T) {
+	spec := lossCellSpec{scenario: "spine-degrade", single: true, faults: lossSpineDegrade}
+	row, err := lossCell(context.Background(), spec, 3, Options{Seed: 1}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Score.Windows == 0 {
+		t.Fatal("no window was scored")
+	}
+	if got := row.Score.Top1Rate(); got < 1 {
+		t.Errorf("fused top-1 rate %.0f%% over %d scored windows, want 100%%", 100*got, row.Score.Windows)
+	}
+}
+
 func trimFloat(f float64) string {
 	switch f {
 	case 0:

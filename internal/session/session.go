@@ -164,12 +164,14 @@ func (c Config) AnalyzerOptions() []llmprism.Option {
 				}
 				return 0
 			}),
-			llmprism.WithGroupRails(func(a llmprism.Addr) int {
-				if topo.GPUOf(a) == trailing {
-					return 1
+			func(ac *llmprism.Config) {
+				ac.Diagnosis.GroupRail = func(a llmprism.Addr) int {
+					if topo.GPUOf(a) == trailing {
+						return 1
+					}
+					return 0
 				}
-				return 0
-			}))
+			})
 	}
 	return opts
 }

@@ -61,9 +61,9 @@
 // instead of rebuilt, and Report.Incidents tracks each anomaly's
 // first-seen/still-firing state so a persistent fault is one ongoing
 // incident, not one alert pile per window. WithChronicSuppression goes
-// further: anomalies firing since the monitor's first windows that never
-// resolve are classified chronic and suppressed from the alert surface
-// and localization evidence, and with localization enabled
+// further: anomalies firing since the monitor's first alerting window
+// that never resolve are classified chronic and suppressed from the alert
+// surface and localization evidence, and with localization enabled
 // Report.FusedSuspects accumulates each suspect component's score across
 // windows so one persistent root cause outranks per-window noise. The
 // cmd/llmprism CLI exposes this as the monitor subcommand (-window, -hop,
@@ -89,16 +89,19 @@
 // suspect ranking lists at most 8 components, decays every sum by 0.5 per
 // window and forgets a component after its second consecutive missed
 // window. WithChronicSuppression calls an incident chronic once it has
-// fired 3 consecutive windows, having opened within 2 windows of the first
-// alert. WithCoverageGuard judges a window against the mean row count of
-// the last 8 healthy windows, once 3 have accumulated, and marks it
-// degraded below half of that. Every detector's k-sigma rule runs at
-// k = 3. The switch tier and DP-group rail classifiers (WithSwitchTiers,
-// WithGroupRails) describe the fabric rather than tune the detectors:
-// llmprismd, the llmprism CLI and the accuracy matrices all take them from
-// the topology, in one place, with spines a tier apart from leaves and
-// each server's trailing GPU index a rail of its own. The switch bucket,
-// loss tolerance and the coverage guard remain options.
+// fired 3 consecutive windows, having opened in the first window that
+// carried any alert. WithCoverageGuard judges a window against the mean
+// row count of the last 8 healthy windows, once 3 have accumulated, and
+// marks it degraded below half of that. Every detector's k-sigma rule runs at
+// k = 3, and cross-step judges no rank whose median step is under half of
+// its job's (reconstruction split its steps into fragments). The switch
+// tiers and DP-group rails describe the fabric rather than tune the
+// detectors: llmprismd, the llmprism CLI and the accuracy matrices take
+// both from the topology in one place, internal/session, with spines a
+// tier apart from leaves and the DP groups anchored on each server's
+// trailing GPU a rail of their own. New alone pools both comparisons;
+// WithSwitchTiers sets a tier classifier. The switch bucket, loss
+// tolerance and the coverage guard remain options.
 package llmprism
 
 import (
@@ -163,17 +166,6 @@ func WithLossTolerantDiagnosis(persist int) Option {
 // population.
 func WithSwitchTiers(tier func(SwitchID) int) Option {
 	return func(c *Config) { c.Diagnosis.SwitchTier = tier }
-}
-
-// WithGroupRails stratifies the cross-group peer comparison by the given
-// rail classifier over DP-group anchor endpoints, the group-side mirror of
-// WithSwitchTiers: groups are judged only against peers of their own rail
-// class, because rails carry structurally different collective-segment
-// durations (the trailing rail absorbs the collective's serialization tail
-// every step, and pooling makes its groups fire chronic false alerts). The
-// default compares all of a job's groups in one population.
-func WithGroupRails(rail func(Addr) int) Option {
-	return func(c *Config) { c.Diagnosis.GroupRail = rail }
 }
 
 // WithLocalization enables root-cause localization: every report gains a

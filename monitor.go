@@ -48,10 +48,10 @@ type WindowInfo struct {
 // first-seen/still-firing state per anomaly so a persistently slow rank is
 // one ongoing incident rather than one alert pile per window. Two options
 // make the feed fully incident-centric: WithChronicSuppression classifies
-// anomalies that fire from the monitor's first windows and never resolve
-// as chronic — platform steady state, not events — removing them from the
-// alert surface and from localization evidence while keeping their
-// incidents visible; and with localization enabled, Report.FusedSuspects
+// anomalies that fire from the monitor's first alerting window and never
+// resolve as chronic — platform steady state, not events — removing them
+// from the alert surface and from localization evidence while keeping
+// their incidents visible; and with localization enabled, Report.FusedSuspects
 // ranks components by suspiciousness fused across the windows they stay
 // suspect, so one persistent root cause rises above per-window noise.
 //
@@ -131,8 +131,8 @@ func WithPipelineDepth(n int) MonitorOption {
 // keeps firing is a property of the deployment — a structurally slow
 // trailing-rail DP group, a permanently oversubscribed link — not an
 // event worth re-alerting every window. An incident turns chronic once it
-// has fired 3 consecutive windows, having opened within 2 windows of the
-// first alert the monitor saw. Its alerts are then removed from
+// has fired 3 consecutive windows, having opened in the first window that
+// carried any alert. Its alerts are then removed from
 // JobReport.Alerts and Report.SwitchAlerts, and it is excluded from the
 // localization evidence, so localization ranks genuine faults instead of
 // the deployment's known baseline. The incident itself stays visible in
