@@ -222,8 +222,8 @@ func BenchmarkAnalyzePipeline(b *testing.B) {
 //   - Job granularity: the pool fans out per job, and this trace has three
 //     jobs with a dominant 16-node job on the critical path, so even with
 //     free cores the ratio is bounded near sum(job costs)/max(job cost)
-//     ≈ 2x, not N. The frame build ahead of the fan-out is the parallel
-//     BuildParallel and scales with cores independently of job count.
+//     ≈ 2x, not N. The frame build ahead of the fan-out is one linear
+//     radix sort on one goroutine, the same at every worker count.
 func BenchmarkAnalyze(b *testing.B) {
 	records, topo := benchTrace(b)
 	counts := []int{1, 2, 4}
@@ -257,34 +257,6 @@ func BenchmarkFrameBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(records)), "records/op")
 	b.ReportMetric(float64(frame.PathTable().NumPaths()), "paths")
-}
-
-// BenchmarkFrameBuildParallel isolates the close-time Build over a
-// pre-filled builder at fixed worker counts: workers=1 is the serial
-// reference; higher counts run the sharded row sort, parallel column
-// permutation, and parallel index build — all byte-identical to serial.
-// The speedup is only visible when GOMAXPROCS > 1; on a single-core host
-// the workers=4 run measures the sharding overhead instead (it must stay
-// within a few percent of serial — the work partition is the same
-// comparisons split into per-shard sorts plus one linear merge).
-func BenchmarkFrameBuildParallel(b *testing.B) {
-	records, _ := benchTrace(b)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				builder := flow.NewFrameBuilder()
-				builder.Grow(len(records))
-				for _, r := range records {
-					builder.AppendRecord(r)
-				}
-				b.StartTimer()
-				builder.BuildParallel(workers)
-			}
-			b.ReportMetric(float64(len(records)), "records/op")
-		})
-	}
 }
 
 // BenchmarkPushFrame measures the engine's one ingest over one window's

@@ -315,7 +315,7 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 			return nil, fmt.Errorf("flow: frame rows %d..%d not in canonical (start, id) order", i-1, i)
 		}
 	}
-	f.buildIndexes()
+	f.buildIndexes(newRadixSort(rows))
 	return f, nil
 }
 

@@ -143,19 +143,6 @@ func (b *FrameBuilder) AppendRecord(r Record) {
 // slice aliases the builder's path table and must be treated as read-only.
 func (b *FrameBuilder) Path(id PathID) []SwitchID { return b.table.Path(id) }
 
-// Build freezes the accumulated rows into a Frame. The builder remains
-// usable; paths interned so far keep their ids, and rows appended later
-// appear only in subsequently built frames.
-//
-// Built frames are canonical: rows are sorted by (pair, start, id) and the
-// path table is renumbered in first-use order over the sorted rows (paths
-// no row references are dropped), so the same row multiset produces
-// byte-identical WriteTo output regardless of append order, intern order,
-// or which ingest path (per-record or bulk) filled the builder. Build is
-// the single-threaded reference; BuildParallel(workers) produces the same
-// bytes on multiple cores.
-func (b *FrameBuilder) Build() *Frame { return b.BuildParallel(1) }
-
 // Frame is the immutable struct-of-arrays form of one analysis window:
 // every Record field lives in its own column, switch paths are interned
 // once into a shared PathTable, and rows are sorted by (endpoint pair,
@@ -201,7 +188,14 @@ type Frame struct {
 
 // NewFrame builds a frame from a record slice. The input is not modified;
 // its order does not matter.
-func NewFrame(records []Record) *Frame { return NewFrameParallel(records, 1) }
+func NewFrame(records []Record) *Frame {
+	b := NewFrameBuilder()
+	b.Grow(len(records))
+	for _, r := range records {
+		b.AppendRecord(r)
+	}
+	return b.Build()
+}
 
 // Len returns the number of rows.
 func (f *Frame) Len() int { return len(f.ids) }

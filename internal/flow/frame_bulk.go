@@ -97,15 +97,3 @@ func (f *Frame) MinStartNanos() int64 { return f.starts[f.byStart[0]] }
 // MaxStartNanos returns the largest row start (UnixNano). The frame must
 // be non-empty.
 func (f *Frame) MaxStartNanos() int64 { return f.starts[f.byStart[len(f.byStart)-1]] }
-
-// NewFrameParallel is NewFrame with the close-time Build spread over
-// workers goroutines (workers <= 0 means GOMAXPROCS); the result is
-// byte-identical to NewFrame's, which is NewFrameParallel(records, 1).
-func NewFrameParallel(records []Record, workers int) *Frame {
-	b := NewFrameBuilder()
-	b.Grow(len(records))
-	for _, r := range records {
-		b.AppendRecord(r)
-	}
-	return b.BuildParallel(workers)
-}

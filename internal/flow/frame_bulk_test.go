@@ -20,8 +20,7 @@ func frameBytes(t *testing.T, f *Frame) []byte {
 }
 
 // bulkRecords returns records with heavy path sharing and exact duplicates
-// — duplicates exercise the total-comparator tie handling of the sharded
-// sorts.
+// — duplicates exercise the row-index tie break of the row order.
 func bulkRecords(seed int64, n int) []Record {
 	rng := rand.New(rand.NewSource(seed))
 	records := randomRecords(seed, n)
@@ -31,27 +30,6 @@ func bulkRecords(seed int64, n int) []Record {
 		}
 	}
 	return records
-}
-
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 100, parallelBuildMinRows - 1, parallelBuildMinRows + 1, 3 * parallelBuildMinRows} {
-		records := bulkRecords(int64(n)+1, n)
-		b1 := NewFrameBuilder()
-		for _, r := range records {
-			b1.AppendRecord(r)
-		}
-		want := frameBytes(t, b1.Build())
-		for _, workers := range []int{0, 2, 3, 4, 8} {
-			b2 := NewFrameBuilder()
-			for _, r := range records {
-				b2.AppendRecord(r)
-			}
-			f := b2.BuildParallel(workers)
-			if got := frameBytes(t, f); !bytes.Equal(got, want) {
-				t.Fatalf("n=%d workers=%d: BuildParallel bytes diverge from serial Build", n, workers)
-			}
-		}
-	}
 }
 
 // TestBuildCanonicalAcrossIngestOrder checks the canonicalization Build now
@@ -245,15 +223,5 @@ func TestMinMaxStartNanos(t *testing.T) {
 	if f.MinStartNanos() != min || f.MaxStartNanos() != max {
 		t.Fatalf("MinStartNanos/MaxStartNanos = %d/%d, want %d/%d",
 			f.MinStartNanos(), f.MaxStartNanos(), min, max)
-	}
-}
-
-func TestNewFrameParallelMatchesNewFrame(t *testing.T) {
-	records := bulkRecords(31, 2*parallelBuildMinRows)
-	want := frameBytes(t, NewFrame(records))
-	for _, workers := range []int{0, 1, 4} {
-		if got := frameBytes(t, NewFrameParallel(records, workers)); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: NewFrameParallel diverges from NewFrame", workers)
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -280,10 +281,9 @@ func startIndexOracle(starts []int64, ids []uint64) []int32 {
 // across pairs under distinct and under equal ids, rows that all share one
 // (start, id), a few outliers far from one crowded start, spans of no
 // bits, one digit and past 2^63 (where start - min overflows int64 but not
-// uint64), ids too wide to share a key with the start, and frames of 0, 1
-// and 2 rows and around BuildParallel's 4096-row threshold. The index must
-// match on the raw columns, after Build, after BuildParallel(4) and after
-// an LPF1 round trip.
+// uint64), ids too wide to share a key with the start, and frames of 0, 1,
+// 2 and about 4096 rows. The index must match on the raw columns, after
+// Build and after an LPF1 round trip.
 func TestStartIndexMatchesComparatorSort(t *testing.T) {
 	const base = int64(1_767_268_800_000_000_000) // 2026-01-01T12:00:00Z
 	rng := rand.New(rand.NewSource(41))
@@ -346,7 +346,7 @@ func TestStartIndexMatchesComparatorSort(t *testing.T) {
 
 	for _, in := range inputs {
 		want := startIndexOracle(in.starts, in.ids)
-		if got := startIndex(in.starts, in.ids); !slices.Equal(got, want) {
+		if got := newRadixSort(len(in.starts)).startIndex(in.starts, in.ids); !slices.Equal(got, want) {
 			t.Fatalf("%s: startIndex diverges from the comparator sort on raw columns", in.name)
 		}
 		b := NewFrameBuilder()
@@ -369,10 +369,134 @@ func TestStartIndexMatchesComparatorSort(t *testing.T) {
 		for _, c := range []struct {
 			how string
 			f   *Frame
-		}{{"Build", built}, {"BuildParallel(4)", b.BuildParallel(4)}, {"ReadFrame", decoded}} {
+		}{{"Build", built}, {"ReadFrame", decoded}} {
 			if !slices.Equal(c.f.byStart, startIndexOracle(c.f.starts, c.f.ids)) {
 				t.Errorf("%s: start index after %s diverges from the comparator sort", in.name, c.how)
 			}
 		}
 	}
+}
+
+// rowOrderOracle is the comparator sort a built frame's row order is
+// defined by: rows in (canonical pair, start, id) order, row index
+// breaking exact ties.
+func rowOrderOracle(b *FrameBuilder) []int32 {
+	out := make([]int32, b.Len())
+	for i := range out {
+		out[i] = int32(i)
+	}
+	sort.Slice(out, func(x, y int) bool {
+		i, j := out[x], out[y]
+		p, q := MakePair(b.srcs[i], b.dsts[i]), MakePair(b.srcs[j], b.dsts[j])
+		if p.A != q.A {
+			return p.A < q.A
+		}
+		if p.B != q.B {
+			return p.B < q.B
+		}
+		if b.starts[i] != b.starts[j] {
+			return b.starts[i] < b.starts[j]
+		}
+		if b.ids[i] != b.ids[j] {
+			return b.ids[i] < b.ids[j]
+		}
+		return i < j
+	})
+	return out
+}
+
+// oracleFrame builds b's frame from the comparator permutation without
+// Build's sort or path renumbering: a fresh builder receives the rows in
+// sorted order and interns their paths as it goes, which is first-use
+// order over the sorted rows, and its columns become the frame's.
+func oracleFrame(b *FrameBuilder) *Frame {
+	sorted := NewFrameBuilder()
+	for _, i := range rowOrderOracle(b) {
+		sorted.Append(b.ids[i], time.Unix(0, b.starts[i]), time.Duration(b.durs[i]),
+			b.srcs[i], b.dsts[i], b.nbytes[i], sorted.InternPath(b.Path(b.paths[i])))
+	}
+	f := &Frame{ids: sorted.ids, starts: sorted.starts, durs: sorted.durs, srcs: sorted.srcs,
+		dsts: sorted.dsts, nbytes: sorted.nbytes, paths: sorted.paths, table: sorted.table}
+	f.buildIndexes(newRadixSort(f.Len()))
+	return f
+}
+
+// checkBuildMatchesOracle fails unless b's row order is the comparator's,
+// Build's frame encodes to the bytes of the frame built from the
+// comparator's permutation, and its start index is the (start, id, row)
+// comparator's.
+func checkBuildMatchesOracle(t *testing.T, name string, b *FrameBuilder) {
+	t.Helper()
+	if got := b.rowOrder(newRadixSort(b.Len())); !slices.Equal(got, rowOrderOracle(b)) {
+		t.Fatalf("%s: row order diverges from the comparator sort", name)
+	}
+	f := b.Build()
+	if !bytes.Equal(frameBytes(t, f), frameBytes(t, oracleFrame(b))) {
+		t.Fatalf("%s: Build's bytes diverge from the comparator-sorted frame's", name)
+	}
+	if !slices.Equal(f.byStart, startIndexOracle(f.starts, f.ids)) {
+		t.Fatalf("%s: start index diverges from the comparator sort", name)
+	}
+}
+
+// fuzzBuilder decodes data into a builder. The first byte sets the shape:
+// bit 0 spreads addresses over the full 32 bits, bit 1 spreads starts over
+// the whole int64 range and bit 2 ids over the whole uint64 range, so
+// bits 1 and 2 together take startIndex's two-pass branch. Each following
+// five bytes make a row: source, destination, start, id, and one byte for
+// the duration, the byte count and the path. Unspread, addresses take 8
+// values and ids 16, so pairs with src == dst, tied starts, duplicate ids
+// and exact duplicate rows are common.
+func fuzzBuilder(data []byte) *FrameBuilder {
+	b := NewFrameBuilder()
+	if len(data) == 0 {
+		return b
+	}
+	shape := data[0]
+	paths := []PathID{NoPath, b.InternPath([]SwitchID{3}), b.InternPath([]SwitchID{1, 2}), b.InternPath([]SwitchID{2})}
+	for data = data[1:]; len(data) >= 5; data = data[5:] {
+		src, dst, start, id := Addr(data[0]%8), Addr(data[1]%8), int64(data[2])*1000, uint64(data[3]%16)
+		if shape&1 != 0 {
+			src, dst = Addr(data[0])<<24|Addr(data[0]), Addr(data[1])<<24|Addr(data[1])
+		}
+		if shape&2 != 0 {
+			start = int64(uint64(data[2])<<56 | uint64(data[2]))
+		}
+		if shape&4 != 0 {
+			id = uint64(data[3])<<56 | uint64(data[3])
+		}
+		b.Append(id, time.Unix(0, start), time.Duration(data[4]), src, dst, int64(data[4]>>2), paths[data[4]%4])
+	}
+	return b
+}
+
+// TestBuildMatchesComparatorSort pins Build's radix-sorted row order to
+// the (pair, start, id, row) comparator sort, and its frame's bytes to
+// those of a frame built from the comparator's permutation: frames of 0,
+// 1, 2 and 5 000 rows in every fuzzBuilder shape (tied starts, duplicate
+// ids, src == dst, full-range addresses, and starts and ids wide enough
+// for the two-pass start index), and 5 000 records with exact duplicates
+// through AppendRecord.
+func TestBuildMatchesComparatorSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{0, 1, 2, 5000} {
+		for shape := 0; shape < 8; shape++ {
+			data := make([]byte, 1+5*n)
+			rng.Read(data)
+			data[0] = byte(shape)
+			b := fuzzBuilder(data)
+			name := fmt.Sprintf("n=%d/shape=%d", n, shape)
+			if shape&6 == 6 && n > 2 &&
+				bits.Len64(uint64(slices.Max(b.starts))-uint64(slices.Min(b.starts)))+
+					bits.Len64(slices.Max(b.ids)-slices.Min(b.ids)) <= 64 {
+				t.Fatalf("%s: keys fit 64 bits, the two-pass start index is not reached", name)
+			}
+			checkBuildMatchesOracle(t, name, b)
+		}
+	}
+	b := NewFrameBuilder()
+	for _, r := range bulkRecords(47, 5000) {
+		b.AppendRecord(r)
+	}
+	checkBuildMatchesOracle(t, "records", b)
 }

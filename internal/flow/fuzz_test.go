@@ -224,3 +224,18 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFrameBuild checks Build against the comparator sort on arbitrary
+// builders: its row order must be the (pair, start, id, row) comparator's
+// and its frame's bytes those of the frame built from that permutation.
+// fuzzBuilder's first byte picks the shape (full-range addresses, wide
+// starts, wide ids); each following five bytes make a row.
+func FuzzFrameBuild(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 5, 3, 0, 2, 1, 5, 3, 1, 1, 1, 5, 2, 2, 3, 3, 9, 4, 3})
+	f.Add([]byte{1, 255, 0, 7, 7, 7, 0, 255, 7, 7, 7, 9, 9, 0, 1, 2})
+	f.Add([]byte{6, 0, 1, 255, 0, 4, 0, 1, 0, 255, 5, 1, 0, 128, 128, 6})
+	f.Add([]byte{7, 4, 4, 200, 3, 1, 4, 4, 200, 3, 1, 4, 4, 10, 250, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBuildMatchesOracle(t, "fuzz", fuzzBuilder(data))
+	})
+}

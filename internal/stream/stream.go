@@ -454,10 +454,7 @@ func (e *Engine[R]) dispatch(ctx context.Context, k int64) error {
 		defer func() { <-e.sem }()
 		var f *flow.Frame
 		if b != nil {
-			// BuildParallel is byte-identical to the serial Build for any
-			// worker count; GOMAXPROCS cuts the close-time sort off the
-			// window-release critical path.
-			f = b.BuildParallel(0)
+			f = b.Build()
 		} else {
 			f = flow.NewFrame(nil)
 		}

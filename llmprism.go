@@ -321,11 +321,9 @@ type jobAnalysis struct {
 // It is a thin adapter over AnalyzeFrameContext: the window is loaded once
 // into a columnar flow.Frame (which also establishes the canonical sort
 // order, so no separate sorted copy is made) and analyzed from there. The
-// frame build runs at the analyzer's worker count — byte-identical to the
-// serial build for every count — so the sort is not a serial prefix on the
-// multi-worker critical path.
+// frame build is a radix sort, linear in the records.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, records []flow.Record, mapper jobrec.ServerMapper) (*Report, error) {
-	return a.AnalyzeFrameContext(ctx, flow.NewFrameParallel(records, a.cfg.Workers), mapper)
+	return a.AnalyzeFrameContext(ctx, flow.NewFrame(records), mapper)
 }
 
 // AnalyzeFrameContext runs the full pipeline over one columnar frame,
