@@ -165,7 +165,7 @@ func newRadixSort(n int) *radixSort {
 // rows), and with the 36 bits of start of a 60 s window the key fits in 64
 // bits. When it does not, the rows are radix sorted by id first and then,
 // stably, by start offset alone. Offsets are taken in uint64, so a span of
-// starts past 2^63 still sorts right. The result is r.rows: Build sorts
+// starts past 2^63 still sorts right. The result is r.rows: rowOrder sorts
 // it on by pair, and buildIndexes keeps it as a frame's start index.
 func (r *radixSort) startIndex(starts []int64, ids []uint64) []int32 {
 	n := len(starts)
