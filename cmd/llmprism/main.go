@@ -111,7 +111,7 @@ func main() {
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: llmprism <analyze|timeline|switches|monitor|record|replay> [flags]")
+		return fmt.Errorf("usage: llmprism <analyze|diagnose|timeline|switches|monitor|record|replay|scan> [flags]")
 	}
 	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
@@ -123,7 +123,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		jobIdx      = fs.Int("job", 0, "job index (timeline)")
 		ranks       = fs.Int("ranks", 8, "ranks to render (timeline)")
 		width       = fs.Int("width", 120, "render width in cells (timeline)")
-		bucket      = fs.Duration("bucket", time.Minute, "aggregation bucket (switches)")
+		bucket      = fs.Duration("bucket", time.Minute, "switch bandwidth aggregation bucket (every analysis)")
 		workers     = fs.Int("workers", 0, "per-job analysis fan-out (0 = GOMAXPROCS)")
 		window      = fs.Duration("window", time.Minute, "analysis window width (monitor)")
 		hop         = fs.Duration("hop", 0, "window stride, <= window; 0 = tumbling (monitor)")

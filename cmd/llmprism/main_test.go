@@ -189,6 +189,19 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 	}
 }
 
+func TestRunUsageNamesEverySubcommand(t *testing.T) {
+	var out, errOut strings.Builder
+	err := run(context.Background(), nil, &out, &errOut)
+	if err == nil {
+		t.Fatal("no subcommand returned no error")
+	}
+	for _, cmd := range []string{"analyze", "diagnose", "timeline", "switches", "monitor", "record", "replay", "scan"} {
+		if !strings.Contains(err.Error(), cmd) {
+			t.Errorf("usage %q does not name %s", err, cmd)
+		}
+	}
+}
+
 func TestRunCanceled(t *testing.T) {
 	flows, topo := writeTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -202,11 +202,7 @@ func run(args []string, stderr io.Writer) error {
 		queryLn.Close()
 		return err
 	}
-	resumed, err := d.ResumeClusters()
-	for _, c := range resumed {
-		cfg.logf("llmprismd: resumed cluster %s from checkpoint", c)
-	}
-	if err != nil {
+	if err := d.ResumeClusters(); err != nil {
 		ingestLn.Close()
 		queryLn.Close()
 		return errors.Join(err, d.mgr.Close())
@@ -336,16 +332,15 @@ func (d *daemon) clusterConfig(cluster string) (session.Config, error) {
 // persistence directory — any <cluster>.llpk checkpoint or <cluster>.llps
 // store — so each session restores its checkpoint and reconciles its
 // store at boot, before collectors reconnect. No-op unless the daemon was
-// configured with resume and a directory. Returns the resumed cluster
-// IDs, sorted; on error, the clusters resumed before the failure are
-// still returned.
-func (d *daemon) ResumeClusters() ([]string, error) {
+// configured with resume and a directory. Each resumed cluster is
+// logged, in cluster order, with what reconciling its store found.
+func (d *daemon) ResumeClusters() error {
 	if !d.cfg.resume || d.cfg.dir == "" {
-		return nil, nil
+		return nil
 	}
 	ents, err := os.ReadDir(d.cfg.dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	clusters := make(map[string]bool)
 	for _, ent := range ents {
@@ -365,12 +360,18 @@ func (d *daemon) ResumeClusters() ([]string, error) {
 		resumed = append(resumed, cluster)
 	}
 	sort.Strings(resumed)
-	for i, cluster := range resumed {
-		if _, err := d.mgr.Session(d.ctx, cluster); err != nil {
-			return resumed[:i], fmt.Errorf("resume cluster %q: %w", cluster, err)
+	for _, cluster := range resumed {
+		cs, err := d.mgr.Session(d.ctx, cluster)
+		if err != nil {
+			return fmt.Errorf("resume cluster %q: %w", cluster, err)
 		}
+		note := ""
+		if rec := cs.StoreRecovery(); rec != nil {
+			note = "; " + rec.String()
+		}
+		d.cfg.logf("llmprismd: resumed cluster %s from checkpoint%s", cluster, note)
 	}
-	return resumed, nil
+	return nil
 }
 
 // writeReadyFile publishes the bound listener addresses for supervisors

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -458,12 +459,12 @@ func TestMain(m *testing.M) {
 // startDaemonProcess launches the daemon as a separate OS process and
 // waits for its ready file, returning the process and its bound ingest
 // address and query base URL.
-func startDaemonProcess(t *testing.T, args []string, readyPath string) (*exec.Cmd, string, string) {
+func startDaemonProcess(t *testing.T, args []string, readyPath string, stderr io.Writer) (*exec.Cmd, string, string) {
 	t.Helper()
 	os.Remove(readyPath)
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "LLMPRISMD_TEST_CHILD=1")
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestDaemonKillAndResume(t *testing.T) {
 	// First life: stream the whole trace, and SIGKILL the daemon as soon
 	// as a few windows have been analyzed and checkpointed — mid-ingest,
 	// with open windows, a live segment temporary and no shutdown.
-	cmd, ingestAddr, queryURL := startDaemonProcess(t, args, readyPath)
+	cmd, ingestAddr, queryURL := startDaemonProcess(t, args, readyPath, os.Stderr)
 	go streamFrames(ingestAddr, "kr", frames) // dies with the process; error irrelevant
 	pollClusterWindows(t, queryURL, "kr", 2)
 	if err := cmd.Process.Kill(); err != nil {
@@ -582,7 +583,8 @@ func TestDaemonKillAndResume(t *testing.T) {
 	// Second life: -resume restores the checkpoint, reconciles the store,
 	// and the collector replays its stream from the start (pre-resume
 	// records are dropped as late). SIGTERM then drains and finalizes.
-	cmd, ingestAddr, queryURL = startDaemonProcess(t, args, readyPath)
+	var log bytes.Buffer
+	cmd, ingestAddr, queryURL = startDaemonProcess(t, args, readyPath, io.MultiWriter(os.Stderr, &log))
 	if err := streamFrames(ingestAddr, "kr", frames); err != nil {
 		t.Fatalf("resumed stream: %v", err)
 	}
@@ -594,6 +596,11 @@ func TestDaemonKillAndResume(t *testing.T) {
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("resumed daemon exited uncleanly: %v", err)
+	}
+	// The kill left the open segment's temporary behind, so reconciling
+	// the store cannot have been clean, and the resume line says so.
+	if !strings.Contains(log.String(), "resumed cluster kr from checkpoint; store recovered: ") {
+		t.Errorf("resume log carries no store recovery note:\n%s", log.String())
 	}
 
 	rep, err := session.OpenReplay(context.Background(), base, filepath.Join(stateDir, "kr.llps"), false)

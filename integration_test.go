@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism/internal/core/parallel"
-	"github.com/llmprism/llmprism/internal/core/timeline"
 	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
 	"github.com/llmprism/llmprism/internal/topology"
@@ -101,8 +100,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// (10s+ steps) asserts the paper's 0.3% bound in bench_test.go.
 	for _, j := range report.Jobs {
 		tj := truthJobOf(&res.Truth, j.Cluster.Endpoints[0])
-		ends := timeline.AllStepEnds(j.Timelines, res.Truth.Epoch)
-		score := truth.ScoreTimeline(ends, *tj)
+		score := truth.ScoreTimeline(j.Timelines, res.Truth.Epoch, *tj)
 		if score.MatchedSteps == 0 {
 			t.Errorf("job %d: no steps matched", tj.ID)
 			continue

@@ -172,9 +172,6 @@ func (t *IncidentTracker) Observe(alerts []JobAlert) []Incident {
 	return append(out, resolved...)
 }
 
-// Open returns the number of incidents currently firing.
-func (t *IncidentTracker) Open() int { return len(t.open) }
-
 func sortIncidents(incs []Incident) {
 	sort.Slice(incs, func(i, j int) bool {
 		a, b := incs[i].Key, incs[j].Key

@@ -40,8 +40,8 @@ func TestIncidentContinuity(t *testing.T) {
 	if len(incs) != 1 || incs[0].StillFiring {
 		t.Fatalf("window 2 = %+v, want one resolved incident", incs)
 	}
-	if tr.Open() != 0 {
-		t.Errorf("open = %d, want 0", tr.Open())
+	if len(tr.Snapshot().Open) != 0 {
+		t.Errorf("open = %d, want 0", len(tr.Snapshot().Open))
 	}
 
 	// Window 3: reappearance opens a fresh incident.

@@ -63,20 +63,6 @@ func NewRegistry(RegistryConfig) *Registry {
 	return &Registry{}
 }
 
-// Len returns the number of jobs currently tracked.
-func (r *Registry) Len() int { return len(r.jobs) }
-
-// FirstSeen returns the window start time at which id was first assigned,
-// or the zero time when id is unknown (expired or never assigned).
-func (r *Registry) FirstSeen(id JobID) time.Time {
-	for i := range r.jobs {
-		if r.jobs[i].id == id {
-			return r.jobs[i].firstSeen
-		}
-	}
-	return time.Time{}
-}
-
 // Assign matches one window's recognized clusters against the tracked jobs
 // and returns their JobIDs, parallel to clusters. seq is the window's
 // emission index (strictly increasing across calls) and at its start time;

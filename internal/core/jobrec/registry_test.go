@@ -30,8 +30,14 @@ func TestRegistryStableIdentity(t *testing.T) {
 	if !reflect.DeepEqual(ids, []JobID{1, 3, 2}) {
 		t.Errorf("window 2 ids = %v, want [1 3 2]", ids)
 	}
-	if got := r.FirstSeen(1); !got.Equal(at) {
-		t.Errorf("FirstSeen(1) = %v, want %v", got, at)
+	var first time.Time
+	for _, j := range r.Snapshot().Jobs {
+		if j.ID == 1 {
+			first = j.FirstSeen
+		}
+	}
+	if !first.Equal(at) {
+		t.Errorf("job 1 first seen at %v, want %v", first, at)
 	}
 }
 
@@ -47,12 +53,12 @@ func TestRegistryExpiry(t *testing.T) {
 	for seq := 1; seq <= 7; seq++ {
 		r.Assign(seq, at, nil)
 	}
-	if r.Len() != 1 {
-		t.Fatalf("tracked jobs = %d after 7 empty windows, want 1", r.Len())
+	if len(r.Snapshot().Jobs) != 1 {
+		t.Fatalf("tracked jobs = %d after 7 empty windows, want 1", len(r.Snapshot().Jobs))
 	}
 	r.Assign(8, at, nil)
-	if r.Len() != 0 {
-		t.Fatalf("tracked jobs = %d, want 0 after expiry", r.Len())
+	if len(r.Snapshot().Jobs) != 0 {
+		t.Fatalf("tracked jobs = %d, want 0 after expiry", len(r.Snapshot().Jobs))
 	}
 	ids = r.Assign(9, at, []Cluster{cl(1, 2)})
 	if ids[0] != 2 {

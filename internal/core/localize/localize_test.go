@@ -352,14 +352,14 @@ func TestTrackerContinuity(t *testing.T) {
 	if w1[0].Windows != 2 || !w1[0].FirstSeen.Equal(at) {
 		t.Errorf("window 1 suspect = %+v, want windows 2 first seen %v", w1[0], at)
 	}
-	if tr.Open() != 2 {
-		t.Errorf("open = %d, want 2 (host suspect inside its grace)", tr.Open())
+	if len(tr.Snapshot().Tracks) != 2 {
+		t.Errorf("open = %d, want 2 (host suspect inside its grace)", len(tr.Snapshot().Tracks))
 	}
 
 	// A second consecutive miss is past the grace.
 	tr.Observe(at.Add(2*time.Minute), []Suspect{{Component: SwitchComponent(7)}})
-	if tr.Open() != 1 {
-		t.Errorf("open = %d, want 1 (host suspect forgotten)", tr.Open())
+	if len(tr.Snapshot().Tracks) != 1 {
+		t.Errorf("open = %d, want 1 (host suspect forgotten)", len(tr.Snapshot().Tracks))
 	}
 
 	// Host 3 reappears: a fresh run.
@@ -402,15 +402,15 @@ func TestTrackerFlappingFaultKeepsRun(t *testing.T) {
 				t.Fatalf("window %d: Fused = %v, want %v (score keeps accumulating)", i, s.Fused, want)
 			}
 		}
-		if tr.Open() != 1 {
-			t.Fatalf("window %d: open = %d, want 1 (grace keeps the suspect)", i, tr.Open())
+		if len(tr.Snapshot().Tracks) != 1 {
+			t.Fatalf("window %d: open = %d, want 1 (grace keeps the suspect)", i, len(tr.Snapshot().Tracks))
 		}
 	}
 	// Two consecutive misses exceed the grace: the run ends.
 	tr.Observe(at.Add(6*time.Minute), nil)
 	tr.Observe(at.Add(7*time.Minute), nil)
-	if tr.Open() != 0 {
-		t.Errorf("open = %d, want 0 after two consecutive misses", tr.Open())
+	if len(tr.Snapshot().Tracks) != 0 {
+		t.Errorf("open = %d, want 0 after two consecutive misses", len(tr.Snapshot().Tracks))
 	}
 	w := []Suspect{{Component: sw, Score: 0.5}}
 	tr.Observe(at.Add(8*time.Minute), w)

@@ -126,7 +126,3 @@ func (t *Tracker) Fused() []Suspect {
 	}
 	return out
 }
-
-// Open returns the number of components currently suspect (grace-window
-// survivors included).
-func (t *Tracker) Open() int { return len(t.open) }

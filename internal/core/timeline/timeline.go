@@ -239,27 +239,6 @@ func countIn(starts []int64, from, to int64) int {
 	return max(hi-lo, 0)
 }
 
-// StepEnds returns the reconstructed step end offsets of one timeline
-// relative to epoch, for scoring against ground truth.
-func StepEnds(tl *Timeline, epoch time.Time) []time.Duration {
-	out := make([]time.Duration, len(tl.Steps))
-	for i, s := range tl.Steps {
-		out[i] = s.End.Sub(epoch)
-	}
-	return out
-}
-
-// AllStepEnds maps every rank to its reconstructed step end offsets.
-func AllStepEnds(timelines map[flow.Addr]*Timeline, epoch time.Time) map[flow.Addr][]time.Duration {
-	out := make(map[flow.Addr][]time.Duration, len(timelines))
-	for rank, tl := range timelines {
-		if len(tl.Steps) > 0 {
-			out[rank] = StepEnds(tl, epoch)
-		}
-	}
-	return out
-}
-
 // MeanStepDuration returns the mean of complete step durations across the
 // timeline, skipping the window-truncated first step.
 func MeanStepDuration(tl *Timeline) time.Duration {

@@ -144,27 +144,6 @@ func TestMinDPFlowsRespected(t *testing.T) {
 	}
 }
 
-func TestStepEndsAndAllStepEnds(t *testing.T) {
-	records, types := jobTrace(5, time.Second, 100*time.Millisecond)
-	tls := Reconstruct(records, types, Config{})
-	ends := StepEnds(tls[1], epoch)
-	if len(ends) != 5 {
-		t.Fatalf("StepEnds = %d entries, want 5", len(ends))
-	}
-	for i := 1; i < len(ends); i++ {
-		if ends[i] <= ends[i-1] {
-			t.Fatal("step ends not increasing")
-		}
-	}
-	all := AllStepEnds(tls, epoch)
-	if len(all[1]) != 5 {
-		t.Errorf("AllStepEnds missing rank 1")
-	}
-	if _, ok := all[0]; ok {
-		t.Error("AllStepEnds should omit ranks without steps")
-	}
-}
-
 func TestMeanStepDuration(t *testing.T) {
 	records, types := jobTrace(6, time.Second, 100*time.Millisecond)
 	tls := Reconstruct(records, types, Config{})

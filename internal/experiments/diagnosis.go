@@ -11,6 +11,7 @@ import (
 	"github.com/llmprism/llmprism/internal/core/diagnose"
 	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
+	"github.com/llmprism/llmprism/internal/netsim"
 	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/topology"
 )
@@ -68,7 +69,7 @@ func Diagnosis(ctx context.Context, opts Options) (*DiagnosisResult, error) {
 			At: 20 * time.Second, Until: 40 * time.Second, Factor: 4,
 		},
 		{
-			Kind: faults.KindLinkDegrade, Link: topology.LinkID(int(degraded)),
+			Kind: faults.KindLinkDegrade, Link: netsim.NICUp(degraded),
 			At: 20 * time.Second, Until: 40 * time.Second, Factor: 0.10,
 		},
 	}}

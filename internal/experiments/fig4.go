@@ -80,7 +80,7 @@ func fig4WithMode(ctx context.Context, opts Options, netCfg netsim.Config) (*Fig
 	anWall := time.Since(anStart)
 
 	tj := res.Truth.Jobs[0]
-	score := truth.ScoreTimeline(timeline.AllStepEnds(tls, res.Truth.Epoch), tj)
+	score := truth.ScoreTimeline(tls, res.Truth.Epoch, tj)
 
 	// Render the first 8 ranks over roughly two steps for the figure.
 	ranks := make([]flow.Addr, 0, len(tls))

@@ -8,6 +8,7 @@ import (
 
 	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/faults"
+	"github.com/llmprism/llmprism/internal/netsim"
 	"github.com/llmprism/llmprism/internal/platform"
 	"github.com/llmprism/llmprism/internal/pool"
 	"github.com/llmprism/llmprism/internal/session"
@@ -94,11 +95,6 @@ func locScenarios() []locScenario {
 		}
 		return plans
 	}
-	// One leaf-0 uplink at 3% capacity: the ECMP share of the first
-	// tenant's DP rings that hashes onto it crawls.
-	leaf0Uplink := func(topo *topology.Topology) topology.LinkID {
-		return topology.LinkID(2*topo.Endpoints() + 0*topo.Spines() + 3)
-	}
 	return []locScenario{
 		{
 			name: "switch-degrade", single: true,
@@ -109,8 +105,10 @@ func locScenarios() []locScenario {
 			name: "fabric-link-degrade", single: true,
 			plans: tenants8,
 			faults: func(topo *topology.Topology) faults.Schedule {
+				// One leaf-0 uplink at 3% capacity: the ECMP share of the
+				// first tenant's DP rings that hashes onto it crawls.
 				return faults.Schedule{Faults: []faults.Fault{{
-					Kind: faults.KindLinkDegrade, Link: leaf0Uplink(topo),
+					Kind: faults.KindLinkDegrade, Link: netsim.Uplink(topo, 0, 3),
 					At: locFaultFrom, Until: locFaultUntil, Factor: 0.03,
 				}}}
 			},
@@ -124,7 +122,7 @@ func locScenarios() []locScenario {
 			name: "flapping-fault", single: true,
 			plans: tenants8,
 			faults: func(topo *topology.Topology) faults.Schedule {
-				link := leaf0Uplink(topo)
+				link := netsim.Uplink(topo, 0, 3)
 				return faults.Schedule{Faults: []faults.Fault{
 					{
 						Kind: faults.KindLinkDegrade, Link: link,
@@ -153,7 +151,7 @@ func locScenarios() []locScenario {
 				// GPU 3 of the second tenant's third server: its transmit
 				// path collapses to 2 Gb/s.
 				return faults.Schedule{Faults: []faults.Fault{{
-					Kind: faults.KindLinkDegrade, Link: topology.LinkID(int(topo.AddrOf(10, 3))),
+					Kind: faults.KindLinkDegrade, Link: netsim.NICUp(topo.AddrOf(10, 3)),
 					At: locFaultFrom, Until: locFaultUntil, Factor: 0.01,
 				}}}
 			},
@@ -166,7 +164,7 @@ func locScenarios() []locScenario {
 				// spine, concurrently: both must surface in the top-K.
 				return faults.Schedule{Faults: []faults.Fault{
 					{
-						Kind: faults.KindLinkDegrade, Link: topology.LinkID(int(topo.AddrOf(10, 3))),
+						Kind: faults.KindLinkDegrade, Link: netsim.NICUp(topo.AddrOf(10, 3)),
 						At: locFaultFrom, Until: locFaultUntil, Factor: 0.01,
 					},
 					{
@@ -191,7 +189,7 @@ func locScenarios() []locScenario {
 						At: locFaultFrom, Until: locFaultUntil - locWindow, Factor: 0.07,
 					},
 					{
-						Kind: faults.KindLinkDegrade, Link: topology.LinkID(int(topo.AddrOf(10, 3))),
+						Kind: faults.KindLinkDegrade, Link: netsim.NICUp(topo.AddrOf(10, 3)),
 						At: locFaultFrom + locWindow, Until: locFaultUntil, Factor: 0.01,
 					},
 				}}

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"github.com/llmprism/llmprism/internal/flow"
-	"github.com/llmprism/llmprism/internal/topology"
+	"github.com/llmprism/llmprism/internal/netsim"
 )
 
 // Kind classifies a fault.
@@ -49,7 +49,7 @@ type Fault struct {
 	// Switch is the target of KindSwitchDegrade.
 	Switch flow.SwitchID
 	// Link is the target of KindLinkDegrade.
-	Link topology.LinkID
+	Link netsim.LinkID
 	// Addr is the target NIC/GPU of KindRankSlowdown.
 	Addr flow.Addr
 	// Factor is the capacity scale (< 1) for degradations or the compute

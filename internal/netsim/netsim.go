@@ -1,6 +1,7 @@
 // Package netsim is a fluid (rate-based) flow-level network simulator over
 // a topology fabric. It substitutes for the RDMA network of the production
-// platform the paper measures.
+// platform the paper measures, and it owns the fabric's link model: the
+// directed link table, its numbering and ECMP routing (fabric.go).
 //
 // Model: each active flow receives, on every link of its path, an equal
 // share of the link's effective capacity; the flow's rate is the minimum
@@ -87,7 +88,7 @@ type flowState struct {
 	updatedAt float64 // sim seconds of the last settle
 	startSec  float64
 	gen       uint32
-	links     []topology.LinkID
+	links     []LinkID
 	switches  []flow.SwitchID
 	intraNode bool
 }
@@ -121,6 +122,7 @@ func (h *completionHeap) Pop() interface{} {
 type Network struct {
 	topo      *topology.Topology
 	cfg       Config
+	links     []Link
 	capacity  []float64 // effective capacity per link, bytes/sec
 	baseCap   []float64
 	flows     []flowState
@@ -133,10 +135,11 @@ type Network struct {
 // New builds a Network over topo.
 func New(topo *topology.Topology, cfg Config) *Network {
 	cfg = cfg.withDefaults()
-	links := topo.Links()
+	links := Links(topo)
 	n := &Network{
 		topo:      topo,
 		cfg:       cfg,
+		links:     links,
 		capacity:  make([]float64, len(links)),
 		baseCap:   make([]float64, len(links)),
 		linkFlows: make([][]Handle, len(links)),
@@ -181,7 +184,7 @@ func (n *Network) Start(src, dst flow.Addr, bytes int64, label uint32, tag uint6
 	st.updatedAt = atSec + n.cfg.BaseLatency.Seconds()
 	st.gen++
 
-	path := n.topo.Route(src, dst, label)
+	path := Route(n.topo, src, dst, label)
 	st.intraNode = path.IntraNode
 	st.links = path.Links
 	st.switches = path.Switches
@@ -205,7 +208,7 @@ func (n *Network) Start(src, dst flow.Addr, bytes int64, label uint32, tag uint6
 }
 
 // pathRate returns the equal-share rate along links given current counts.
-func (n *Network) pathRate(links []topology.LinkID) float64 {
+func (n *Network) pathRate(links []LinkID) float64 {
 	rate := math.Inf(1)
 	for _, l := range links {
 		share := n.capacity[l] / float64(len(n.linkFlows[l]))
@@ -221,7 +224,7 @@ func (n *Network) pathRate(links []topology.LinkID) float64 {
 
 // recomputeAround settles and re-rates every active flow that shares a link
 // with the given set, including flows on those links themselves.
-func (n *Network) recomputeAround(links []topology.LinkID) {
+func (n *Network) recomputeAround(links []LinkID) {
 	seen := make(map[Handle]struct{})
 	for _, l := range links {
 		for _, h := range n.linkFlows[l] {
@@ -348,7 +351,7 @@ func (n *Network) complete(h Handle) Completion {
 	return c
 }
 
-func (n *Network) removeFromLink(l topology.LinkID, h Handle) {
+func (n *Network) removeFromLink(l LinkID, h Handle) {
 	flows := n.linkFlows[l]
 	for i, fh := range flows {
 		if fh == h {
@@ -371,13 +374,13 @@ func (n *Network) alloc() Handle {
 
 // SetLinkScale sets the effective capacity of one link to scale × nominal
 // (scale 1 restores it) and re-rates affected flows.
-func (n *Network) SetLinkScale(l topology.LinkID, scale float64, at time.Duration) {
+func (n *Network) SetLinkScale(l LinkID, scale float64, at time.Duration) {
 	n.advanceClock(at)
 	if scale < 0 {
 		scale = 0
 	}
 	n.capacity[l] = n.baseCap[l] * scale
-	n.recomputeAround([]topology.LinkID{l})
+	n.recomputeAround([]LinkID{l})
 }
 
 // SetSwitchScale degrades (or restores) every link attached to a switch —
@@ -387,8 +390,8 @@ func (n *Network) SetSwitchScale(sw flow.SwitchID, scale float64, at time.Durati
 	if scale < 0 {
 		scale = 0
 	}
-	var affected []topology.LinkID
-	for _, link := range n.topo.Links() {
+	var affected []LinkID
+	for _, link := range n.links {
 		if link.Switch == sw {
 			n.capacity[link.ID] = n.baseCap[link.ID] * scale
 			affected = append(affected, link.ID)

@@ -176,12 +176,12 @@ func TestStalledFlowResumesAfterRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the src NIC link entirely: flow stalls, no completion event.
-	n.SetLinkScale(topology.LinkID(int(src)), 0, 5*time.Millisecond)
+	n.SetLinkScale(NICUp(src), 0, 5*time.Millisecond)
 	if _, ok := n.NextEventTime(); ok {
 		t.Fatal("stalled flow still has a projected completion")
 	}
 	// Restore at t=1s: flow should finish.
-	n.SetLinkScale(topology.LinkID(int(src)), 1, time.Second)
+	n.SetLinkScale(NICUp(src), 1, time.Second)
 	comps := drainAll(t, n, 10*time.Second)
 	if len(comps) != 1 {
 		t.Fatalf("got %d completions after restore, want 1", len(comps))

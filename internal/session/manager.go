@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/llmprism/llmprism"
+	"github.com/llmprism/llmprism/internal/archive"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -243,6 +244,12 @@ func (cs *ClusterSession) Stats() (windows int, late uint64) {
 	}
 	return cs.s.Windows(), cs.s.Late()
 }
+
+// StoreRecovery reports what reconciling the cluster's store with its
+// checkpoint found and repaired when the session resumed (nil on a fresh
+// session, or when no store is configured). It is fixed once the session
+// is open.
+func (cs *ClusterSession) StoreRecovery() *archive.StoreRecovery { return cs.s.StoreRecovery() }
 
 func (cs *ClusterSession) usable() error {
 	if cs.closed {

@@ -1,22 +1,14 @@
-// Package topology models the physical training fabric: servers with one
-// RDMA NIC per GPU, a two-tier leaf–spine (Clos) switch network with ECMP
-// routing, and the address mapping that lets the platform provider resolve
-// a flow endpoint to its physical server.
-//
-// The topology plays two roles in the reproduction:
-//
-//   - The platform side (simulator) routes every transfer over it, yielding
-//     the per-flow switch lists and shared-link contention that the collected
-//     flow records expose.
-//   - The analysis side (Algorithm 1 of the paper) only uses the
-//     address→server mapping, which is exactly the information a provider
-//     has about rented machines.
+// Package topology maps a training fabric's addresses to its servers and
+// switches: servers with one RDMA NIC per GPU under a two-tier leaf–spine
+// (Clos) switch network, the address→server mapping a platform provider
+// has about rented machines (Algorithm 1 of the paper), switch names, and
+// the topo.json spec. The directed links and ECMP routing the simulator
+// charges belong to package netsim.
 package topology
 
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 
 	"github.com/llmprism/llmprism/internal/flow"
@@ -24,47 +16,6 @@ import (
 
 // NodeID identifies a physical server.
 type NodeID int32
-
-// LinkID indexes a directed link in the fabric.
-type LinkID int32
-
-// LinkKind classifies fabric links.
-type LinkKind uint8
-
-// Link kinds. NIC links connect a GPU NIC to its leaf switch; fabric links
-// connect leaves and spines.
-const (
-	LinkNICUp LinkKind = iota + 1
-	LinkNICDown
-	LinkLeafToSpine
-	LinkSpineToLeaf
-)
-
-func (k LinkKind) String() string {
-	switch k {
-	case LinkNICUp:
-		return "nic-up"
-	case LinkNICDown:
-		return "nic-down"
-	case LinkLeafToSpine:
-		return "leaf-to-spine"
-	case LinkSpineToLeaf:
-		return "spine-to-leaf"
-	default:
-		return fmt.Sprintf("LinkKind(%d)", uint8(k))
-	}
-}
-
-// Link is a directed fabric link with a nominal capacity.
-type Link struct {
-	ID       LinkID
-	Kind     LinkKind
-	Capacity float64 // bytes per second
-	// Switch is the switch this link is attached to (the leaf for NIC
-	// links, the spine for leaf-to-spine, the destination leaf for
-	// spine-to-leaf).
-	Switch flow.SwitchID
-}
 
 // Spec describes a fabric. Zero fields take the documented defaults.
 type Spec struct {
@@ -107,16 +58,11 @@ func (s Spec) withDefaults() Spec {
 type Topology struct {
 	spec   Spec
 	leaves int
-	links  []Link
-	// Link index layout:
-	//   [0, n)                 NIC up, addr a -> leaf
-	//   [n, 2n)                NIC down, leaf -> addr a
-	//   [2n, 2n+L*S)           leaf l -> spine s at 2n + l*S + s
-	//   [2n+L*S, 2n+2*L*S)     spine s -> leaf l at 2n+L*S + l*S + s
 	nAddrs int
 }
 
-// New validates the spec and builds the fabric.
+// New validates the spec and builds the fabric's address and switch
+// mapping.
 func New(spec Spec) (*Topology, error) {
 	spec = spec.withDefaults()
 	if spec.Nodes <= 0 {
@@ -125,35 +71,11 @@ func New(spec Spec) (*Topology, error) {
 	if spec.Nodes*spec.GPUsPerNode > 1<<24 {
 		return nil, fmt.Errorf("topology: %d endpoints exceed the 2^24 address space", spec.Nodes*spec.GPUsPerNode)
 	}
-	t := &Topology{
+	return &Topology{
 		spec:   spec,
 		leaves: (spec.Nodes + spec.NodesPerLeaf - 1) / spec.NodesPerLeaf,
 		nAddrs: spec.Nodes * spec.GPUsPerNode,
-	}
-	nicBps := spec.NICGbps * 1e9 / 8
-	upBps := spec.UplinkGbps * 1e9 / 8
-	t.links = make([]Link, 0, 2*t.nAddrs+2*t.leaves*spec.Spines)
-	for a := 0; a < t.nAddrs; a++ {
-		leaf := t.LeafOf(t.NodeOfIndex(a))
-		t.links = append(t.links, Link{ID: LinkID(a), Kind: LinkNICUp, Capacity: nicBps, Switch: leaf})
-	}
-	for a := 0; a < t.nAddrs; a++ {
-		leaf := t.LeafOf(t.NodeOfIndex(a))
-		t.links = append(t.links, Link{ID: LinkID(t.nAddrs + a), Kind: LinkNICDown, Capacity: nicBps, Switch: leaf})
-	}
-	for l := 0; l < t.leaves; l++ {
-		for s := 0; s < spec.Spines; s++ {
-			id := LinkID(2*t.nAddrs + l*spec.Spines + s)
-			t.links = append(t.links, Link{ID: id, Kind: LinkLeafToSpine, Capacity: upBps, Switch: t.SpineSwitch(s)})
-		}
-	}
-	for l := 0; l < t.leaves; l++ {
-		for s := 0; s < spec.Spines; s++ {
-			id := LinkID(2*t.nAddrs + t.leaves*spec.Spines + l*spec.Spines + s)
-			t.links = append(t.links, Link{ID: id, Kind: LinkSpineToLeaf, Capacity: upBps, Switch: t.LeafSwitch(l)})
-		}
-	}
-	return t, nil
+	}, nil
 }
 
 // Spec returns the (defaulted) spec the topology was built from.
@@ -168,9 +90,8 @@ func (t *Topology) Endpoints() int { return t.nAddrs }
 // Spines returns the number of spine switches.
 func (t *Topology) Spines() int { return t.spec.Spines }
 
-// Links returns the full directed link table. The returned slice must not
-// be modified.
-func (t *Topology) Links() []Link { return t.links }
+// Leaves returns the number of leaf switches.
+func (t *Topology) Leaves() int { return t.leaves }
 
 // AddrOf returns the NIC address of (node, gpu).
 func (t *Topology) AddrOf(node NodeID, gpu int) flow.Addr {
@@ -181,11 +102,6 @@ func (t *Topology) AddrOf(node NodeID, gpu int) flow.Addr {
 // mapping used by Algorithm 1.
 func (t *Topology) NodeOf(a flow.Addr) NodeID {
 	return NodeID(int(a) / t.spec.GPUsPerNode)
-}
-
-// NodeOfIndex is NodeOf for a raw integer endpoint index.
-func (t *Topology) NodeOfIndex(a int) NodeID {
-	return NodeID(a / t.spec.GPUsPerNode)
 }
 
 // GPUOf resolves a NIC address to the GPU index within its server.
@@ -217,103 +133,6 @@ func (t *Topology) SwitchName(sw flow.SwitchID) string {
 		return fmt.Sprintf("spine-%d", int(sw)-t.leaves)
 	}
 	return fmt.Sprintf("leaf-%d", int(sw))
-}
-
-// LinkInfo locates one directed link in the fabric: its kind plus either
-// the NIC endpoint it serves (NIC links) or the leaf and spine switches it
-// connects (fabric links). It is the inverse of the link index layout the
-// router charges, letting a fault on a raw LinkID be mapped back to the
-// physical component it degrades.
-type LinkInfo struct {
-	Kind LinkKind
-	// Addr is the NIC endpoint of NIC up/down links.
-	Addr flow.Addr
-	// Leaf and Spine are the switches a leaf<->spine link connects.
-	Leaf, Spine flow.SwitchID
-}
-
-// LinkInfo resolves a link id; ok is false for ids outside the fabric.
-func (t *Topology) LinkInfo(id LinkID) (LinkInfo, bool) {
-	i := int(id)
-	n := t.nAddrs
-	ls := t.leaves * t.spec.Spines
-	switch {
-	case i < 0:
-		return LinkInfo{}, false
-	case i < n:
-		return LinkInfo{Kind: LinkNICUp, Addr: flow.Addr(i)}, true
-	case i < 2*n:
-		return LinkInfo{Kind: LinkNICDown, Addr: flow.Addr(i - n)}, true
-	case i < 2*n+ls:
-		j := i - 2*n
-		return LinkInfo{
-			Kind:  LinkLeafToSpine,
-			Leaf:  t.LeafSwitch(j / t.spec.Spines),
-			Spine: t.SpineSwitch(j % t.spec.Spines),
-		}, true
-	case i < 2*n+2*ls:
-		j := i - 2*n - ls
-		return LinkInfo{
-			Kind:  LinkSpineToLeaf,
-			Leaf:  t.LeafSwitch(j / t.spec.Spines),
-			Spine: t.SpineSwitch(j % t.spec.Spines),
-		}, true
-	default:
-		return LinkInfo{}, false
-	}
-}
-
-// Path is a routed fabric path between two endpoints.
-type Path struct {
-	// Switches in traversal order (what ERSPAN collection records).
-	Switches []flow.SwitchID
-	// Links in traversal order (what the network simulator charges).
-	Links []LinkID
-	// IntraNode is true for endpoint pairs on the same server: the
-	// traffic rides NVLink and never reaches the fabric.
-	IntraNode bool
-}
-
-// Route computes the ECMP path from src to dst. label differentiates flows
-// of the same endpoint pair (e.g. collective channels) so they can hash
-// onto different spines, like distinct RoCE queue pairs would.
-func (t *Topology) Route(src, dst flow.Addr, label uint32) Path {
-	srcNode, dstNode := t.NodeOf(src), t.NodeOf(dst)
-	if srcNode == dstNode {
-		return Path{IntraNode: true}
-	}
-	srcLeaf, dstLeaf := t.LeafOf(srcNode), t.LeafOf(dstNode)
-	nicUp := LinkID(int(src))
-	nicDown := LinkID(t.nAddrs + int(dst))
-	if srcLeaf == dstLeaf {
-		return Path{
-			Switches: []flow.SwitchID{srcLeaf},
-			Links:    []LinkID{nicUp, nicDown},
-		}
-	}
-	spine := t.ecmpSpine(src, dst, label)
-	up := LinkID(2*t.nAddrs + int(srcLeaf)*t.spec.Spines + spine)
-	down := LinkID(2*t.nAddrs + t.leaves*t.spec.Spines + int(dstLeaf)*t.spec.Spines + spine)
-	return Path{
-		Switches: []flow.SwitchID{srcLeaf, t.SpineSwitch(spine), dstLeaf},
-		Links:    []LinkID{nicUp, up, down, nicDown},
-	}
-}
-
-func (t *Topology) ecmpSpine(src, dst flow.Addr, label uint32) int {
-	h := fnv.New32a()
-	var buf [12]byte
-	put32 := func(off int, v uint32) {
-		buf[off] = byte(v >> 24)
-		buf[off+1] = byte(v >> 16)
-		buf[off+2] = byte(v >> 8)
-		buf[off+3] = byte(v)
-	}
-	put32(0, uint32(src))
-	put32(4, uint32(dst))
-	put32(8, label)
-	_, _ = h.Write(buf[:])
-	return int(h.Sum32() % uint32(t.spec.Spines))
 }
 
 // WriteJSON persists the topology spec.

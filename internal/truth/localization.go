@@ -8,6 +8,7 @@ import (
 	"github.com/llmprism/llmprism/internal/core/localize"
 	"github.com/llmprism/llmprism/internal/faults"
 	"github.com/llmprism/llmprism/internal/flow"
+	"github.com/llmprism/llmprism/internal/netsim"
 	"github.com/llmprism/llmprism/internal/topology"
 )
 
@@ -49,14 +50,14 @@ func FaultComponent(topo *topology.Topology, f faults.Fault) (localize.Component
 	case faults.KindRankSlowdown:
 		return localize.HostComponent(f.Addr), true
 	case faults.KindLinkDegrade:
-		info, ok := topo.LinkInfo(f.Link)
+		info, ok := netsim.Locate(topo, f.Link)
 		if !ok {
 			return localize.Component{}, false
 		}
 		switch info.Kind {
-		case topology.LinkNICUp, topology.LinkNICDown:
+		case netsim.LinkNICUp, netsim.LinkNICDown:
 			return localize.HostComponent(info.Addr), true
-		case topology.LinkLeafToSpine:
+		case netsim.LinkLeafToSpine:
 			return localize.LinkComponent(info.Leaf, info.Spine), true
 		default:
 			return localize.LinkComponent(info.Spine, info.Leaf), true
@@ -111,12 +112,12 @@ func FaultDetected(topo *topology.Topology, f faults.Fault, alerts []diagnose.Al
 	case faults.KindRankSlowdown:
 		return crossStepOnNode(topo.NodeOf(f.Addr))
 	case faults.KindLinkDegrade:
-		info, ok := topo.LinkInfo(f.Link)
+		info, ok := netsim.Locate(topo, f.Link)
 		if !ok {
 			return false
 		}
 		switch info.Kind {
-		case topology.LinkNICUp, topology.LinkNICDown:
+		case netsim.LinkNICUp, netsim.LinkNICDown:
 			return crossGroup() || crossStepOnNode(topo.NodeOf(info.Addr))
 		default:
 			return crossGroup() || switchAlertOn(info.Leaf) || switchAlertOn(info.Spine)

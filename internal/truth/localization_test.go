@@ -7,6 +7,7 @@ import (
 	"github.com/llmprism/llmprism/internal/core/diagnose"
 	"github.com/llmprism/llmprism/internal/core/localize"
 	"github.com/llmprism/llmprism/internal/faults"
+	"github.com/llmprism/llmprism/internal/netsim"
 	"github.com/llmprism/llmprism/internal/topology"
 )
 
@@ -30,11 +31,11 @@ func TestFaultComponentMapping(t *testing.T) {
 		t.Errorf("rank fault component = %v ok=%v", c, ok)
 	}
 	// A NIC-up link degrade is attributed to the host.
-	if c, ok := FaultComponent(topo, faults.Fault{Kind: faults.KindLinkDegrade, Link: topology.LinkID(9)}); !ok || c != localize.HostComponent(9) {
+	if c, ok := FaultComponent(topo, faults.Fault{Kind: faults.KindLinkDegrade, Link: netsim.NICUp(9)}); !ok || c != localize.HostComponent(9) {
 		t.Errorf("NIC link fault component = %v ok=%v", c, ok)
 	}
 	// A fabric link degrade is attributed to the canonical leaf<->spine link.
-	fabric := topology.LinkID(2*topo.Endpoints() + 0*topo.Spines() + 1) // leaf 0 -> spine 1
+	fabric := netsim.Uplink(topo, 0, 1)
 	want := localize.LinkComponent(topo.LeafSwitch(0), spine)
 	if c, ok := FaultComponent(topo, faults.Fault{Kind: faults.KindLinkDegrade, Link: fabric}); !ok || c != want {
 		t.Errorf("fabric link fault component = %v ok=%v, want %v", c, ok, want)

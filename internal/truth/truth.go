@@ -13,6 +13,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/core/timeline"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -167,24 +168,25 @@ type TimelineScore struct {
 	MaxRelError float64
 }
 
-// ScoreTimeline scores reconstructed per-rank step end times against the
-// truth. recon maps each rank to reconstructed step end offsets (sorted).
-// For each true span, the nearest reconstructed end is matched if it falls
-// within half a step of the true end; the relative error is the offset
-// divided by the true step duration, matching the paper's "reconstruction
-// error within 0.3%" metric (§V-C).
-func ScoreTimeline(recon map[flow.Addr][]time.Duration, job Job) TimelineScore {
+// ScoreTimeline scores one job's reconstructed timelines against the
+// truth, with each step end taken as an offset from epoch. For each true
+// span, the nearest reconstructed end is matched if it falls within half a
+// step of the true end; the relative error is the offset divided by the
+// true step duration, matching the paper's "reconstruction error within
+// 0.3%" metric (§V-C). Ranks without a timeline or without steps are
+// skipped.
+func ScoreTimeline(tls map[flow.Addr]*timeline.Timeline, epoch time.Time, job Job) TimelineScore {
 	var score TimelineScore
 	var sum float64
 	for addr, spans := range job.Steps {
-		ends := recon[addr]
-		if len(ends) == 0 {
+		tl := tls[addr]
+		if tl == nil || len(tl.Steps) == 0 {
 			continue
 		}
 		for _, span := range spans {
 			best := time.Duration(math.MaxInt64)
-			for _, e := range ends {
-				if d := absDur(e - span.End); d < best {
+			for _, st := range tl.Steps {
+				if d := absDur(st.End.Sub(epoch) - span.End); d < best {
 					best = d
 				}
 			}

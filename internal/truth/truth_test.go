@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/llmprism/llmprism/internal/core/timeline"
 	"github.com/llmprism/llmprism/internal/flow"
 )
 
@@ -79,10 +80,10 @@ func TestScoreTimeline(t *testing.T) {
 			{Step: 1, Start: 10 * time.Second, End: 20 * time.Second},
 		},
 	}}
-	recon := map[flow.Addr][]time.Duration{
-		1: {10*time.Second + 20*time.Millisecond, 20*time.Second - 10*time.Millisecond},
+	tls := map[flow.Addr]*timeline.Timeline{
+		1: stepsEndingAt(10*time.Second+20*time.Millisecond, 20*time.Second-10*time.Millisecond),
 	}
-	score := ScoreTimeline(recon, job)
+	score := ScoreTimeline(tls, scoreEpoch, job)
 	if score.MatchedSteps != 2 {
 		t.Fatalf("matched = %d, want 2", score.MatchedSteps)
 	}
@@ -100,19 +101,34 @@ func TestScoreTimelineSkipsFarBoundaries(t *testing.T) {
 		1: {{Step: 0, Start: 0, End: 10 * time.Second}},
 	}}
 	// Nearest reconstructed end is 8s away — more than half a step.
-	recon := map[flow.Addr][]time.Duration{1: {18 * time.Second}}
-	score := ScoreTimeline(recon, job)
+	tls := map[flow.Addr]*timeline.Timeline{1: stepsEndingAt(18 * time.Second)}
+	score := ScoreTimeline(tls, scoreEpoch, job)
 	if score.MatchedSteps != 0 {
 		t.Errorf("far boundary should not match: %+v", score)
 	}
 }
 
+// A rank with no timeline, or with a timeline but no steps, is skipped.
 func TestScoreTimelineMissingRank(t *testing.T) {
 	job := Job{Steps: map[flow.Addr][]Span{
 		1: {{Step: 0, Start: 0, End: 10 * time.Second}},
+		2: {{Step: 0, Start: 0, End: 10 * time.Second}},
 	}}
-	score := ScoreTimeline(map[flow.Addr][]time.Duration{}, job)
+	tls := map[flow.Addr]*timeline.Timeline{2: {Rank: 2}}
+	score := ScoreTimeline(tls, scoreEpoch, job)
 	if score.MatchedSteps != 0 || score.MeanRelError != 0 {
 		t.Errorf("missing rank should score zero: %+v", score)
 	}
+}
+
+var scoreEpoch = time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
+
+// stepsEndingAt builds a timeline whose steps end at the given offsets
+// from scoreEpoch.
+func stepsEndingAt(ends ...time.Duration) *timeline.Timeline {
+	tl := &timeline.Timeline{}
+	for _, e := range ends {
+		tl.Steps = append(tl.Steps, timeline.Step{End: scoreEpoch.Add(e)})
+	}
+	return tl
 }

@@ -6,8 +6,8 @@ import (
 
 	"github.com/llmprism/llmprism"
 	"github.com/llmprism/llmprism/internal/core/localize"
+	"github.com/llmprism/llmprism/internal/netsim"
 	"github.com/llmprism/llmprism/internal/session"
-	"github.com/llmprism/llmprism/internal/topology"
 	"github.com/llmprism/llmprism/testbed"
 )
 
@@ -37,7 +37,7 @@ func chronicTrace(t testing.TB, degrade bool) ([]llmprism.FlowRecord, *llmprism.
 		if err != nil {
 			t.Fatal(err)
 		}
-		slowNIC := topology.LinkID(int(topo.AddrOf(4, 0)))
+		slowNIC := netsim.NICUp(topo.AddrOf(4, 0))
 		schedule.Faults = []testbed.Fault{{
 			Kind: testbed.FaultLinkDegrade, Link: slowNIC,
 			At: 0, Until: horizon, Factor: 0.3,

@@ -99,7 +99,7 @@ func ScoreRecognition(predicted [][]flow.Addr, jobs []TruthJob) RecognitionScore
 // ScoreTimelines compares reconstructed step boundaries of one job's
 // timelines against its ground truth.
 func ScoreTimelines(tls map[flow.Addr]*timeline.Timeline, epoch time.Time, job TruthJob) TimelineScore {
-	return truth.ScoreTimeline(timeline.AllStepEnds(tls, epoch), job)
+	return truth.ScoreTimeline(tls, epoch, job)
 }
 
 // CrossMachineClusters exposes phase 1 of job recognition on its own: the
